@@ -210,6 +210,8 @@ def _cmd_stirling(args: argparse.Namespace) -> int:
 
 def _cmd_stirling_check(args: argparse.Namespace) -> int:
     _no_dot(args)
+    if args.n < 0:
+        raise ValueError("n must be nonnegative")
     monotone_failures = []
     plain = []
     shifted = []
@@ -275,6 +277,8 @@ def _cmd_symfun(args: argparse.Namespace) -> int:
 
 def _cmd_derivative_check(args: argparse.Namespace) -> int:
     _no_dot(args)
+    if args.n < 0:
+        raise ValueError("n must be nonnegative")
     order = args.n
     kwargs = {} if args.ceiling is None else {"ceiling": args.ceiling}
     bell = identities.exp_minus_one_series(max(order, 1))
@@ -401,3 +405,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -12,16 +12,23 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from functools import partial
+from operator import itemgetter
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .boolean import gk_decomposition
-from .coding import code_from_nonzeros, decode, encode, nonzeros
+from .coding import code_from_nonzeros, decode, encode
+from .identities import stirling_table
 from .reports import VerificationReport, report
 from .subsets import DEFAULT_ENUM_CEILING, CeilingExceeded, Subset
 
 # Bell(13) is about 27.6 million; whole-lattice work past that needs an
 # explicit ceiling override.
 DEFAULT_PARTITION_CEILING = 13
+
+# A partition's canonical blocks, as SetPartition.blocks holds them; the
+# build and verify kernels work on these and key everything on them.
+Blocks = tuple[tuple[int, ...], ...]
 
 
 def _check_partition_size(m: int, ceiling: int) -> None:
@@ -37,8 +44,10 @@ class SetPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        # Checked first, so a wrong m fails before the table below is sized by it.
+        if sum(map(len, self.blocks)) != self.m:
+            raise ValueError("blocks must cover the ground set exactly")
         seen = [False] * (self.m + 1)
-        count = 0
         prev_min = 0
         for block in self.blocks:
             if not block:
@@ -56,9 +65,6 @@ class SetPartition:
                     raise ValueError(f"element {e} appears twice")
                 seen[e] = True
                 prev = e
-                count += 1
-        if count != self.m:
-            raise ValueError("blocks must cover the ground set exactly")
 
     @classmethod
     def of(cls, m: int, blocks: Iterable[Iterable[int]]) -> "SetPartition":
@@ -89,7 +95,7 @@ class SetPartition:
         return cls.of(m, blocks)
 
     def literal(self) -> str:
-        return "/".join(",".join(str(e) for e in block) for block in self.blocks)
+        return _literal(self.blocks)
 
     @property
     def block_count(self) -> int:
@@ -98,6 +104,10 @@ class SetPartition:
     @property
     def rank(self) -> int:
         return self.m - len(self.blocks)
+
+
+def _literal(blocks: Blocks) -> str:
+    return "/".join(",".join(map(str, block)) for block in blocks)
 
 
 def type_of(p: SetPartition) -> tuple[int, ...]:
@@ -121,7 +131,7 @@ def enumerate_class(s: Subset, ceiling: int = DEFAULT_PARTITION_CEILING) -> tupl
     """
     m = s.n + 1
     _check_partition_size(m, ceiling)
-    sizes = tuple(reversed(nonzeros(encode(s))))
+    sizes = _type_of_code(encode(s).entries)
     out: list[SetPartition] = []
     acc: list[tuple[int, ...]] = []
 
@@ -148,15 +158,18 @@ def enumerate_all_partitions(m: int, ceiling: int = DEFAULT_PARTITION_CEILING) -
     first, all singletons last.
     """
     _check_partition_size(m, ceiling)
-    return _iter_partitions(m)
+    return map(partial(SetPartition, m), _iter_partitions(m))
 
 
-def _iter_partitions(m: int) -> Iterator[SetPartition]:
+def _iter_partitions(m: int) -> Iterator[Blocks]:
+    """Block tuples of every partition of {1..m}, recursively.  The verifier
+    walks this enumeration, never the builder's level-by-level one, so a
+    fault in either cannot hide in the other."""
     blocks: list[list[int]] = []
 
-    def extend(e: int) -> Iterator[SetPartition]:
+    def extend(e: int) -> Iterator[Blocks]:
         if e > m:
-            yield SetPartition(m, tuple(tuple(b) for b in blocks))
+            yield tuple(map(tuple, blocks))
             return
         for block in blocks:
             block.append(e)
@@ -169,7 +182,51 @@ def _iter_partitions(m: int) -> Iterator[SetPartition]:
     return extend(1)
 
 
-def _link_added(c_entries: tuple[int, ...], i: int) -> int:
+def _partitions_by_type(m: int) -> dict[tuple[int, ...], list[Blocks]]:
+    """Block tuples of every partition of {1..m}, bucketed by type.
+
+    Built level by level in restricted-growth fashion: element e joins each
+    block of a partition of {1..e-1} or opens a new one.  e exceeds every
+    element placed so far, so each result is canonical as built.
+    """
+    level: list[Blocks] = [()]
+    for e in range(1, m + 1):
+        new = (e,)
+        nxt: list[Blocks] = []
+        for p in level:
+            for j in range(len(p)):
+                nxt.append(p[:j] + (p[j] + new,) + p[j + 1:])
+            nxt.append(p + (new,))
+        level = nxt
+    buckets: dict[tuple[int, ...], list[Blocks]] = {}
+    for p in level:
+        buckets.setdefault(tuple(map(len, p)), []).append(p)
+    return buckets
+
+
+def _type_of_code(entries: Sequence[int]) -> tuple[int, ...]:
+    """The type of the class whose code has these entries."""
+    return tuple(e for e in reversed(entries) if e)
+
+
+def _merge_index(entries: Sequence[int], i: int) -> int:
+    """Index j of the singleton block that the link adding ``i`` merges.
+
+    The code holds (k, 1) at positions (i, i+1) and the type is its nonzeros
+    reversed, so that 1 is block j, with j+1 nonzeros past position i, and
+    the k is block j+1.  This is j = b - m* - 1 for b blocks and m* nonzeros
+    through position i.
+    """
+    return sum(1 for e in entries[i:] if e) - 1
+
+
+def _merge(blocks: Blocks, j: int) -> Blocks:
+    """Merge the singleton at index j into the block after it.  Its element
+    is below that block's minimum, so the result stays canonical."""
+    return blocks[:j] + (blocks[j] + blocks[j + 1],) + blocks[j + 2:]
+
+
+def _link_added(c_entries: Sequence[int], i: int) -> int:
     """The k with (k, 1) at positions (i, i+1), or 0 when there is no link."""
     if i < 1 or i >= len(c_entries):
         return 0
@@ -189,18 +246,9 @@ def inject(p: SetPartition, i: int) -> SetPartition:
     """
     s = class_of(p)
     c = encode(s)
-    k = _link_added(c.entries, i)
-    if k == 0:
+    if _link_added(c.entries, i) == 0:
         raise ValueError(f"no chain link adds {i} to class {s.literal()}")
-    m_star = sum(1 for e in c.entries[:i] if e)
-    b = p.block_count
-    singleton = p.blocks[b - m_star - 1]
-    target = p.blocks[b - m_star]
-    assert len(singleton) == 1 and len(target) == k
-    merged = [block for idx, block in enumerate(p.blocks)
-              if idx not in (b - m_star - 1, b - m_star)]
-    merged.append(tuple(sorted(singleton + target)))
-    return SetPartition.of(p.m, merged)
+    return SetPartition(p.m, _merge(p.blocks, _merge_index(c.entries, i)))
 
 
 def inject_inverse(q: SetPartition, i: int) -> Optional[SetPartition]:
@@ -260,42 +308,53 @@ def build_partition_chains(n: int, ceiling: int = DEFAULT_PARTITION_CEILING) -> 
     class members missed by the injection start new chains at that level.
     A chain born at rank r keeps ranks r..n-r; the rest of it is excluded,
     and a chain born above the middle is excluded whole.
+
+    Partitions are block tuples throughout; each class is the bucket of its
+    type, read off the chain's code, which is rewritten link by link.
     """
     m = n + 1
     _check_partition_size(m, ceiling)
     boolean = gk_decomposition(n, ceiling=max(n, DEFAULT_ENUM_CEILING))
-    grown: list[list[SetPartition]] = []
-    excluded: list[SetPartition] = []
+    buckets = _partitions_by_type(m)
+    grown: list[list[Blocks]] = []
+    excluded: list[Blocks] = []
     for bchain in boolean.chains:
-        active: list[list[SetPartition]] = [[p] for p in enumerate_class(bchain.bottom, ceiling)]
+        code = list(encode(bchain.bottom).entries)
+        active = [[p] for p in buckets.pop(_type_of_code(code))]
         for lo, hi in zip(bchain.sets, bchain.sets[1:]):
             (added,) = set(hi.elements) - set(lo.elements)
+            k = _link_added(code, added)
+            if k == 0:
+                raise ValueError(f"no chain link adds {added} to class {lo.literal()}")
+            j = _merge_index(code, added)
+            code[added - 1], code[added] = 0, k + 1
             images = set()
             for chain in active:
-                nxt = inject(chain[-1], added)
-                chain.append(nxt)
-                images.add(nxt)
-            for p in enumerate_class(hi, ceiling):
-                if p not in images:
-                    active.append([p])
+                q = _merge(chain[-1], j)
+                chain.append(q)
+                images.add(q)
+            active.extend([p] for p in buckets.pop(_type_of_code(code)) if p not in images)
         for chain in active:
-            r = chain[0].rank
+            r = m - len(chain[0])
             if 2 * r > n:
                 excluded.extend(chain)
                 continue
             keep = (n - r) - r + 1
             grown.append(chain[:keep])
             excluded.extend(chain[keep:])
-    grown.sort(key=lambda chain: chain[0].blocks)
-    excluded.sort(key=lambda p: p.blocks)
-    return PartitionChainFamily(m, tuple(tuple(c) for c in grown), tuple(excluded))
+    grown.sort(key=itemgetter(0))
+    excluded.sort()
+    make = partial(SetPartition, m)
+    return PartitionChainFamily(m, tuple(tuple(map(make, c)) for c in grown),
+                                tuple(map(make, excluded)))
 
 
-def _is_singleton_merge(lo: SetPartition, hi: SetPartition) -> bool:
+def _is_singleton_merge(lo: Blocks, hi: Blocks) -> bool:
     """True when ``hi`` merges exactly two blocks of ``lo``, one a singleton
     holding the merged block's minimum."""
-    gone = [b for b in lo.blocks if b not in set(hi.blocks)]
-    new = [b for b in hi.blocks if b not in set(lo.blocks)]
+    hi_set, lo_set = set(hi), set(lo)
+    gone = [b for b in lo if b not in hi_set]
+    new = [b for b in hi if b not in lo_set]
     if len(gone) != 2 or len(new) != 1:
         return False
     merged = new[0]
@@ -315,38 +374,38 @@ def verify_partition_chains(fam: PartitionChainFamily) -> VerificationReport:
     and every partition of rank at most floor((n-1)/2), sits in a chain),
     the full audit trail (chains plus excluded is the whole lattice), and
     the chain count matching the middle level size S(n+1, n+1-floor(n/2))."""
-    from .identities import stirling_table
-
     m = fam.m
     n = m - 1
     failures: list[tuple[str, str]] = []
-    members: set[SetPartition] = set()
+    members: set[Blocks] = set()
     for chain in fam.chains:
         for p in chain:
-            if p in members:
+            if p.blocks in members:
                 failures.append(("overlap", p.literal()))
-            members.add(p)
+            members.add(p.blocks)
         if chain[0].rank + chain[-1].rank != n:
             failures.append(("not_symmetric", f"{chain[0].literal()} .. {chain[-1].literal()}"))
         for lo, hi in zip(chain, chain[1:]):
-            if hi.rank != lo.rank + 1 or not _is_singleton_merge(lo, hi):
+            if hi.rank != lo.rank + 1 or not _is_singleton_merge(lo.blocks, hi.blocks):
                 failures.append(("not_saturated", f"{lo.literal()} -> {hi.literal()}"))
-    for p in fam.excluded:
+    excluded = [p.blocks for p in fam.excluded]
+    for p in excluded:
         if p in members:
-            failures.append(("overlap", f"excluded {p.literal()}"))
-    accounted = members | set(fam.excluded)
-    if len(accounted) != len(members) + len(fam.excluded):
+            failures.append(("overlap", f"excluded {_literal(p)}"))
+    accounted = members.union(excluded)
+    if len(accounted) != len(members) + len(excluded):
         failures.append(("overlap", "excluded list repeats a partition"))
     total = 0
-    for p in enumerate_all_partitions(m, ceiling=max(m, DEFAULT_PARTITION_CEILING)):
+    for p in _iter_partitions(m):
         total += 1
         if p not in accounted:
-            failures.append(("missing", p.literal()))
+            failures.append(("missing", _literal(p)))
         covered = p in members
-        if p.block_count > (n + 1) // 2 and not covered:
-            failures.append(("coverage", f"{p.literal()} has {p.block_count} blocks"))
-        if p.rank <= (n - 1) // 2 and not covered:
-            failures.append(("coverage", f"{p.literal()} has rank {p.rank}"))
+        b = len(p)
+        if b > (n + 1) // 2 and not covered:
+            failures.append(("coverage", f"{_literal(p)} has {b} blocks"))
+        if m - b <= (n - 1) // 2 and not covered:
+            failures.append(("coverage", f"{_literal(p)} has rank {m - b}"))
     if len(accounted) != total:
         failures.append(("missing", "family mentions partitions outside the lattice"))
     expected = stirling_table(m).value(m, m - n // 2)

@@ -2,9 +2,14 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import symchains
 from symchains import (
     build_partition_chains,
     decomposition_from_json,
@@ -201,3 +206,30 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "ground size" in captured.err
+
+    def test_negative_n_is_rejected(self, capsys):
+        for command in ("stirling-check", "derivative-check"):
+            assert run([command, "-1"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+
+
+class TestModuleEntry:
+    def run_module(self, *argv):
+        src = str(Path(symchains.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        return subprocess.run([sys.executable, "-m", "symchains.cli", *argv],
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=60)
+
+    def test_python_dash_m_runs_the_cli(self):
+        proc = self.run_module("bell", "5")
+        assert proc.returncode == 0
+        assert proc.stdout == "52\n"
+
+    def test_python_dash_m_keeps_exit_codes(self):
+        proc = self.run_module("bell", "-1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")

@@ -5,9 +5,11 @@ restricted-growth choices and never consults codes or classes; the class
 and chain machinery is checked against it.
 """
 
+from functools import lru_cache
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symchains import (
     CeilingExceeded,
@@ -24,6 +26,7 @@ from symchains import (
     family_from_json,
     family_to_dot,
     family_to_json,
+    gk_decomposition,
     inject,
     inject_inverse,
     type_of,
@@ -31,6 +34,67 @@ from symchains import (
 )
 
 P4 = SetPartition.from_literal
+
+
+def reference_inject(p, i):
+    """inject by objects: find the class code again, take the singleton at
+    block b-m* and the size-k block after it, and re-sort the merge."""
+    c = encode(class_of(p)).entries
+    m_star = sum(1 for e in c[:i] if e)
+    b = p.block_count
+    singleton, target = p.blocks[b - m_star - 1], p.blocks[b - m_star]
+    assert len(singleton) == 1 and len(target) == c[i - 1] and c[i] == 1
+    rest = [blk for idx, blk in enumerate(p.blocks) if idx not in (b - m_star - 1, b - m_star)]
+    return SetPartition.of(p.m, rest + [singleton + target])
+
+
+def reference_family(n):
+    """The chain family by the object walk: each class of a subset chain
+    from enumerate_class, chain tips moved by reference_inject, then pruned
+    to the rank window r..n-r of each chain's birth rank r."""
+    grown, excluded = [], []
+    for bchain in gk_decomposition(n).chains:
+        active = [[p] for p in enumerate_class(bchain.bottom)]
+        for lo, hi in zip(bchain.sets, bchain.sets[1:]):
+            (added,) = set(hi.elements) - set(lo.elements)
+            images = set()
+            for chain in active:
+                chain.append(reference_inject(chain[-1], added))
+                images.add(chain[-1])
+            active += [[p] for p in enumerate_class(hi) if p not in images]
+        for chain in active:
+            keep = max(0, n - 2 * chain[0].rank + 1)
+            if keep:
+                grown.append(tuple(chain[:keep]))
+            excluded += chain[keep:]
+    grown.sort(key=lambda chain: chain[0].blocks)
+    excluded.sort(key=lambda p: p.blocks)
+    return PartitionChainFamily(n + 1, tuple(grown), tuple(excluded))
+
+
+@lru_cache(maxsize=None)
+def family(n):
+    return build_partition_chains(n)
+
+
+def failure_kinds(m, chains, excluded):
+    rep = verify_partition_chains(PartitionChainFamily(m, tuple(chains), tuple(excluded)))
+    assert not rep.ok
+    return {kind for kind, _ in rep.failures}
+
+
+@st.composite
+def set_partitions(draw):
+    """A partition of {1..m}, m <= 14, from a random restricted-growth string."""
+    m = draw(st.integers(min_value=1, max_value=14))
+    blocks = [[1]]
+    for e in range(2, m + 1):
+        j = draw(st.integers(min_value=0, max_value=len(blocks)))
+        if j == len(blocks):
+            blocks.append([e])
+        else:
+            blocks[j].append(e)
+    return SetPartition.of(m, blocks)
 
 
 def links_of(s: Subset):
@@ -63,6 +127,13 @@ class TestSetPartition:
         for m in range(1, 7):
             for p in enumerate_all_partitions(m):
                 assert SetPartition.from_literal(m, p.literal()) == p
+
+    def test_wrong_ground_size_fails_before_allocating(self):
+        # a table sized by m would raise OverflowError or exhaust memory
+        with pytest.raises(ValueError):
+            SetPartition(10**20, ((1,),))
+        with pytest.raises(ValueError):
+            family_from_json({"m": 10**20, "chains": [[[[1]]]], "excluded": []})
 
     def test_compact_literal_input(self):
         assert P4(4, "1/23/4") == SetPartition.of(4, [[1], [2, 3], [4]])
@@ -167,6 +238,19 @@ class TestInjection:
         with pytest.raises(ValueError):
             inject_inverse(P4(4, "1/2/3/4"), 1)  # 1 not in the class at all
 
+    @settings(max_examples=200)
+    @given(set_partitions(), st.data())
+    def test_random_links_match_reference_and_invert(self, p, data):
+        s = class_of(p)
+        links = links_of(s)
+        if not links:
+            return
+        i = data.draw(st.sampled_from(links))
+        q = inject(p, i)
+        assert q == reference_inject(p, i)
+        assert class_of(q) == s.with_element(i)
+        assert inject_inverse(q, i) == p
+
     def test_inject_covers_and_inverts(self):
         for m in range(2, 9):
             n = m - 1
@@ -267,6 +351,92 @@ class TestChainFamily:
         rep = verify_partition_chains(PartitionChainFamily(3, chains, fam.excluded + extra))
         kinds = {kind for kind, _ in rep.failures}
         assert "chain_count" in kinds
+
+
+class TestAgainstReference:
+    def test_built_family_equals_object_walk(self):
+        for n in range(9):
+            assert build_partition_chains(n) == reference_family(n), n
+
+    @given(st.integers(min_value=1, max_value=6), st.data())
+    def test_chain_links_are_injections(self, n, data):
+        chain = data.draw(st.sampled_from([c for c in family(n).chains if len(c) > 1]))
+        t = data.draw(st.integers(min_value=0, max_value=len(chain) - 2))
+        lo, hi = chain[t], chain[t + 1]
+        (i,) = set(class_of(hi).elements) - set(class_of(lo).elements)
+        assert inject(lo, i) == hi
+        assert inject_inverse(hi, i) == lo
+
+    @given(st.integers(min_value=0, max_value=6))
+    def test_chains_sit_in_the_rank_window(self, n):
+        fam = family(n)
+        for chain in fam.chains:
+            assert chain[0].rank + chain[-1].rank == n
+            assert [p.rank for p in chain] == list(range(chain[0].rank, chain[-1].rank + 1))
+        placed = sum(len(chain) for chain in fam.chains)
+        assert placed + len(fam.excluded) == bell_oracle(n + 1)
+        assert all(p.rank > n // 2 for p in fam.excluded)
+
+
+class TestVerifierMutations:
+    """Each broken family must be reported with the failure kind it breaks."""
+
+    @settings(max_examples=40)
+    @given(st.integers(min_value=1, max_value=6), st.data())
+    def test_dropped_top(self, n, data):
+        fam = family(n)
+        chains = list(fam.chains)
+        a = data.draw(st.sampled_from([i for i, c in enumerate(chains) if len(c) > 1]))
+        chains[a] = chains[a][:-1]
+        assert {"not_symmetric", "missing"} <= failure_kinds(n + 1, chains, fam.excluded)
+
+    @settings(max_examples=40)
+    @given(st.integers(min_value=2, max_value=6), st.data())
+    def test_member_moved_to_another_chain(self, n, data):
+        fam = family(n)
+        chains = list(fam.chains)
+        a = data.draw(st.sampled_from([i for i, c in enumerate(chains) if len(c) > 1]))
+        b = data.draw(st.sampled_from([i for i in range(len(chains)) if i != a]))
+        chains[b] = chains[b] + chains[a][-1:]
+        chains[a] = chains[a][:-1]
+        assert "not_symmetric" in failure_kinds(n + 1, chains, fam.excluded)
+
+    @settings(max_examples=40)
+    @given(st.integers(min_value=3, max_value=6), st.data())
+    def test_non_minimum_merge(self, n, data):
+        # merging blocks x < y (by minimum) is a singleton merge only when x
+        # is a singleton, so merge a larger x into a later block instead
+        fam = family(n)
+        sites = [(a, t, x, y)
+                 for a, chain in enumerate(fam.chains)
+                 for t, lo in enumerate(chain[:-1])
+                 for x in range(lo.block_count) if len(lo.blocks[x]) > 1
+                 for y in range(x + 1, lo.block_count)]
+        a, t, x, y = data.draw(st.sampled_from(sites))
+        lo = fam.chains[a][t]
+        rest = [blk for idx, blk in enumerate(lo.blocks) if idx not in (x, y)]
+        wrong = SetPartition.of(lo.m, rest + [lo.blocks[x] + lo.blocks[y]])
+        chains = list(fam.chains)
+        chains[a] = chains[a][:t + 1] + (wrong,) + chains[a][t + 2:]
+        assert "not_saturated" in failure_kinds(n + 1, chains, fam.excluded)
+
+    @settings(max_examples=40)
+    @given(st.integers(min_value=3, max_value=6), st.data())
+    def test_duplicated_excluded(self, n, data):
+        fam = family(n)
+        p = data.draw(st.sampled_from(fam.excluded))
+        assert "overlap" in failure_kinds(n + 1, fam.chains, fam.excluded + (p,))
+
+    @settings(max_examples=40)
+    @given(st.integers(min_value=1, max_value=6), st.data())
+    def test_kept_partition_moved_to_excluded(self, n, data):
+        # a chain's bottom has rank at most n//2, which coverage demands
+        fam = family(n)
+        chains = list(fam.chains)
+        a = data.draw(st.sampled_from([i for i, c in enumerate(chains) if len(c) > 1]))
+        bottom = chains[a][0]
+        chains[a] = chains[a][1:]
+        assert "coverage" in failure_kinds(n + 1, chains, fam.excluded + (bottom,))
 
 
 class TestFamilySerialization:
