@@ -14,8 +14,8 @@ from typing import Iterable, NamedTuple
 from .reports import VerificationReport, report
 from .subsets import (
     DEFAULT_ENUM_CEILING,
-    CeilingExceeded,
     Subset,
+    _check_ceiling,
     all_subsets,
     check_ground_size,
     match_parens,
@@ -106,8 +106,7 @@ def debruijn_decomposition(n: int, ceiling: int = DEFAULT_ENUM_CEILING) -> Boole
     chain disjoint from the extended one; a one-set chain yields nothing).
     """
     check_ground_size(n)
-    if n > ceiling:
-        raise CeilingExceeded(f"2^{n} subsets exceed the enumeration ceiling n <= {ceiling}")
+    _check_ceiling(n, ceiling, f"2^{n} subsets")
     chains: list[list[tuple[int, ...]]] = [[()]]
     for k in range(1, n + 1):
         step: list[list[tuple[int, ...]]] = []
@@ -153,8 +152,7 @@ def iterated_product_scd(n: int, ceiling: int = DEFAULT_ENUM_CEILING) -> Boolean
     element.
     """
     check_ground_size(n)
-    if n > ceiling:
-        raise CeilingExceeded(f"2^{n} subsets exceed the enumeration ceiling n <= {ceiling}")
+    _check_ceiling(n, ceiling, f"2^{n} subsets")
     chains: list[list[tuple[int, ...]]] = [[()]]
     for k in range(1, n + 1):
         step: list[list[tuple[int, ...]]] = []

@@ -2,8 +2,10 @@
 
 Every subcommand prints a text document by default; --format json emits a
 machine-readable equivalent and --format dot a Hasse diagram (decomposition
-commands only).  Exit codes: 0 success, 1 a verification reported failures,
-2 usage errors, malformed literals, or ceiling refusals.
+commands only).  A subcommand that enumerates takes --ceiling, defaulting
+to the library's own ceiling for that enumeration.  Exit codes: 0 success,
+1 a verification reported failures, 2 usage errors, malformed literals, or
+ceiling refusals.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import Sequence
 
 from . import identities
 from .boolean import (
-    BooleanDecomposition,
     chain_of,
     debruijn_decomposition,
     decomposition_to_dot,
@@ -26,6 +27,7 @@ from .boolean import (
 )
 from .coding import encode
 from .partitions import (
+    DEFAULT_PARTITION_CEILING,
     build_partition_chains,
     enumerate_class,
     family_to_dot,
@@ -33,7 +35,7 @@ from .partitions import (
     verify_partition_chains,
 )
 from .reports import VerificationReport
-from .subsets import DEFAULT_ENUM_CEILING, CeilingExceeded, Subset, match_parens, word_of
+from .subsets import DEFAULT_ENUM_CEILING, Subset, match_parens, word_of
 
 _BOOLEAN_METHODS = {
     "gk": gk_decomposition,
@@ -52,16 +54,6 @@ def _emit_json(args: argparse.Namespace, obj: object) -> None:
         print(json.dumps(obj, indent=2))
 
 
-def _no_dot(args: argparse.Namespace) -> None:
-    if args.format == "dot":
-        raise ValueError("dot output is only available for decompose-boolean and decompose-partition")
-
-
-def _boolean_decomposition(args: argparse.Namespace) -> BooleanDecomposition:
-    ceiling = args.ceiling if args.ceiling is not None else DEFAULT_ENUM_CEILING
-    return _BOOLEAN_METHODS[args.method](args.n, ceiling=ceiling)
-
-
 def _report_out(args: argparse.Namespace, rep: VerificationReport, extra: dict) -> int:
     if args.format == "json":
         _emit_json(args, {**extra, **rep.to_json()})
@@ -78,7 +70,6 @@ def _report_out(args: argparse.Namespace, rep: VerificationReport, extra: dict) 
 
 
 def _cmd_word(args: argparse.Namespace) -> int:
-    _no_dot(args)
     s = Subset.from_literal(args.n, args.set)
     word = word_of(s)
     ms = match_parens(word)
@@ -100,7 +91,6 @@ def _cmd_word(args: argparse.Namespace) -> int:
 
 
 def _cmd_chain(args: argparse.Namespace) -> int:
-    _no_dot(args)
     s = Subset.from_literal(args.n, args.set)
     chain = chain_of(s)
     if args.format == "json":
@@ -112,7 +102,7 @@ def _cmd_chain(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose_boolean(args: argparse.Namespace) -> int:
-    d = _boolean_decomposition(args)
+    d = _BOOLEAN_METHODS[args.method](args.n, ceiling=args.ceiling)
     if args.format == "json":
         _emit_json(args, decomposition_to_json(d))
     elif args.format == "dot":
@@ -124,7 +114,6 @@ def _cmd_decompose_boolean(args: argparse.Namespace) -> int:
 
 
 def _cmd_code(args: argparse.Namespace) -> int:
-    _no_dot(args)
     s = Subset.from_literal(args.n, args.set)
     code = encode(s)
     if args.format == "json":
@@ -138,10 +127,8 @@ def _cmd_code(args: argparse.Namespace) -> int:
 
 
 def _cmd_class(args: argparse.Namespace) -> int:
-    _no_dot(args)
     s = Subset.from_literal(args.n, args.set)
-    kwargs = {} if args.ceiling is None else {"ceiling": args.ceiling}
-    members = enumerate_class(s, **kwargs)
+    members = enumerate_class(s, ceiling=args.ceiling)
     if args.format == "json":
         _emit_json(args, {
             "n": s.n,
@@ -157,8 +144,7 @@ def _cmd_class(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose_partition(args: argparse.Namespace) -> int:
-    kwargs = {} if args.ceiling is None else {"ceiling": args.ceiling}
-    fam = build_partition_chains(args.n, **kwargs)
+    fam = build_partition_chains(args.n, ceiling=args.ceiling)
     if args.format == "json":
         _emit_json(args, family_to_json(fam))
     elif args.format == "dot":
@@ -171,24 +157,19 @@ def _cmd_decompose_partition(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_boolean(args: argparse.Namespace) -> int:
-    _no_dot(args)
-    d = _boolean_decomposition(args)
+    d = _BOOLEAN_METHODS[args.method](args.n, ceiling=args.ceiling)
     return _report_out(args, verify_scd(d), {"n": args.n, "method": args.method})
 
 
 def _cmd_verify_partition(args: argparse.Namespace) -> int:
-    _no_dot(args)
-    kwargs = {} if args.ceiling is None else {"ceiling": args.ceiling}
-    fam = build_partition_chains(args.n, **kwargs)
+    fam = build_partition_chains(args.n, ceiling=args.ceiling)
     rep = verify_partition_chains(fam)
     return _report_out(args, rep, {"n": args.n, "excluded": len(fam.excluded)})
 
 
 def _cmd_bell(args: argparse.Namespace) -> int:
-    _no_dot(args)
     if args.method == "codes":
-        kwargs = {} if args.ceiling is None else {"ceiling": args.ceiling}
-        value = identities.bell_via_codes(args.n, **kwargs)
+        value = identities.bell_via_codes(args.n, ceiling=args.ceiling)
     else:
         value = identities.bell_oracle(args.n)
     if args.format == "json":
@@ -199,7 +180,6 @@ def _cmd_bell(args: argparse.Namespace) -> int:
 
 
 def _cmd_stirling(args: argparse.Namespace) -> int:
-    _no_dot(args)
     row = identities.stirling_table(args.n).row(args.n)
     if args.format == "json":
         _emit_json(args, {"n": args.n, "row": list(row)})
@@ -209,7 +189,6 @@ def _cmd_stirling(args: argparse.Namespace) -> int:
 
 
 def _cmd_stirling_check(args: argparse.Namespace) -> int:
-    _no_dot(args)
     if args.n < 0:
         raise ValueError("n must be nonnegative")
     monotone_failures = []
@@ -252,9 +231,7 @@ def _cmd_stirling_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_symfun(args: argparse.Namespace) -> int:
-    _no_dot(args)
-    kwargs = {} if args.ceiling is None else {"ceiling": args.ceiling}
-    poly = identities.complete_from_elementary(args.n, **kwargs)
+    poly = identities.complete_from_elementary(args.n, ceiling=args.ceiling)
     agreement = None
     if args.check:
         agreement = poly == identities.complete_from_elementary_oracle(args.n)
@@ -276,25 +253,28 @@ def _cmd_symfun(args: argparse.Namespace) -> int:
 
 
 def _cmd_derivative_check(args: argparse.Namespace) -> int:
-    _no_dot(args)
     if args.n < 0:
         raise ValueError("n must be nonnegative")
     order = args.n
-    kwargs = {} if args.ceiling is None else {"ceiling": args.ceiling}
+    # Highest order first, so an order past the ceiling is refused before
+    # any code sum runs.
+    orders = range(order, -1, -1)
     bell = identities.exp_minus_one_series(max(order, 1))
     bell_values = []
     bell_ok = True
-    for k in range(order + 1):
-        formula = identities.derivative_formula(bell, k, **kwargs)
+    for k in orders:
+        formula = identities.derivative_formula(bell, k, ceiling=args.ceiling)
         oracle = identities.derivative_oracle(bell, k)
         bell_values.append(oracle)
         if formula != oracle or oracle != identities.bell_oracle(k):
             bell_ok = False
+    bell_values.reverse()
     seeded_ok = True
     for seed in identities.SERIES_SEEDS:
         g = identities.seeded_rational_series(seed, max(order, 1))
-        for k in range(order + 1):
-            if identities.derivative_formula(g, k, **kwargs) != identities.derivative_oracle(g, k):
+        for k in orders:
+            formula = identities.derivative_formula(g, k, ceiling=args.ceiling)
+            if formula != identities.derivative_oracle(g, k):
                 seeded_ok = False
     ok = bell_ok and seeded_ok
     if args.format == "json":
@@ -314,75 +294,67 @@ def _cmd_derivative_check(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", "-f", choices=("text", "json", "dot"), default="text",
-                        help="output format (dot only for decompositions)")
-    common.add_argument("--ceiling", type=int, metavar="K",
-                        help="override the enumeration size ceiling")
-    common.add_argument("--quiet", "-q", action="store_true",
-                        help="suppress output, keep exit codes")
-
     parser = argparse.ArgumentParser(prog="symchains",
                                      description="Symmetric chain decompositions of the "
                                                  "subset and partition lattices")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help_text: str, **extra):
-        p = sub.add_parser(name, parents=[common], help=help_text)
+    def add(name: str, handler, help_text: str, dot: bool = False, ceiling: int | None = None):
+        """A subcommand taking n and only the flags it uses: dot output for the
+        decompositions, --ceiling for the commands that enumerate."""
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
+        p.add_argument("n", type=int)
+        p.add_argument("--format", "-f", choices=("text", "json", "dot") if dot else ("text", "json"),
+                       default="text", help="output format")
+        if ceiling is not None:
+            p.add_argument("--ceiling", type=int, default=ceiling, metavar="K",
+                           help="enumeration size ceiling (default %(default)s)")
+        p.add_argument("--quiet", "-q", action="store_true",
+                       help="suppress output, keep exit codes")
         return p
 
-    p = add("word", _cmd_word, "parenthesis word and matching of a subset")
-    p.add_argument("n", type=int)
-    p.add_argument("set")
+    add("word", _cmd_word, "parenthesis word and matching of a subset").add_argument("set")
 
-    p = add("chain", _cmd_chain, "the chain through a subset")
-    p.add_argument("n", type=int)
-    p.add_argument("set")
+    add("chain", _cmd_chain, "the chain through a subset").add_argument("set")
 
-    p = add("decompose-boolean", _cmd_decompose_boolean, "decompose the subset lattice")
-    p.add_argument("n", type=int)
+    p = add("decompose-boolean", _cmd_decompose_boolean, "decompose the subset lattice",
+            dot=True, ceiling=DEFAULT_ENUM_CEILING)
     p.add_argument("--method", choices=sorted(_BOOLEAN_METHODS), default="gk")
 
     p = add("code", _cmd_code, "code of a subset")
-    p.add_argument("n", type=int)
     p.add_argument("set")
     p.add_argument("--compact", action="store_true",
                    help="digit-string form (entries must all be single digits)")
 
-    p = add("class", _cmd_class, "partitions in the class of a subset")
-    p.add_argument("n", type=int)
-    p.add_argument("set")
+    add("class", _cmd_class, "partitions in the class of a subset",
+        ceiling=DEFAULT_PARTITION_CEILING).add_argument("set")
 
-    p = add("decompose-partition", _cmd_decompose_partition,
-            "chain family on partitions of {1..n+1}")
-    p.add_argument("n", type=int)
+    add("decompose-partition", _cmd_decompose_partition, "chain family on partitions of {1..n+1}",
+        dot=True, ceiling=DEFAULT_PARTITION_CEILING)
 
-    p = add("verify-boolean", _cmd_verify_boolean, "verify a subset-lattice decomposition")
-    p.add_argument("n", type=int)
+    p = add("verify-boolean", _cmd_verify_boolean, "verify a subset-lattice decomposition",
+            ceiling=DEFAULT_ENUM_CEILING)
     p.add_argument("--method", choices=sorted(_BOOLEAN_METHODS), default="gk")
 
-    p = add("verify-partition", _cmd_verify_partition, "verify the partition chain family")
-    p.add_argument("n", type=int)
+    add("verify-partition", _cmd_verify_partition, "verify the partition chain family",
+        ceiling=DEFAULT_PARTITION_CEILING)
 
-    p = add("bell", _cmd_bell, "Bell number")
-    p.add_argument("n", type=int)
+    p = add("bell", _cmd_bell, "Bell number", ceiling=identities.DEFAULT_CODE_SUM_CEILING)
     p.add_argument("--method", choices=("codes", "oracle"), default="codes")
 
-    p = add("stirling", _cmd_stirling, "row n of the Stirling set-number triangle")
-    p.add_argument("n", type=int)
+    add("stirling", _cmd_stirling, "row n of the Stirling set-number triangle")
 
-    p = add("stirling-check", _cmd_stirling_check,
-            "audit the Stirling inequalities for all rows up to n")
-    p.add_argument("n", type=int)
+    add("stirling-check", _cmd_stirling_check,
+        "audit the Stirling inequalities for all rows up to n")
 
-    p = add("symfun", _cmd_symfun, "complete homogeneous function in the elementary ones")
-    p.add_argument("n", type=int)
+    p = add("symfun", _cmd_symfun, "complete homogeneous function in the elementary ones",
+            ceiling=identities.DEFAULT_CODE_SUM_CEILING)
     p.add_argument("--check", action="store_true", help="compare against the recurrence oracle")
 
-    p = add("derivative-check", _cmd_derivative_check,
-            "compare the derivative code sum with the series oracle up to order n")
-    p.add_argument("n", type=int)
+    add("derivative-check", _cmd_derivative_check,
+        "compare the derivative code sum with the series oracle up to order n",
+        ceiling=identities.DEFAULT_CODE_SUM_CEILING)
 
     return parser
 
@@ -395,10 +367,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except CeilingExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # CeilingExceeded is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

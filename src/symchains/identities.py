@@ -10,12 +10,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
-from typing import Iterable, Mapping, Sequence
+from math import comb, factorial, lcm, prod
+from operator import getitem
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .coding import encode
 from .reports import VerificationReport, report
-from .subsets import CeilingExceeded, all_subsets
+from .subsets import _check_ceiling, all_subsets
 
 # 2^(n-1) terms per sum; past this the closed forms are refused by default.
 DEFAULT_CODE_SUM_CEILING = 25
@@ -65,22 +66,38 @@ def bell_oracle(n: int) -> int:
     return sum(stirling_table(n).row(n))
 
 
+def _codes(n: int, ceiling: int) -> Iterator[tuple[int, ...]]:
+    """The entries of the code of every subset of {1..n-1}: one term each of
+    a code sum of order n.  The ceiling is on n and is checked here, eagerly,
+    for all three sums."""
+    _check_ceiling(n, ceiling, f"2^{n - 1} code terms")
+    return (encode(s).entries for s in all_subsets(n - 1, ceiling))
+
+
+def _weighted_code_sum(n: int, ceiling: int, weight: Callable[[int], Fraction | int]) -> Fraction:
+    """Sum over the codes of order n of the product, over nonzero entries e at
+    position i, of C(i-1, e-1) * weight(e).
+
+    The factors are tabulated once per (i, e).  Each is scaled by the common
+    denominator d of the weights and a zero entry stands for d itself, so
+    every term is a product of n integers equal to d^n times the true term,
+    and the only division is the last one."""
+    codes = _codes(n, ceiling)  # first: refuse before the O(n^2) table is built
+    weights = [Fraction(weight(e)) for e in range(1, n + 1)]
+    d = lcm(*(w.denominator for w in weights))
+    scaled = [(w * d).numerator for w in weights]
+    table = [[d] + [comb(i - 1, e - 1) * scaled[e - 1] for e in range(1, i + 1)]
+             for i in range(1, n + 1)]
+    return Fraction(sum(prod(map(getitem, table, c)) for c in codes), d ** n)
+
+
 def bell_via_codes(n: int, ceiling: int = DEFAULT_CODE_SUM_CEILING) -> int:
     """Bell number as the code sum over subsets of {1..n-1}: each subset
     contributes the product of C(i-1, e_i - 1) over the nonzero code
     entries, which counts the partitions in its class."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n > ceiling:
-        raise CeilingExceeded(f"2^{n - 1} code terms exceed the ceiling n <= {ceiling}")
-    total = 0
-    for s in all_subsets(n - 1, ceiling=max(n - 1, ceiling)):
-        term = 1
-        for i, e in enumerate(encode(s).entries, start=1):
-            if e:
-                term *= comb(i - 1, e - 1)
-        total += term
-    return total
+    return _weighted_code_sum(n, ceiling, lambda e: 1).numerator
 
 
 def check_stirling_monotone(n: int) -> VerificationReport:
@@ -241,12 +258,11 @@ def complete_from_elementary(n: int, ceiling: int = DEFAULT_CODE_SUM_CEILING) ->
     sign (-1)^|S| and one generator factor per nonzero code entry."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n > ceiling:
-        raise CeilingExceeded(f"2^{n - 1} code terms exceed the ceiling n <= {ceiling}")
     acc: dict[tuple[int, ...], int] = {}
-    for s in all_subsets(n - 1, ceiling=max(n - 1, ceiling)):
-        mono = tuple(sorted(e for e in encode(s).entries if e))
-        sign = -1 if len(s) % 2 else 1
+    for entries in _codes(n, ceiling):
+        mono = tuple(sorted(filter(None, entries)))
+        # The n entries have a zero at each member of S, so |S| = n - len(mono).
+        sign = -1 if (n - len(mono)) % 2 else 1
         acc[mono] = acc.get(mono, 0) + sign
     return GeneratorPolynomial(acc)
 
@@ -367,14 +383,4 @@ def derivative_formula(g: TruncatedSeries, n: int,
         return Fraction(1)
     if n > g.order:
         raise ValueError(f"series order {g.order} too small for derivative {n}")
-    if n > ceiling:
-        raise CeilingExceeded(f"2^{n - 1} code terms exceed the ceiling n <= {ceiling}")
-    derivs = [g.derivative_at_center(i) for i in range(n + 1)]
-    total = Fraction(0)
-    for s in all_subsets(n - 1, ceiling=max(n - 1, ceiling)):
-        term = Fraction(1)
-        for i, e in enumerate(encode(s).entries, start=1):
-            if e:
-                term *= comb(i - 1, e - 1) * derivs[e]
-        total += term
-    return total
+    return _weighted_code_sum(n, ceiling, g.derivative_at_center)

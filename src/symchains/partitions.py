@@ -20,20 +20,17 @@ from .boolean import gk_decomposition
 from .coding import code_from_nonzeros, decode, encode
 from .identities import stirling_table
 from .reports import VerificationReport, report
-from .subsets import DEFAULT_ENUM_CEILING, CeilingExceeded, Subset
+from .subsets import Subset, _check_ceiling
 
-# Bell(13) is about 27.6 million; whole-lattice work past that needs an
-# explicit ceiling override.
-DEFAULT_PARTITION_CEILING = 13
+# Set by memory: building and verifying the family for m = 12 (4.2 million
+# partitions) peaked at 1.5 GB RSS, about 370 bytes per partition, so the 27.6
+# million of m = 13 would need about 10 GB.  Past m = 12 needs an explicit
+# ceiling override.
+DEFAULT_PARTITION_CEILING = 12
 
 # A partition's canonical blocks, as SetPartition.blocks holds them; the
 # build and verify kernels work on these and key everything on them.
 Blocks = tuple[tuple[int, ...], ...]
-
-
-def _check_partition_size(m: int, ceiling: int) -> None:
-    if m > ceiling:
-        raise CeilingExceeded(f"Bell-scale enumeration refused for m = {m} > {ceiling}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +127,7 @@ def enumerate_class(s: Subset, ceiling: int = DEFAULT_PARTITION_CEILING) -> tupl
     ascending, so every partition of that type appears exactly once.
     """
     m = s.n + 1
-    _check_partition_size(m, ceiling)
+    _check_ceiling(m, ceiling, f"Bell({m}) partitions")
     sizes = _type_of_code(encode(s).entries)
     out: list[SetPartition] = []
     acc: list[tuple[int, ...]] = []
@@ -157,7 +154,7 @@ def enumerate_all_partitions(m: int, ceiling: int = DEFAULT_PARTITION_CEILING) -
     which is restricted-growth order: the single-block partition comes
     first, all singletons last.
     """
-    _check_partition_size(m, ceiling)
+    _check_ceiling(m, ceiling, f"Bell({m}) partitions")
     return map(partial(SetPartition, m), _iter_partitions(m))
 
 
@@ -313,8 +310,8 @@ def build_partition_chains(n: int, ceiling: int = DEFAULT_PARTITION_CEILING) -> 
     type, read off the chain's code, which is rewritten link by link.
     """
     m = n + 1
-    _check_partition_size(m, ceiling)
-    boolean = gk_decomposition(n, ceiling=max(n, DEFAULT_ENUM_CEILING))
+    _check_ceiling(m, ceiling, f"Bell({m}) partitions")
+    boolean = gk_decomposition(n, ceiling)
     buckets = _partitions_by_type(m)
     grown: list[list[Blocks]] = []
     excluded: list[Blocks] = []

@@ -16,14 +16,13 @@ class VerificationReport:
     trusting a bare boolean.
     """
 
-    ok: bool
     element_count: int
     chain_count: int
     failures: tuple[tuple[str, str], ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.ok != (not self.failures):
-            raise ValueError("ok must mirror an empty failure list")
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
     def to_json(self) -> dict:
         return {
@@ -36,5 +35,4 @@ class VerificationReport:
 
 def report(element_count: int, chain_count: int,
            failures: Iterable[tuple[str, str]]) -> VerificationReport:
-    collected = tuple(failures)
-    return VerificationReport(not collected, element_count, chain_count, collected)
+    return VerificationReport(element_count, chain_count, tuple(failures))

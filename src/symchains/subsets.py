@@ -26,6 +26,14 @@ class CeilingExceeded(ValueError):
     """An enumeration would exceed the configured size ceiling."""
 
 
+def _check_ceiling(n: int, ceiling: int, work: str) -> None:
+    """Refuse a job of size ``n`` past ``ceiling``; ``work`` names what the job
+    would enumerate.  Every ceiling in the package is enforced here, and an
+    internal call passes its caller's ceiling on unchanged."""
+    if n > ceiling:
+        raise CeilingExceeded(f"{work} exceed the ceiling: {n} > {ceiling}")
+
+
 def check_ground_size(n: int) -> None:
     if not 0 <= n <= MAX_GROUND_SIZE:
         raise ValueError(f"ground size must be in 0..{MAX_GROUND_SIZE}, got {n}")
@@ -150,8 +158,7 @@ def match_parens(word: str) -> MatchStructure:
 def all_subsets(n: int, ceiling: int = DEFAULT_ENUM_CEILING) -> Iterator[Subset]:
     """All subsets of {1..n}, ascending by integer mask (bit i-1 encodes i)."""
     check_ground_size(n)
-    if n > ceiling:
-        raise CeilingExceeded(f"2^{n} subsets exceed the enumeration ceiling n <= {ceiling}")
+    _check_ceiling(n, ceiling, f"2^{n} subsets")
     return _iter_subsets(n)
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from symchains import (
     family_from_json,
     gk_decomposition,
 )
-from symchains.cli import _report_out, run
+from symchains.cli import _report_out, build_parser, run
 from symchains.reports import report
 
 
@@ -194,6 +195,31 @@ class TestExitCodes:
     def test_ceiling_flag_moves_the_limit(self, capsys):
         assert run(["decompose-boolean", "10", "--ceiling", "9", "--quiet"]) == 2
         assert run(["decompose-boolean", "10", "--ceiling", "10", "--quiet"]) == 0
+
+    def test_partition_ceiling_default(self, capsys):
+        # Checked before the run: admitting m = 13 would build 27.6 million partitions.
+        assert build_parser().parse_args(["decompose-partition", "12"]).ceiling == 12
+        assert run(["decompose-partition", "12", "--quiet"]) == 2
+        args = build_parser().parse_args(["decompose-partition", "12", "--ceiling", "13"])
+        assert args.ceiling == 13
+
+    def test_code_sums_refuse_past_the_default_ceiling(self, capsys):
+        for command in ("bell", "symfun", "derivative-check"):
+            assert run([command, "26"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+
+    def test_derivative_check_refuses_before_summing(self, capsys):
+        t0 = time.perf_counter()
+        assert run(["derivative-check", "19", "--ceiling", "18"]) == 2
+        assert time.perf_counter() - t0 < 1
+        assert capsys.readouterr().out == ""
+
+    def test_ceiling_flag_only_where_it_applies(self, capsys):
+        assert run(["word", "3", "1", "--ceiling", "5"]) == 2
+        assert run(["stirling", "3", "--ceiling", "5"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_no_arguments_is_usage_error(self, capsys):
         assert run([]) == 2

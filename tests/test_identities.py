@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symchains import (
+    CeilingExceeded,
     GeneratorPolynomial,
     Subset,
     TruncatedSeries,
@@ -280,3 +281,26 @@ class TestDerivativeFormula:
         g = TruncatedSeries.of([4])
         assert derivative_formula(g, 0) == 1
         assert derivative_oracle(g, 0) == 1
+
+
+class TestCodeSumCeiling:
+    """Each code sum runs at an explicit ceiling on n and refuses one past it."""
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_bell(self, k):
+        assert bell_via_codes(k, ceiling=k) == BELL[k]
+        with pytest.raises(CeilingExceeded):
+            bell_via_codes(k + 1, ceiling=k)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_complete_from_elementary(self, k):
+        assert complete_from_elementary(k, ceiling=k) == complete_from_elementary_oracle(k)
+        with pytest.raises(CeilingExceeded):
+            complete_from_elementary(k + 1, ceiling=k)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_derivative_formula(self, k):
+        g = seeded_rational_series(1101, 8)
+        assert derivative_formula(g, k, ceiling=k) == derivative_oracle(g, k)
+        with pytest.raises(CeilingExceeded):
+            derivative_formula(g, k + 1, ceiling=k)

@@ -32,6 +32,7 @@ from symchains import (
     type_of,
     verify_partition_chains,
 )
+from symchains.partitions import DEFAULT_PARTITION_CEILING
 
 P4 = SetPartition.from_literal
 
@@ -204,6 +205,15 @@ class TestEnumeration:
             enumerate_all_partitions(14)
         with pytest.raises(CeilingExceeded):
             enumerate_class(Subset.of(14, [1]), ceiling=13)
+
+    def test_default_ceiling_is_twelve(self):
+        assert DEFAULT_PARTITION_CEILING == 12
+        with pytest.raises(CeilingExceeded):
+            build_partition_chains(12)
+        with pytest.raises(CeilingExceeded):
+            enumerate_all_partitions(13)
+        # An explicit ceiling still admits m = 13; the enumeration is lazy.
+        enumerate_all_partitions(13, ceiling=13)
 
 
 class TestInjection:
