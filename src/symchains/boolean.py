@@ -1,9 +1,10 @@
 """Symmetric chain decompositions of the subset lattice of {1..n}.
 
-Three constructions are provided: bracket matching (each subset's chain is
-read off its parenthesis word), the append/lift recursion on n, and iterated
-products of two-element chains decomposed into hooks.  All three produce the
-same set of chains; tests establish that rather than assume it.
+Three constructions are provided: bracket matching (each chain grows from
+its bottom, a subset whose parenthesis word has every right matched), the
+append/lift recursion on n, and iterated products of two-element chains
+decomposed into hooks.  All three produce the same set of chains; tests
+establish that rather than assume it.
 """
 
 from __future__ import annotations
@@ -16,14 +17,14 @@ from .subsets import (
     DEFAULT_ENUM_CEILING,
     Subset,
     _check_ceiling,
-    all_subsets,
+    _json_int,
     check_ground_size,
     match_parens,
     word_of,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BooleanChain:
     """A chain of subsets, bottom first.  Structure beyond consistent ground
     sizes is the verifier's business, so malformed chains can be built and
@@ -54,6 +55,7 @@ class BooleanDecomposition:
     chains: tuple[BooleanChain, ...]
 
     def __post_init__(self) -> None:
+        check_ground_size(self.n)
         for chain in self.chains:
             if chain.n != self.n:
                 raise ValueError("ground size mismatch between decomposition and chain")
@@ -86,15 +88,35 @@ def chain_of(s: Subset) -> BooleanChain:
 
 
 def gk_decomposition(n: int, ceiling: int = DEFAULT_ENUM_CEILING) -> BooleanDecomposition:
-    """Decomposition by bracket matching: group subsets sharing a chain key."""
-    groups: dict[tuple[int, ...], list[Subset]] = {}
-    for s in all_subsets(n, ceiling):
-        groups.setdefault(chain_key(s).elements, []).append(s)
+    """Decomposition by bracket matching, emitted chain by chain from the
+    bottoms.
+
+    A bottom is a subset whose parenthesis word has every RIGHT matched; there
+    are C(n, n//2) of them.  One pass over the positions grows every such word
+    with its stack of open LEFTs: a LEFT is pushed, a RIGHT pops the stack and
+    may only be placed on a nonempty one.  The LEFTs still open at the end are
+    the unmatched ones, u_1 < ... < u_k, and the chain is bottom plus
+    {u_1..u_t} for t = 0..k.
+    """
+    check_ground_size(n)
+    _check_ceiling(n, ceiling, f"2^{n} subsets")
+    level: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = [(0, (), ())]
+    for i in range(1, n + 1):
+        bit, pos = 1 << (i - 1), (i,)
+        step = []
+        for mask, members, lefts in level:
+            step.append((mask, members, lefts + pos))
+            if lefts:
+                step.append((mask | bit, members + pos, lefts[:-1]))
+        level = step
+    level.sort()
     chains = []
-    for members in groups.values():
-        members.sort(key=len)
-        chains.append(BooleanChain(n, tuple(members)))
-    return BooleanDecomposition.of(n, chains)
+    for _, members, lefts in level:
+        sets = [Subset(n, members)]
+        for t in range(1, len(lefts) + 1):
+            sets.append(Subset(n, tuple(sorted(members + lefts[:t]))))
+        chains.append(BooleanChain(n, tuple(sets)))
+    return BooleanDecomposition(n, tuple(chains))
 
 
 def debruijn_decomposition(n: int, ceiling: int = DEFAULT_ENUM_CEILING) -> BooleanDecomposition:
@@ -169,36 +191,41 @@ def verify_scd(d: BooleanDecomposition) -> VerificationReport:
     """Check cover, disjointness, saturation, rank symmetry, and the three
     structural facts every bracket-matching chain satisfies: elements are
     added in increasing order, n sits in every chain's top, and a link
-    adding i requires i+1 absent and (i = 1 or i-1 present)."""
+    adding i requires i+1 absent and (i = 1 or i-1 present).
+
+    Each set is read once into its integer mask (bit i-1 for element i);
+    every test after that is arithmetic on masks."""
     n = d.n
+    bit = [0, *(1 << i for i in range(n))].__getitem__
     failures: list[tuple[str, str]] = []
     seen: set[int] = set()
     for chain in d.chains:
-        for s in chain.sets:
-            m = s.mask()
+        sets = chain.sets
+        masks = [sum(map(bit, s.elements)) for s in sets]
+        for s, m in zip(sets, masks):
             if m in seen:
                 failures.append(("overlap", s.literal()))
             seen.add(m)
-        bottom, top = chain.bottom, chain.top
-        if len(bottom) + len(top) != n:
+        bottom, top = sets[0], sets[-1]
+        if len(bottom.elements) + len(top.elements) != n:
             failures.append(("not_symmetric", f"{bottom.literal()} .. {top.literal()}"))
-        if n >= 1 and n not in top:
+        if n >= 1 and not masks[-1] >> (n - 1):
             failures.append(("link_rule", f"top {top.literal()} lacks {n}"))
-        prev = bottom
         prev_added = 0
-        for s in chain.sets[1:]:
-            added = set(s.elements) - set(prev.elements)
-            if len(s) != len(prev) + 1 or len(added) != 1:
-                failures.append(("not_saturated", f"{prev.literal()} -> {s.literal()}"))
-            else:
-                i = added.pop()
-                if i <= prev_added:
-                    failures.append(("link_rule",
-                                     f"added {i} after {prev_added} in chain from {bottom.literal()}"))
-                if (i + 1) in prev or (i != 1 and (i - 1) not in prev):
-                    failures.append(("link_rule", f"link {prev.literal()} -> add {i}"))
-                prev_added = i
-            prev = s
+        for j in range(1, len(sets)):
+            lo, hi = masks[j - 1], masks[j]
+            added = hi ^ lo
+            if hi & lo != lo or not added or added & (added - 1):
+                failures.append(("not_saturated",
+                                 f"{sets[j - 1].literal()} -> {sets[j].literal()}"))
+                continue
+            i = added.bit_length()
+            if i <= prev_added:
+                failures.append(("link_rule",
+                                 f"added {i} after {prev_added} in chain from {bottom.literal()}"))
+            if lo & added << 1 or (added > 1 and not lo & added >> 1):
+                failures.append(("link_rule", f"link {sets[j - 1].literal()} -> add {i}"))
+            prev_added = i
     if len(seen) != 1 << n:
         for mask in range(1 << n):
             if mask not in seen:
@@ -215,8 +242,8 @@ def decomposition_to_json(d: BooleanDecomposition) -> dict:
 
 def decomposition_from_json(obj: dict) -> BooleanDecomposition:
     try:
-        n = obj["n"]
-        chains = [BooleanChain(n, tuple(Subset(n, tuple(els)) for els in chain))
+        n = _json_int(obj["n"])
+        chains = [BooleanChain(n, tuple(Subset(n, tuple(map(_json_int, els))) for els in chain))
                   for chain in obj["chains"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed decomposition payload: {exc}") from exc

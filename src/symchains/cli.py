@@ -167,11 +167,15 @@ def _cmd_verify_partition(args: argparse.Namespace) -> int:
     return _report_out(args, rep, {"n": args.n, "excluded": len(fam.excluded)})
 
 
+_BELL_METHODS = {
+    "codes": (identities.bell_via_codes, identities.DEFAULT_CODE_SUM_CEILING),
+    "oracle": (identities.bell_oracle, identities.DEFAULT_STIRLING_CEILING),
+}
+
+
 def _cmd_bell(args: argparse.Namespace) -> int:
-    if args.method == "codes":
-        value = identities.bell_via_codes(args.n, ceiling=args.ceiling)
-    else:
-        value = identities.bell_oracle(args.n)
+    method, default = _BELL_METHODS[args.method]
+    value = method(args.n, ceiling=default if args.ceiling is None else args.ceiling)
     if args.format == "json":
         _emit_json(args, {"n": args.n, "method": args.method, "value": value})
     else:
@@ -180,7 +184,7 @@ def _cmd_bell(args: argparse.Namespace) -> int:
 
 
 def _cmd_stirling(args: argparse.Namespace) -> int:
-    row = identities.stirling_table(args.n).row(args.n)
+    row = identities.stirling_table(args.n, ceiling=args.ceiling).row(args.n)
     if args.format == "json":
         _emit_json(args, {"n": args.n, "row": list(row)})
     else:
@@ -191,15 +195,15 @@ def _cmd_stirling(args: argparse.Namespace) -> int:
 def _cmd_stirling_check(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise ValueError("n must be nonnegative")
-    monotone_failures = []
-    plain = []
-    shifted = []
-    for n in range(args.n + 1):
-        rep = identities.check_stirling_monotone(n)
-        monotone_failures.extend(rep.failures)
-        audit = identities.check_stirling_symmetry(n)
-        plain.extend((n, *c) for c in audit.reflection_counterexamples)
-        shifted.extend((n, *c) for c in audit.shifted_counterexamples)
+    # Highest row first, so a row past the ceiling is refused before any
+    # table is built; the results are then read in ascending order.
+    rows = [(n, identities.check_stirling_monotone(n, ceiling=args.ceiling),
+             identities.check_stirling_symmetry(n, ceiling=args.ceiling))
+            for n in range(args.n, -1, -1)]
+    rows.reverse()
+    monotone_failures = [f for _, rep, _ in rows for f in rep.failures]
+    plain = [(n, *c) for n, _, audit in rows for c in audit.reflection_counterexamples]
+    shifted = [(n, *c) for n, _, audit in rows for c in audit.shifted_counterexamples]
     ok = not monotone_failures and not shifted
     if args.format == "json":
         _emit_json(args, {
@@ -340,13 +344,18 @@ def build_parser() -> argparse.ArgumentParser:
     add("verify-partition", _cmd_verify_partition, "verify the partition chain family",
         ceiling=DEFAULT_PARTITION_CEILING)
 
-    p = add("bell", _cmd_bell, "Bell number", ceiling=identities.DEFAULT_CODE_SUM_CEILING)
-    p.add_argument("--method", choices=("codes", "oracle"), default="codes")
+    p = add("bell", _cmd_bell, "Bell number")
+    p.add_argument("--method", choices=sorted(_BELL_METHODS), default="codes")
+    p.add_argument("--ceiling", type=int, metavar="K",
+                   help=f"enumeration size ceiling (default {identities.DEFAULT_CODE_SUM_CEILING} "
+                        f"for codes, {identities.DEFAULT_STIRLING_CEILING} for oracle)")
 
-    add("stirling", _cmd_stirling, "row n of the Stirling set-number triangle")
+    add("stirling", _cmd_stirling, "row n of the Stirling set-number triangle",
+        ceiling=identities.DEFAULT_STIRLING_CEILING)
 
     add("stirling-check", _cmd_stirling_check,
-        "audit the Stirling inequalities for all rows up to n")
+        "audit the Stirling inequalities for all rows up to n",
+        ceiling=identities.DEFAULT_STIRLING_CEILING)
 
     p = add("symfun", _cmd_symfun, "complete homogeneous function in the elementary ones",
             ceiling=identities.DEFAULT_CODE_SUM_CEILING)

@@ -30,7 +30,7 @@ def is_valid_code(entries: Sequence[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Code:
     """A valid code of length n+1; construction rejects invalid entries."""
 

@@ -20,7 +20,7 @@ from .boolean import gk_decomposition
 from .coding import code_from_nonzeros, decode, encode
 from .identities import stirling_table
 from .reports import VerificationReport, report
-from .subsets import Subset, _check_ceiling
+from .subsets import Subset, _check_ceiling, _json_int
 
 # Set by memory: building and verifying the family for m = 12 (4.2 million
 # partitions) peaked at 1.5 GB RSS, about 370 bytes per partition, so the 27.6
@@ -33,7 +33,7 @@ DEFAULT_PARTITION_CEILING = 12
 Blocks = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetPartition:
     """A partition of {1..m} in canonical block order."""
 
@@ -286,6 +286,8 @@ class PartitionChainFamily:
     excluded: tuple[SetPartition, ...]
 
     def __post_init__(self) -> None:
+        if self.m < 0:
+            raise ValueError(f"ground size must be nonnegative, got {self.m}")
         for chain in self.chains:
             if not chain:
                 raise ValueError("empty chain")
@@ -422,13 +424,13 @@ def family_to_json(fam: PartitionChainFamily) -> dict:
 
 def family_from_json(obj: dict) -> PartitionChainFamily:
     try:
-        m = obj["m"]
-        chains = tuple(
-            tuple(SetPartition(m, tuple(tuple(block) for block in p)) for p in chain)
-            for chain in obj["chains"]
-        )
-        excluded = tuple(SetPartition(m, tuple(tuple(block) for block in p))
-                         for p in obj["excluded"])
+        m = _json_int(obj["m"])
+
+        def partition(p: list) -> SetPartition:
+            return SetPartition(m, tuple(tuple(map(_json_int, block)) for block in p))
+
+        chains = tuple(tuple(map(partition, chain)) for chain in obj["chains"])
+        excluded = tuple(map(partition, obj["excluded"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed chain-family payload: {exc}") from exc
     return PartitionChainFamily(m, chains, excluded)

@@ -34,12 +34,21 @@ def _check_ceiling(n: int, ceiling: int, work: str) -> None:
         raise CeilingExceeded(f"{work} exceed the ceiling: {n} > {ceiling}")
 
 
+def _json_int(value: object) -> int:
+    """An integer read from a JSON payload.  Floats and booleans are refused
+    here, at the boundary: ``1.5`` would reach the verifiers as an element
+    and ``true`` would pass for 1."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def check_ground_size(n: int) -> None:
     if not 0 <= n <= MAX_GROUND_SIZE:
         raise ValueError(f"ground size must be in 0..{MAX_GROUND_SIZE}, got {n}")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Subset:
     """A subset of {1..n} with elements stored strictly ascending."""
 
@@ -104,7 +113,7 @@ class Subset:
         return iter(self.elements)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchStructure:
     """Result of stack-matching a parenthesis word.
 

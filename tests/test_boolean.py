@@ -8,24 +8,85 @@ against each other, which is the point of keeping all three.
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symchains import (
     BooleanChain,
     BooleanDecomposition,
     CeilingExceeded,
     GridElement,
+    SetPartition,
     Subset,
+    all_subsets,
     chain_key,
     chain_of,
     debruijn_decomposition,
     decomposition_from_json,
     decomposition_to_dot,
     decomposition_to_json,
+    encode,
     gk_decomposition,
     iterated_product_scd,
+    match_parens,
     product_scd,
     verify_scd,
 )
+from symchains.reports import report
+
+
+def reference_gk(n):
+    """The decomposition by grouping: every subset of {1..n} goes to the
+    chain named by its chain key, and each group sorted by size is a chain."""
+    groups = {}
+    for s in all_subsets(n):
+        groups.setdefault(chain_key(s).elements, []).append(s)
+    chains = []
+    for members in groups.values():
+        members.sort(key=len)
+        chains.append(BooleanChain(n, tuple(members)))
+    return BooleanDecomposition.of(n, chains)
+
+
+def reference_verify_scd(d):
+    """verify_scd on element sets rather than masks: the same checks, the
+    same failure kinds, witnesses and order."""
+    n = d.n
+    failures = []
+    seen = set()
+    for chain in d.chains:
+        for s in chain.sets:
+            m = s.mask()
+            if m in seen:
+                failures.append(("overlap", s.literal()))
+            seen.add(m)
+        bottom, top = chain.bottom, chain.top
+        if len(bottom) + len(top) != n:
+            failures.append(("not_symmetric", f"{bottom.literal()} .. {top.literal()}"))
+        if n >= 1 and n not in top:
+            failures.append(("link_rule", f"top {top.literal()} lacks {n}"))
+        prev = bottom
+        prev_added = 0
+        for s in chain.sets[1:]:
+            added = set(s.elements) - set(prev.elements)
+            if len(s) != len(prev) + 1 or len(added) != 1:
+                failures.append(("not_saturated", f"{prev.literal()} -> {s.literal()}"))
+            else:
+                i = added.pop()
+                if i <= prev_added:
+                    failures.append(("link_rule",
+                                     f"added {i} after {prev_added} in chain from {bottom.literal()}"))
+                if (i + 1) in prev or (i != 1 and (i - 1) not in prev):
+                    failures.append(("link_rule", f"link {prev.literal()} -> add {i}"))
+                prev_added = i
+            prev = s
+    if len(seen) != 1 << n:
+        for mask in range(1 << n):
+            if mask not in seen:
+                failures.append(("missing", Subset.from_mask(n, mask).literal()))
+    return report(len(seen), len(d.chains), failures)
+
+
+METHODS = (gk_decomposition, debruijn_decomposition, iterated_product_scd)
 
 
 def chains_as_sets(d):
@@ -59,7 +120,7 @@ class TestChainOf:
         assert keys == {Subset.of(10, [3, 8, 9])}
 
     def test_every_set_lies_on_its_chain(self):
-        for n in range(8):
+        for n in range(11):
             d = gk_decomposition(n)
             for chain in d.chains:
                 for s in chain.sets:
@@ -67,6 +128,10 @@ class TestChainOf:
 
 
 class TestConstructions:
+    def test_gk_equals_grouping_reference(self):
+        for n in range(13):
+            assert gk_decomposition(n) == reference_gk(n)
+
     def test_gk3_golden(self):
         d = gk_decomposition(3)
         assert [lit(c) for c in d.chains] == [
@@ -183,6 +248,52 @@ class TestVerifier:
         rep = verify_scd(BooleanDecomposition(2, chains))
         assert not rep.ok
         assert "link_rule" in {kind for kind, _ in rep.failures}
+
+
+def mutate(chains, ops, data):
+    """Apply ``ops`` random edits to a list of chains (lists of subsets): drop
+    a set, duplicate one into a chain, move one between chains, or reorder
+    the chains.  A chain left empty is dropped, since a chain needs a set."""
+    chains = [list(c) for c in chains]
+    for _ in range(ops):
+        op = data.draw(st.sampled_from(("drop", "duplicate", "move", "reorder")))
+        if op == "reorder":
+            chains = data.draw(st.permutations(chains))
+            continue
+        a = data.draw(st.integers(0, len(chains) - 1))
+        j = data.draw(st.integers(0, len(chains[a]) - 1))
+        s = chains[a][j] if op == "duplicate" else chains[a].pop(j)
+        if op != "drop":
+            b = data.draw(st.integers(0, len(chains) - 1))
+            chains[b].insert(data.draw(st.integers(0, len(chains[b]))), s)
+        chains = [c for c in chains if c]
+        if not chains:
+            break
+    return chains
+
+
+class TestVerifierOracle:
+    def test_agrees_on_the_three_constructions(self):
+        for n in range(9):
+            for method in METHODS:
+                d = method(n)
+                assert verify_scd(d) == reference_verify_scd(d)
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 6), st.sampled_from(METHODS), st.integers(1, 4), st.data())
+    def test_agrees_on_mutants(self, n, method, ops, data):
+        d = method(n)
+        chains = mutate([c.sets for c in d.chains], ops, data)
+        mutant = BooleanDecomposition(n, tuple(BooleanChain(n, tuple(c)) for c in chains))
+        assert verify_scd(mutant) == reference_verify_scd(mutant)
+
+
+class TestSlots:
+    def test_value_classes_have_no_dict(self):
+        s = Subset.of(3, [1, 3])
+        for obj in (s, match_parens("(()"), BooleanChain(3, (s,)), encode(s),
+                    SetPartition.of(3, [[1, 3], [2]])):
+            assert not hasattr(obj, "__dict__")
 
 
 class TestSerialization:

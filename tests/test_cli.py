@@ -12,6 +12,7 @@ import pytest
 
 import symchains
 from symchains import (
+    bell_oracle,
     build_partition_chains,
     decomposition_from_json,
     decomposition_to_json,
@@ -19,6 +20,7 @@ from symchains import (
     gk_decomposition,
 )
 from symchains.cli import _report_out, build_parser, run
+from symchains.identities import DEFAULT_STIRLING_CEILING
 from symchains.reports import report
 
 
@@ -216,9 +218,32 @@ class TestExitCodes:
         assert time.perf_counter() - t0 < 1
         assert capsys.readouterr().out == ""
 
+    def test_stirling_commands_refuse_past_the_ceiling(self, capsys):
+        assert build_parser().parse_args(["stirling", "5"]).ceiling == DEFAULT_STIRLING_CEILING
+        past = str(DEFAULT_STIRLING_CEILING + 1)
+        for argv in (["stirling", past], ["stirling-check", past],
+                     ["bell", past, "--method", "oracle"],
+                     ["stirling", "6", "--ceiling", "5"], ["stirling-check", "6", "--ceiling", "5"],
+                     ["bell", "6", "--method", "oracle", "--ceiling", "5"]):
+            t0 = time.perf_counter()
+            assert run(argv) == 2
+            assert time.perf_counter() - t0 < 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+        assert run(["stirling", "5", "--ceiling", "5"]) == 0
+        assert out_of(capsys) == "0 1 15 25 10 1"
+
+    def test_bell_ceiling_default_follows_the_method(self, capsys):
+        assert run(["bell", "30", "--method", "oracle"]) == 0
+        assert out_of(capsys) == str(bell_oracle(30))
+        assert run(["bell", "10", "--ceiling", "9"]) == 2
+        assert run(["bell", "10", "--ceiling", "10"]) == 0
+        assert out_of(capsys) == "115975"
+
     def test_ceiling_flag_only_where_it_applies(self, capsys):
         assert run(["word", "3", "1", "--ceiling", "5"]) == 2
-        assert run(["stirling", "3", "--ceiling", "5"]) == 2
+        assert run(["chain", "3", "1", "--ceiling", "5"]) == 2
         assert capsys.readouterr().out == ""
 
     def test_no_arguments_is_usage_error(self, capsys):

@@ -33,6 +33,7 @@ from symchains import (
     seeded_rational_series,
     stirling_table,
 )
+from symchains.identities import DEFAULT_STIRLING_CEILING
 
 BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975)
 
@@ -77,6 +78,15 @@ class TestStirlingTable:
     def test_matches_partition_counts(self):
         for m in range(1, 9):
             assert stirling_table(m).row(m) == brute_stirling(m)
+
+    def test_ceiling(self):
+        assert stirling_table(5, ceiling=5).row(5) == (0, 1, 15, 25, 10, 1)
+        for build in (stirling_table, bell_oracle, check_stirling_monotone,
+                      check_stirling_symmetry):
+            with pytest.raises(CeilingExceeded):
+                build(6, ceiling=5)
+        with pytest.raises(CeilingExceeded):
+            stirling_table(DEFAULT_STIRLING_CEILING + 1)
 
 
 class TestBell:

@@ -1,0 +1,124 @@
+"""The JSON loaders, which are the API boundary for stored decompositions
+and chain families.
+
+Whatever a payload holds, a loader either raises ValueError or returns an
+object its verifier can report on.  Ground sizes in the generated payloads
+stay small: a verifier lists every subset or partition a payload misses.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from symchains import (
+    VerificationReport,
+    build_partition_chains,
+    decomposition_from_json,
+    decomposition_to_json,
+    family_from_json,
+    family_to_json,
+    gk_decomposition,
+    verify_partition_chains,
+    verify_scd,
+)
+
+SCALARS = (st.none() | st.booleans() | st.integers(-2, 7)
+           | st.floats(-2, 7, allow_nan=False) | st.text(max_size=2))
+KEYS = st.sampled_from(["n", "m", "chains", "excluded"])
+ANY_JSON = st.recursive(SCALARS, lambda kids: st.lists(kids, max_size=4)
+                        | st.dictionaries(KEYS, kids, max_size=4), max_leaves=24)
+
+
+def leaf_paths(obj, path=()):
+    """Paths to every scalar and empty container in a JSON document."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return [path]
+    found = [p for key, value in items for p in leaf_paths(value, path + (key,))]
+    return found or [path]
+
+
+def corrupt(obj, data):
+    """A copy of ``obj`` with one to three leaves replaced by random scalars."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(leaf_paths(obj)))
+        value = data.draw(SCALARS)
+        if not path:
+            return value
+        obj = _replace(obj, path, value)
+    return obj
+
+
+def _replace(obj, path, value):
+    head, rest = path[0], path[1:]
+    copy = dict(obj) if isinstance(obj, dict) else list(obj)
+    copy[head] = _replace(obj[head], rest, value) if rest else value
+    return copy
+
+
+def loads_or_refuses(load, verify, payload):
+    try:
+        obj = load(payload)
+    except ValueError:
+        return
+    assert isinstance(verify(obj), VerificationReport)
+
+
+class TestDecompositionLoader:
+    @pytest.mark.parametrize("payload", [
+        {"n": 3, "chains": [[[1.5]]]},
+        {"n": 3.0, "chains": []},
+        {"n": True, "chains": [[[]]]},
+        {"n": 3, "chains": [[[True]]]},
+        {"n": 3, "chains": [[[1, 2.0]]]},
+        {"n": "3", "chains": []},
+    ])
+    def test_rejects_non_integers(self, payload):
+        with pytest.raises(ValueError):
+            decomposition_from_json(payload)
+
+    @pytest.mark.parametrize("n", [-1, 65])
+    def test_rejects_ground_size_out_of_range_without_chains(self, n):
+        with pytest.raises(ValueError):
+            decomposition_from_json({"n": n, "chains": []})
+
+    @settings(max_examples=200)
+    @given(ANY_JSON)
+    def test_fuzz_arbitrary(self, payload):
+        loads_or_refuses(decomposition_from_json, verify_scd, payload)
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 4), st.data())
+    def test_fuzz_corrupted(self, n, data):
+        payload = corrupt(decomposition_to_json(gk_decomposition(n)), data)
+        loads_or_refuses(decomposition_from_json, verify_scd, payload)
+
+
+class TestFamilyLoader:
+    @pytest.mark.parametrize("payload", [
+        {"m": 1, "chains": [[[[1.0]]]], "excluded": []},
+        {"m": 1.0, "chains": [[[[1]]]], "excluded": []},
+        {"m": True, "chains": [[[[1]]]], "excluded": []},
+        {"m": 1, "chains": [[[[True]]]], "excluded": []},
+        {"m": 1, "chains": [], "excluded": [[[True]]]},
+    ])
+    def test_rejects_non_integers(self, payload):
+        with pytest.raises(ValueError):
+            family_from_json(payload)
+
+    def test_rejects_negative_ground_size_without_chains(self):
+        with pytest.raises(ValueError):
+            family_from_json({"m": -1, "chains": [], "excluded": []})
+
+    @settings(max_examples=200)
+    @given(ANY_JSON)
+    def test_fuzz_arbitrary(self, payload):
+        loads_or_refuses(family_from_json, verify_partition_chains, payload)
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 3), st.data())
+    def test_fuzz_corrupted(self, n, data):
+        payload = corrupt(family_to_json(build_partition_chains(n)), data)
+        loads_or_refuses(family_from_json, verify_partition_chains, payload)
