@@ -243,6 +243,8 @@ def decomposition_to_json(d: BooleanDecomposition) -> dict:
 def decomposition_from_json(obj: dict) -> BooleanDecomposition:
     try:
         n = _json_int(obj["n"])
+        # verify_scd lists every missing subset, however few are listed.
+        _check_ceiling(n, DEFAULT_ENUM_CEILING, f"2^{n} subsets")
         chains = [BooleanChain(n, tuple(Subset(n, tuple(map(_json_int, els))) for els in chain))
                   for chain in obj["chains"]]
     except (KeyError, TypeError) as exc:

@@ -195,12 +195,9 @@ def _cmd_stirling(args: argparse.Namespace) -> int:
 def _cmd_stirling_check(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise ValueError("n must be nonnegative")
-    # Highest row first, so a row past the ceiling is refused before any
-    # table is built; the results are then read in ascending order.
-    rows = [(n, identities.check_stirling_monotone(n, ceiling=args.ceiling),
-             identities.check_stirling_symmetry(n, ceiling=args.ceiling))
-            for n in range(args.n, -1, -1)]
-    rows.reverse()
+    table = identities.stirling_table(args.n, ceiling=args.ceiling)
+    rows = [(n, identities._monotone_report(table, n), identities._symmetry_audit(table, n))
+            for n in range(args.n + 1)]
     monotone_failures = [f for _, rep, _ in rows for f in rep.failures]
     plain = [(n, *c) for n, _, audit in rows for c in audit.reflection_counterexamples]
     shifted = [(n, *c) for n, _, audit in rows for c in audit.shifted_counterexamples]

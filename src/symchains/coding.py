@@ -92,6 +92,15 @@ def code_from_nonzeros(seq: Sequence[int]) -> Code:
     return Code(len(entries) - 1, tuple(entries))
 
 
+def _link_added(entries: Sequence[int], i: int) -> int:
+    """The k with (k, 1) at positions (i, i+1), or 0 when no link adds i;
+    the one link test, shared by ``link_rewrite`` and the partition kernel."""
+    if not 1 <= i < len(entries):
+        return 0
+    k = entries[i - 1]
+    return k if k >= 1 and entries[i] == 1 else 0
+
+
 def link_rewrite(c: Code, i: int) -> Code:
     """Rewrite the adjacent entries (k, 1) at positions (i, i+1) to (0, k+1).
 
@@ -100,8 +109,8 @@ def link_rewrite(c: Code, i: int) -> Code:
     """
     if not 1 <= i <= c.n:
         raise ValueError(f"position {i} out of range 1..{c.n}")
-    k = c.entries[i - 1]
-    if k < 1 or c.entries[i] != 1:
+    k = _link_added(c.entries, i)
+    if k == 0:
         raise ValueError(f"positions ({i},{i + 1}) must hold (k,1) with k >= 1, "
                          f"got ({c.entries[i - 1]},{c.entries[i]})")
     entries = list(c.entries)

@@ -110,7 +110,10 @@ def bell_via_codes(n: int, ceiling: int = DEFAULT_CODE_SUM_CEILING) -> int:
 def check_stirling_monotone(n: int,
                             ceiling: int = DEFAULT_STIRLING_CEILING) -> VerificationReport:
     """Verify S(n,n) <= S(n,n-1) <= ... <= S(n, floor((n+1)/2))."""
-    table = stirling_table(n, ceiling)
+    return _monotone_report(stirling_table(n, ceiling), n)
+
+
+def _monotone_report(table: StirlingTable, n: int) -> VerificationReport:
     failures = []
     low = (n + 1) // 2
     checked = 0
@@ -139,7 +142,10 @@ class SymmetryAudit:
 
 
 def check_stirling_symmetry(n: int, ceiling: int = DEFAULT_STIRLING_CEILING) -> SymmetryAudit:
-    table = stirling_table(n, ceiling)
+    return _symmetry_audit(stirling_table(n, ceiling), n)
+
+
+def _symmetry_audit(table: StirlingTable, n: int) -> SymmetryAudit:
     plain = []
     for k in range(1, n // 2 + 1):
         lhs, rhs = table.value(n, k), table.value(n, n - k)

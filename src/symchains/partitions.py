@@ -17,7 +17,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .boolean import gk_decomposition
-from .coding import code_from_nonzeros, decode, encode
+from .coding import _link_added, code_from_nonzeros, decode, encode
 from .identities import stirling_table
 from .reports import VerificationReport, report
 from .subsets import Subset, _check_ceiling, _json_int
@@ -207,14 +207,14 @@ def _type_of_code(entries: Sequence[int]) -> tuple[int, ...]:
 
 
 def _merge_index(entries: Sequence[int], i: int) -> int:
-    """Index j of the singleton block that the link adding ``i`` merges.
+    """Index j of the block the link adding ``i`` merges or splits.
 
-    The code holds (k, 1) at positions (i, i+1) and the type is its nonzeros
-    reversed, so that 1 is block j, with j+1 nonzeros past position i, and
-    the k is block j+1.  This is j = b - m* - 1 for b blocks and m* nonzeros
-    through position i.
+    The type is the code's nonzeros reversed, so the nonzero at position i+1
+    is block j.  The link rewrites (k, 1) at positions (i, i+1) to (0, k+1),
+    so j is the same below, where the singleton merges into block j+1, and
+    above, where the merged block splits.
     """
-    return sum(1 for e in entries[i:] if e) - 1
+    return sum(1 for e in entries[i + 1:] if e)
 
 
 def _merge(blocks: Blocks, j: int) -> Blocks:
@@ -223,57 +223,36 @@ def _merge(blocks: Blocks, j: int) -> Blocks:
     return blocks[:j] + (blocks[j] + blocks[j + 1],) + blocks[j + 2:]
 
 
-def _link_added(c_entries: Sequence[int], i: int) -> int:
-    """The k with (k, 1) at positions (i, i+1), or 0 when there is no link."""
-    if i < 1 or i >= len(c_entries):
-        return 0
-    k = c_entries[i - 1]
-    if k >= 1 and c_entries[i] == 1:
-        return k
-    return 0
-
-
 def inject(p: SetPartition, i: int) -> SetPartition:
-    """Map ``p`` one class up along the link adding ``i``.
-
-    With the code of the class holding (k, 1) at positions (i, i+1) and that
-    k being the m*-th nonzero from the left, the singleton block at position
-    b-m* merges into the size-k block right after it (b = block count).  The
-    merged block's minimum is the singleton's element.
-    """
-    s = class_of(p)
-    c = encode(s)
-    if _link_added(c.entries, i) == 0:
-        raise ValueError(f"no chain link adds {i} to class {s.literal()}")
-    return SetPartition(p.m, _merge(p.blocks, _merge_index(c.entries, i)))
+    """Map ``p`` one class up along the link adding ``i``: the class code
+    holds (k, 1) at positions (i, i+1), and the singleton block j (see
+    ``_merge_index``) merges into the size-k block right after it."""
+    entries = code_from_nonzeros(tuple(reversed(type_of(p)))).entries
+    if _link_added(entries, i) == 0:
+        raise ValueError(f"no chain link adds {i} to class {class_of(p).literal()}")
+    return SetPartition(p.m, _merge(p.blocks, _merge_index(entries, i)))
 
 
 def inject_inverse(q: SetPartition, i: int) -> Optional[SetPartition]:
     """Undo ``inject(.., i)`` when possible.
 
-    Splits the merged block back into its minimum and the rest; returns None
-    when ``q`` is not an image of inject.  The class test alone is not
-    enough: when the lower class repeats a block size, the split blocks can
-    re-sort into a partition of the right type that injects elsewhere
-    (e.g. splitting 1,3/2 along the link adding 2 gives 1/2/3, whose image
-    is 1,2/3).  The round trip is the deciding check.
+    Splits the merged block j back into its minimum and the rest, in place.
+    That split injects to ``q``, and no other partition does, so ``q`` has a
+    preimage exactly when the split is canonical: j is the last block, or
+    the rest's minimum is below block j+1's.  Otherwise returns None (e.g.
+    splitting 1,3/2 along the link adding 2 leaves 3 before 2).
     """
-    s_prime = class_of(q)
-    c = encode(s_prime)
-    if i not in s_prime or c.entries[i] == 0:
-        raise ValueError(f"class {s_prime.literal()} has no link arriving by adding {i}")
-    m_star = sum(1 for e in c.entries[:i + 1] if e)
-    merged = q.blocks[q.block_count - m_star]
-    rebuilt = [block for block in q.blocks if block != merged]
-    rebuilt.append((merged[0],))
-    rebuilt.append(merged[1:])
-    candidate = SetPartition.of(q.m, rebuilt)
-    expected = Subset(s_prime.n, tuple(e for e in s_prime.elements if e != i))
-    if class_of(candidate) != expected:
+    entries = code_from_nonzeros(tuple(reversed(type_of(q)))).entries
+    # Range first: position i+1 is read.  Position i reads 0, so block j
+    # (size entries[i]) has at least two elements.
+    if not 1 <= i < len(entries) or entries[i - 1] != 0 or entries[i] == 0:
+        raise ValueError(f"class {class_of(q).literal()} has no link arriving by adding {i}")
+    j = _merge_index(entries, i)
+    blocks = q.blocks
+    merged = blocks[j]
+    if j + 1 < len(blocks) and merged[1] > blocks[j + 1][0]:
         return None
-    if inject(candidate, i) != q:
-        return None
-    return candidate
+    return SetPartition(q.m, blocks[:j] + ((merged[0],), merged[1:]) + blocks[j + 1:])
 
 
 @dataclass(frozen=True)
@@ -425,6 +404,8 @@ def family_to_json(fam: PartitionChainFamily) -> dict:
 def family_from_json(obj: dict) -> PartitionChainFamily:
     try:
         m = _json_int(obj["m"])
+        # The verifier walks all Bell(m) partitions, however few are listed.
+        _check_ceiling(m, DEFAULT_PARTITION_CEILING, f"Bell({m}) partitions")
 
         def partition(p: list) -> SetPartition:
             return SetPartition(m, tuple(tuple(map(_json_int, block)) for block in p))

@@ -106,6 +106,14 @@ class TestGoldenText:
         assert "S(5,2)=15 < S(5,3)=25" in text
         assert "shifted reflection" in text and text.count("ok") >= 2
 
+    def test_stirling_check_reads_every_row_from_one_triangle(self, capsys):
+        t0 = time.perf_counter()
+        assert run(["stirling-check", "400"]) == 0
+        assert time.perf_counter() - t0 < 2
+        text = out_of(capsys)
+        assert "monotone: ok (n <= 400)" in text
+        assert "S(400,1)=1 < S(400,399)=79800" in text
+
     def test_symfun(self, capsys):
         assert run(["symfun", "4", "--check"]) == 0
         text = out_of(capsys)

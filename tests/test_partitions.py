@@ -49,6 +49,36 @@ def reference_inject(p, i):
     return SetPartition.of(p.m, rest + [singleton + target])
 
 
+def reference_inject_inverse(q, i):
+    """inject_inverse by round trip: split the block at b-m*, re-sort the
+    split, and accept it only when it lies in the lower class and injects
+    back to ``q``."""
+    s_prime = class_of(q)
+    c = encode(s_prime)
+    if i not in s_prime or c.entries[i] == 0:
+        raise ValueError(f"class {s_prime.literal()} has no link arriving by adding {i}")
+    m_star = sum(1 for e in c.entries[:i + 1] if e)
+    merged = q.blocks[q.block_count - m_star]
+    rebuilt = [block for block in q.blocks if block != merged]
+    rebuilt.append((merged[0],))
+    rebuilt.append(merged[1:])
+    candidate = SetPartition.of(q.m, rebuilt)
+    expected = Subset(s_prime.n, tuple(e for e in s_prime.elements if e != i))
+    if class_of(candidate) != expected:
+        return None
+    if inject(candidate, i) != q:
+        return None
+    return candidate
+
+
+def outcome(f, *args):
+    """The value of ``f(*args)``, or the message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
 def reference_family(n):
     """The chain family by the object walk: each class of a subset chain
     from enumerate_class, chain tips moved by reference_inject, then pruned
@@ -245,12 +275,17 @@ class TestInjection:
     def test_rejects_missing_link(self):
         with pytest.raises(ValueError):
             inject(P4(4, "1/2/34"), 1)  # class code 0211 starts with a zero
+        for i in (0, 4):  # no position i, or no position i+1, in code 1111
+            with pytest.raises(ValueError):
+                inject(P4(4, "1/2/3/4"), i)
         with pytest.raises(ValueError):
             inject_inverse(P4(4, "1/2/3/4"), 1)  # 1 not in the class at all
 
     @settings(max_examples=200)
     @given(set_partitions(), st.data())
     def test_random_links_match_reference_and_invert(self, p, data):
+        j = data.draw(st.integers(min_value=0, max_value=p.m))
+        assert outcome(inject_inverse, p, j) == outcome(reference_inject_inverse, p, j)
         s = class_of(p)
         links = links_of(s)
         if not links:
@@ -260,6 +295,12 @@ class TestInjection:
         assert q == reference_inject(p, i)
         assert class_of(q) == s.with_element(i)
         assert inject_inverse(q, i) == p
+
+    def test_inverse_equals_round_trip_reference(self):
+        for m in range(9):
+            for q in enumerate_all_partitions(m):
+                for i in range(m + 1):
+                    assert outcome(inject_inverse, q, i) == outcome(reference_inject_inverse, q, i)
 
     def test_inject_covers_and_inverts(self):
         for m in range(2, 9):

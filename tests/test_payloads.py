@@ -6,10 +6,14 @@ object its verifier can report on.  Ground sizes in the generated payloads
 stay small: a verifier lists every subset or partition a payload misses.
 """
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from symchains import (
+    DEFAULT_ENUM_CEILING,
+    CeilingExceeded,
     VerificationReport,
     build_partition_chains,
     decomposition_from_json,
@@ -20,6 +24,7 @@ from symchains import (
     verify_partition_chains,
     verify_scd,
 )
+from symchains.partitions import DEFAULT_PARTITION_CEILING
 
 SCALARS = (st.none() | st.booleans() | st.integers(-2, 7)
            | st.floats(-2, 7, allow_nan=False) | st.text(max_size=2))
@@ -122,3 +127,24 @@ class TestFamilyLoader:
     def test_fuzz_corrupted(self, n, data):
         payload = corrupt(family_to_json(build_partition_chains(n)), data)
         loads_or_refuses(family_from_json, verify_partition_chains, payload)
+
+
+class TestLoaderCeilings:
+    """A verifier walks the whole lattice a payload names, however few sets
+    it lists, so the loaders refuse a ground size past the default
+    ceilings of the constructions before building anything."""
+
+    @pytest.mark.parametrize("load, payload", [
+        (decomposition_from_json, {"n": 40, "chains": []}),
+        (family_from_json, {"m": 30, "chains": [], "excluded": []}),
+    ])
+    def test_refuses_past_the_default_ceiling(self, load, payload):
+        start = time.perf_counter()
+        with pytest.raises(CeilingExceeded):
+            load(payload)
+        assert time.perf_counter() - start < 1.0
+
+    def test_admits_the_default_ceiling(self):
+        assert decomposition_from_json({"n": DEFAULT_ENUM_CEILING, "chains": []}).n == DEFAULT_ENUM_CEILING
+        fam = family_from_json({"m": DEFAULT_PARTITION_CEILING, "chains": [], "excluded": []})
+        assert fam.m == DEFAULT_PARTITION_CEILING
