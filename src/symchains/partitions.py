@@ -23,14 +23,16 @@ from .reports import VerificationReport, report
 from .subsets import Subset, _check_ceiling, _json_int
 
 # Set by memory: building and verifying the family for m = 12 (4.2 million
-# partitions) peaked at 1.5 GB RSS, about 370 bytes per partition, so the 27.6
-# million of m = 13 would need about 10 GB.  Past m = 12 needs an explicit
-# ceiling override.
+# partitions) peaks at about 970 MB RSS, about 240 bytes per partition, so the
+# 27.6 million of m = 13 would need about 6.2 GB, too close to what an 8 GB
+# machine has to admit by default.  Past m = 12 needs an explicit ceiling
+# override.
 DEFAULT_PARTITION_CEILING = 12
 
 # A partition's canonical blocks, as SetPartition.blocks holds them; the
 # build and verify kernels work on these and key everything on them.
-Blocks = tuple[tuple[int, ...], ...]
+Block = tuple[int, ...]
+Blocks = tuple[Block, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,6 +105,16 @@ class SetPartition:
         return self.m - len(self.blocks)
 
 
+def _trusted(m: int, blocks: Blocks) -> SetPartition:
+    """A SetPartition around blocks a package kernel built canonical, without
+    the checks of the public constructor.  Input from callers and payloads
+    goes through ``SetPartition(...)`` and keeps every check."""
+    p = object.__new__(SetPartition)
+    object.__setattr__(p, "m", m)
+    object.__setattr__(p, "blocks", blocks)
+    return p
+
+
 def _literal(blocks: Blocks) -> str:
     return "/".join(",".join(map(str, block)) for block in blocks)
 
@@ -134,7 +146,7 @@ def enumerate_class(s: Subset, ceiling: int = DEFAULT_PARTITION_CEILING) -> tupl
 
     def place(remaining: tuple[int, ...], depth: int) -> None:
         if depth == len(sizes):
-            out.append(SetPartition(m, tuple(acc)))
+            out.append(_trusted(m, tuple(acc)))
             return
         opener, rest = remaining[0], remaining[1:]
         for combo in itertools.combinations(rest, sizes[depth] - 1):
@@ -155,18 +167,29 @@ def enumerate_all_partitions(m: int, ceiling: int = DEFAULT_PARTITION_CEILING) -
     first, all singletons last.
     """
     _check_ceiling(m, ceiling, f"Bell({m}) partitions")
-    return map(partial(SetPartition, m), _iter_partitions(m))
+    return map(partial(_trusted, m), _iter_partitions(m))
 
 
 def _iter_partitions(m: int) -> Iterator[Blocks]:
-    """Block tuples of every partition of {1..m}, recursively.  The verifier
-    walks this enumeration, never the builder's level-by-level one, so a
-    fault in either cannot hide in the other."""
-    blocks: list[list[int]] = []
+    """Block tuples of every partition of {1..m}, in restricted-growth order.
 
-    def extend(e: int) -> Iterator[Blocks]:
-        if e > m:
-            yield tuple(map(tuple, blocks))
+    A recursion places 1..m-1; each partition it reaches yields the
+    placements of m as one batch, so no partition passes up through a
+    generator per element.  The verifier walks this enumeration, never the
+    builder's level-by-level one, so a fault in either cannot hide in the
+    other.
+    """
+    if m == 0:
+        return iter(((),))
+    blocks: list[list[int]] = []
+    last = (m,)
+
+    def extend(e: int) -> Iterator[list[Blocks]]:
+        if e == m:
+            done = tuple(map(tuple, blocks))
+            batch = [done[:j] + (block + last,) + done[j + 1:] for j, block in enumerate(done)]
+            batch.append(done + (last,))
+            yield batch
             return
         for block in blocks:
             block.append(e)
@@ -176,23 +199,27 @@ def _iter_partitions(m: int) -> Iterator[Blocks]:
         yield from extend(e + 1)
         blocks.pop()
 
-    return extend(1)
+    return itertools.chain.from_iterable(extend(1))
 
 
-def _partitions_by_type(m: int) -> dict[tuple[int, ...], list[Blocks]]:
+def _partitions_by_type(m: int, canon: dict[Block, Block]) -> dict[tuple[int, ...], list[Blocks]]:
     """Block tuples of every partition of {1..m}, bucketed by type.
 
     Built level by level in restricted-growth fashion: element e joins each
     block of a partition of {1..e-1} or opens a new one.  e exceeds every
-    element placed so far, so each result is canonical as built.
+    element placed so far, so each result is canonical as built.  Each new
+    block is taken from ``canon`` when an equal one is there, so the Bell(m)
+    partitions share at most 2^m - 1 block objects.
     """
+    intern = canon.setdefault
     level: list[Blocks] = [()]
     for e in range(1, m + 1):
         new = (e,)
         nxt: list[Blocks] = []
         for p in level:
             for j in range(len(p)):
-                nxt.append(p[:j] + (p[j] + new,) + p[j + 1:])
+                block = p[j] + new
+                nxt.append(p[:j] + (intern(block, block),) + p[j + 1:])
             nxt.append(p + (new,))
         level = nxt
     buckets: dict[tuple[int, ...], list[Blocks]] = {}
@@ -217,10 +244,19 @@ def _merge_index(entries: Sequence[int], i: int) -> int:
     return sum(1 for e in entries[i + 1:] if e)
 
 
-def _merge(blocks: Blocks, j: int) -> Blocks:
+def _merge(blocks: Blocks, j: int, canon: dict[Block, Block]) -> Blocks:
     """Merge the singleton at index j into the block after it.  Its element
-    is below that block's minimum, so the result stays canonical."""
-    return blocks[:j] + (blocks[j] + blocks[j + 1],) + blocks[j + 2:]
+    is below that block's minimum, so the result stays canonical.  The
+    merged block is taken from ``canon`` when an equal one is there."""
+    block = blocks[j] + blocks[j + 1]
+    return blocks[:j] + (canon.setdefault(block, block),) + blocks[j + 2:]
+
+
+def _is_image(blocks: Blocks, j: int) -> bool:
+    """True when ``blocks`` is the image of a partition merged at index j:
+    splitting block j into its minimum and the rest stays canonical, so j
+    is the last block or the rest's minimum is below block j+1's."""
+    return not (j + 1 < len(blocks) and blocks[j][1] > blocks[j + 1][0])
 
 
 def inject(p: SetPartition, i: int) -> SetPartition:
@@ -230,7 +266,7 @@ def inject(p: SetPartition, i: int) -> SetPartition:
     entries = code_from_nonzeros(tuple(reversed(type_of(p)))).entries
     if _link_added(entries, i) == 0:
         raise ValueError(f"no chain link adds {i} to class {class_of(p).literal()}")
-    return SetPartition(p.m, _merge(p.blocks, _merge_index(entries, i)))
+    return _trusted(p.m, _merge(p.blocks, _merge_index(entries, i), {}))
 
 
 def inject_inverse(q: SetPartition, i: int) -> Optional[SetPartition]:
@@ -238,9 +274,9 @@ def inject_inverse(q: SetPartition, i: int) -> Optional[SetPartition]:
 
     Splits the merged block j back into its minimum and the rest, in place.
     That split injects to ``q``, and no other partition does, so ``q`` has a
-    preimage exactly when the split is canonical: j is the last block, or
-    the rest's minimum is below block j+1's.  Otherwise returns None (e.g.
-    splitting 1,3/2 along the link adding 2 leaves 3 before 2).
+    preimage exactly when the split is canonical (``_is_image``).  Otherwise
+    returns None (e.g. splitting 1,3/2 along the link adding 2 leaves 3
+    before 2).
     """
     entries = code_from_nonzeros(tuple(reversed(type_of(q)))).entries
     # Range first: position i+1 is read.  Position i reads 0, so block j
@@ -249,10 +285,10 @@ def inject_inverse(q: SetPartition, i: int) -> Optional[SetPartition]:
         raise ValueError(f"class {class_of(q).literal()} has no link arriving by adding {i}")
     j = _merge_index(entries, i)
     blocks = q.blocks
-    merged = blocks[j]
-    if j + 1 < len(blocks) and merged[1] > blocks[j + 1][0]:
+    if not _is_image(blocks, j):
         return None
-    return SetPartition(q.m, blocks[:j] + ((merged[0],), merged[1:]) + blocks[j + 1:])
+    merged = blocks[j]
+    return _trusted(q.m, blocks[:j] + ((merged[0],), merged[1:]) + blocks[j + 1:])
 
 
 @dataclass(frozen=True)
@@ -284,16 +320,20 @@ def build_partition_chains(n: int, ceiling: int = DEFAULT_PARTITION_CEILING) -> 
     Walk each subset chain bottom to top.  Every member of the bottom class
     starts a chain; across each link the chain tips move by inject, and
     class members missed by the injection start new chains at that level.
+    The tips are the whole class below, so a member is missed exactly when
+    it is no image (``_is_image``), and no set of images is needed.
     A chain born at rank r keeps ranks r..n-r; the rest of it is excluded,
     and a chain born above the middle is excluded whole.
 
-    Partitions are block tuples throughout; each class is the bucket of its
-    type, read off the chain's code, which is rewritten link by link.
+    Partitions are block tuples throughout, and equal blocks are one object;
+    each class is the bucket of its type, read off the chain's code, which is
+    rewritten link by link.
     """
     m = n + 1
     _check_ceiling(m, ceiling, f"Bell({m}) partitions")
     boolean = gk_decomposition(n, ceiling)
-    buckets = _partitions_by_type(m)
+    canon: dict[Block, Block] = {}
+    buckets = _partitions_by_type(m, canon)
     grown: list[list[Blocks]] = []
     excluded: list[Blocks] = []
     for bchain in boolean.chains:
@@ -306,12 +346,9 @@ def build_partition_chains(n: int, ceiling: int = DEFAULT_PARTITION_CEILING) -> 
                 raise ValueError(f"no chain link adds {added} to class {lo.literal()}")
             j = _merge_index(code, added)
             code[added - 1], code[added] = 0, k + 1
-            images = set()
             for chain in active:
-                q = _merge(chain[-1], j)
-                chain.append(q)
-                images.add(q)
-            active.extend([p] for p in buckets.pop(_type_of_code(code)) if p not in images)
+                chain.append(_merge(chain[-1], j, canon))
+            active.extend([p] for p in buckets.pop(_type_of_code(code)) if not _is_image(p, j))
         for chain in active:
             r = m - len(chain[0])
             if 2 * r > n:
@@ -322,27 +359,32 @@ def build_partition_chains(n: int, ceiling: int = DEFAULT_PARTITION_CEILING) -> 
             excluded.extend(chain[keep:])
     grown.sort(key=itemgetter(0))
     excluded.sort()
-    make = partial(SetPartition, m)
+    make = partial(_trusted, m)
     return PartitionChainFamily(m, tuple(tuple(map(make, c)) for c in grown),
                                 tuple(map(make, excluded)))
 
 
 def _is_singleton_merge(lo: Blocks, hi: Blocks) -> bool:
     """True when ``hi`` merges exactly two blocks of ``lo``, one a singleton
-    holding the merged block's minimum."""
-    hi_set, lo_set = set(hi), set(lo)
-    gone = [b for b in lo if b not in hi_set]
-    new = [b for b in hi if b not in lo_set]
-    if len(gone) != 2 or len(new) != 1:
+    holding the merged block's minimum.
+
+    One pass over canonical blocks: at the first index j where the two
+    differ, lo holds the singleton (x,) and hi holds (x,) + B, where B is a
+    later block of lo; every other block is the same on both sides.
+    """
+    for j, (a, b) in enumerate(zip(lo, hi)):
+        if a != b:
+            break
+    else:
         return False
-    merged = new[0]
-    if tuple(sorted(gone[0] + gone[1])) != merged:
+    if len(a) != 1 or b[0] != a[0]:
         return False
-    sizes = sorted(len(b) for b in gone)
-    if sizes[0] != 1:
+    rest = lo[j + 1:]
+    try:
+        k = rest.index(b[1:])
+    except ValueError:
         return False
-    singleton = gone[0] if len(gone[0]) == 1 else gone[1]
-    return singleton[0] == merged[0]
+    return hi[j + 1:] == rest[:k] + rest[k + 1:]
 
 
 def verify_partition_chains(fam: PartitionChainFamily) -> VerificationReport:
@@ -355,41 +397,43 @@ def verify_partition_chains(fam: PartitionChainFamily) -> VerificationReport:
     m = fam.m
     n = m - 1
     failures: list[tuple[str, str]] = []
-    members: set[Blocks] = set()
+    # Every partition the family names: True in a chain, False excluded.
+    # A partition's rank is m minus its block count.
+    status: dict[Blocks, bool] = {}
     for chain in fam.chains:
         for p in chain:
-            if p.blocks in members:
+            if p.blocks in status:
                 failures.append(("overlap", p.literal()))
-            members.add(p.blocks)
-        if chain[0].rank + chain[-1].rank != n:
+            status[p.blocks] = True
+        if 2 * m - len(chain[0].blocks) - len(chain[-1].blocks) != n:
             failures.append(("not_symmetric", f"{chain[0].literal()} .. {chain[-1].literal()}"))
         for lo, hi in zip(chain, chain[1:]):
-            if hi.rank != lo.rank + 1 or not _is_singleton_merge(lo.blocks, hi.blocks):
+            if len(hi.blocks) != len(lo.blocks) - 1 or not _is_singleton_merge(lo.blocks, hi.blocks):
                 failures.append(("not_saturated", f"{lo.literal()} -> {hi.literal()}"))
-    excluded = [p.blocks for p in fam.excluded]
-    for p in excluded:
-        if p in members:
-            failures.append(("overlap", f"excluded {_literal(p)}"))
-    accounted = members.union(excluded)
-    if len(accounted) != len(members) + len(excluded):
+    members = len(status)
+    for p in fam.excluded:
+        if status.setdefault(p.blocks, False):
+            failures.append(("overlap", f"excluded {p.literal()}"))
+    if len(status) != members + len(fam.excluded):
         failures.append(("overlap", "excluded list repeats a partition"))
     total = 0
     for p in _iter_partitions(m):
         total += 1
-        if p not in accounted:
+        covered = status.get(p)
+        if covered is None:
             failures.append(("missing", _literal(p)))
-        covered = p in members
-        b = len(p)
-        if b > (n + 1) // 2 and not covered:
-            failures.append(("coverage", f"{_literal(p)} has {b} blocks"))
-        if m - b <= (n - 1) // 2 and not covered:
-            failures.append(("coverage", f"{_literal(p)} has rank {m - b}"))
-    if len(accounted) != total:
+        if not covered:
+            b = len(p)
+            if b > (n + 1) // 2:
+                failures.append(("coverage", f"{_literal(p)} has {b} blocks"))
+            if m - b <= (n - 1) // 2:
+                failures.append(("coverage", f"{_literal(p)} has rank {m - b}"))
+    if len(status) != total:
         failures.append(("missing", "family mentions partitions outside the lattice"))
     expected = stirling_table(m).value(m, m - n // 2)
     if len(fam.chains) != expected:
         failures.append(("chain_count", f"{len(fam.chains)} chains, middle level has {expected}"))
-    return report(len(members), len(fam.chains), failures)
+    return report(members, len(fam.chains), failures)
 
 
 def family_to_json(fam: PartitionChainFamily) -> dict:

@@ -5,6 +5,8 @@ restricted-growth choices and never consults codes or classes; the class
 and chain machinery is checked against it.
 """
 
+import hashlib
+import json
 from functools import lru_cache
 from math import comb
 
@@ -32,7 +34,13 @@ from symchains import (
     type_of,
     verify_partition_chains,
 )
-from symchains.partitions import DEFAULT_PARTITION_CEILING
+from symchains.partitions import (
+    DEFAULT_PARTITION_CEILING,
+    _is_image,
+    _is_singleton_merge,
+    _iter_partitions,
+    _merge_index,
+)
 
 P4 = SetPartition.from_literal
 
@@ -69,6 +77,45 @@ def reference_inject_inverse(q, i):
     if inject(candidate, i) != q:
         return None
     return candidate
+
+
+def reference_iter_partitions(m):
+    """Block tuples of every partition of {1..m}: element e joins each
+    block in turn, then opens a new one, one generator level per element."""
+    blocks = []
+
+    def extend(e):
+        if e > m:
+            yield tuple(map(tuple, blocks))
+            return
+        for block in blocks:
+            block.append(e)
+            yield from extend(e + 1)
+            block.pop()
+        blocks.append([e])
+        yield from extend(e + 1)
+        blocks.pop()
+
+    return extend(1)
+
+
+def reference_is_singleton_merge(lo, hi):
+    """The link check by sets: exactly two blocks of ``lo`` are gone from
+    ``hi`` and one is new, the new one is their union, and the singleton
+    among them holds its minimum."""
+    hi_set, lo_set = set(hi), set(lo)
+    gone = [b for b in lo if b not in hi_set]
+    new = [b for b in hi if b not in lo_set]
+    if len(gone) != 2 or len(new) != 1:
+        return False
+    merged = new[0]
+    if tuple(sorted(gone[0] + gone[1])) != merged:
+        return False
+    sizes = sorted(len(b) for b in gone)
+    if sizes[0] != 1:
+        return False
+    singleton = gone[0] if len(gone[0]) == 1 else gone[1]
+    return singleton[0] == merged[0]
 
 
 def outcome(f, *args):
@@ -114,10 +161,8 @@ def failure_kinds(m, chains, excluded):
     return {kind for kind, _ in rep.failures}
 
 
-@st.composite
-def set_partitions(draw):
-    """A partition of {1..m}, m <= 14, from a random restricted-growth string."""
-    m = draw(st.integers(min_value=1, max_value=14))
+def draw_partition(draw, m):
+    """A partition of {1..m} from a random restricted-growth string."""
     blocks = [[1]]
     for e in range(2, m + 1):
         j = draw(st.integers(min_value=0, max_value=len(blocks)))
@@ -126,6 +171,28 @@ def set_partitions(draw):
         else:
             blocks[j].append(e)
     return SetPartition.of(m, blocks)
+
+
+@st.composite
+def set_partitions(draw):
+    """A partition of {1..m}, m <= 14."""
+    return draw_partition(draw, draw(st.integers(min_value=1, max_value=14)))
+
+
+@st.composite
+def partition_pairs(draw):
+    """Two partitions of {1..m}, m <= 10: the second is random, equal to the
+    first, or the first with two of its blocks merged, so both answers of
+    the link check come up often."""
+    lo = draw_partition(draw, draw(st.integers(min_value=1, max_value=10)))
+    how = draw(st.sampled_from(["random", "same", "merge"]))
+    if how == "random":
+        return lo, draw_partition(draw, lo.m)
+    if how == "same" or lo.block_count < 2:
+        return lo, lo
+    x, y = draw(st.lists(st.integers(0, lo.block_count - 1), min_size=2, max_size=2, unique=True))
+    rest = [blk for idx, blk in enumerate(lo.blocks) if idx not in (x, y)]
+    return lo, SetPartition.of(lo.m, rest + [lo.blocks[x] + lo.blocks[y]])
 
 
 def links_of(s: Subset):
@@ -172,6 +239,36 @@ class TestSetPartition:
         # past m=9 a bare digit run is one element, not a compact block
         p = P4(12, "12/1,2,3,4,5,6,7,8,9,10,11")
         assert p.blocks == (tuple(range(1, 12)), (12,))
+
+
+class TestTrustedOutput:
+    """The kernels skip SetPartition's checks; each partition they return
+    must still pass them."""
+
+    @staticmethod
+    def valid(p):
+        return type(p) is SetPartition and SetPartition(p.m, p.blocks) == p
+
+    def test_built_families(self):
+        for n in range(8):
+            fam = build_partition_chains(n)
+            assert all(self.valid(p) for chain in fam.chains for p in chain)
+            assert all(self.valid(p) for p in fam.excluded)
+
+    def test_enumerations(self):
+        for m in range(1, 9):
+            assert all(self.valid(p) for p in enumerate_all_partitions(m))
+            for s in all_subsets(m - 1):
+                assert all(self.valid(p) for p in enumerate_class(s))
+
+    def test_inject_and_inverse(self):
+        for m in range(1, 9):
+            for p in enumerate_all_partitions(m):
+                # every partition with a preimage is an image
+                for i in links_of(class_of(p)):
+                    q = inject(p, i)
+                    assert self.valid(q)
+                    assert self.valid(inject_inverse(q, i))
 
 
 class TestTypesAndClasses:
@@ -244,6 +341,45 @@ class TestEnumeration:
             enumerate_all_partitions(13)
         # An explicit ceiling still admits m = 13; the enumeration is lazy.
         enumerate_all_partitions(13, ceiling=13)
+
+
+class TestWalkAndLinkRules:
+    def test_walk_equals_recursive_reference(self):
+        for m in range(10):
+            assert list(_iter_partitions(m)) == list(reference_iter_partitions(m)), m
+
+    def test_image_rule_matches_image_sets(self):
+        # a member of the class above is an inject image exactly when the
+        # split helper says so, on every link of every class
+        for n in range(8):
+            for s in all_subsets(n):
+                members = enumerate_class(s)
+                for i in links_of(s):
+                    up = s.with_element(i)
+                    j = _merge_index(encode(up).entries, i)
+                    images = {inject(p, i).blocks for p in members}
+                    for q in enumerate_class(up):
+                        assert _is_image(q.blocks, j) == (q.blocks in images), (q, i)
+
+    def test_link_check_on_all_pairs(self):
+        # Partitions of every subset of {1..5}, so of {1..m} for each m <= 5.
+        # Pairs over different sets also reach the singleton and minimum
+        # tests, which pairs over one set never need.
+        everything = [
+            tuple(tuple(s.elements[e - 1] for e in block) for block in p.blocks)
+            for s in all_subsets(5)
+            for p in enumerate_all_partitions(len(s))
+        ]
+        assert len(everything) == bell_oracle(6)
+        for lo in everything:
+            for hi in everything:
+                assert _is_singleton_merge(lo, hi) == reference_is_singleton_merge(lo, hi), (lo, hi)
+
+    @settings(max_examples=300)
+    @given(partition_pairs())
+    def test_link_check_on_random_pairs(self, pair):
+        lo, hi = pair
+        assert _is_singleton_merge(lo.blocks, hi.blocks) == reference_is_singleton_merge(lo.blocks, hi.blocks)
 
 
 class TestInjection:
@@ -490,7 +626,28 @@ class TestVerifierMutations:
         assert "coverage" in failure_kinds(n + 1, chains, fam.excluded + (bottom,))
 
 
+# SHA-256 of json.dumps(family_to_json(build_partition_chains(n))), n = 0..9:
+# a faster builder must give byte-identical families.
+FAMILY_JSON_SHA256 = [
+    "dbdd814e4acbec70bbde8ae5f9c210aaec9984ed3a2eb8f286dd12885cf492c8",
+    "0d4ea581a4b4e5210d59d78a39990bbe7e15ba621310c05bbe8d194dc3a37dba",
+    "3d098375b73bed4590326822fd8593cf370d7ba771a7e82fb93813e4509ab1d7",
+    "35e32f4a65dfc44faa4fe0cef1345c366643672b37267e8f11d27c5b76998d63",
+    "d5b509dd534f120f527666f9399767d620892a447582210e3d6143b47f1dd59e",
+    "3313c041ba463f2a21a421c3cc68d298823af9243b95953d93b95b9822b8b09c",
+    "13131c4000d52536b059105c81cee56ed931e5822a2aeb5c55d3fee27a5cb071",
+    "ea3d919e7f8769e90e68ca32baeb66cc170ba3c847b5e301f960dbb4e02e5e64",
+    "60975054c2ca9990b59ddf29c2f604ee8eb1bda6e4fcb2fd1d2a50ac13dffb31",
+    "d949bcc633e394721754507214403124418ab1517a3437fe78ceae0781a40dc5",
+]
+
+
 class TestFamilySerialization:
+    def test_family_json_goldens(self):
+        for n, expected in enumerate(FAMILY_JSON_SHA256):
+            text = json.dumps(family_to_json(build_partition_chains(n)))
+            assert hashlib.sha256(text.encode()).hexdigest() == expected, n
+
     def test_json_roundtrip(self):
         fam = build_partition_chains(4)
         obj = family_to_json(fam)
