@@ -132,31 +132,16 @@ def class_of(p: SetPartition) -> Subset:
 
 
 def enumerate_class(s: Subset, ceiling: int = DEFAULT_PARTITION_CEILING) -> tuple[SetPartition, ...]:
-    """All partitions of {1..n+1} in the class of ``s``, in a fixed order.
+    """All partitions of {1..n+1} in the class of ``s``, in ascending block
+    order.
 
-    The target type is read off the code of ``s``.  The smallest unassigned
-    element opens each successive block and the remaining members are chosen
-    ascending, so every partition of that type appears exactly once.
+    The target type is read off the code of ``s``, and the restricted-growth
+    walk capped at that type (``_partitions``) builds exactly the class.
     """
     m = s.n + 1
     _check_ceiling(m, ceiling, f"Bell({m}) partitions")
     sizes = _type_of_code(encode(s).entries)
-    out: list[SetPartition] = []
-    acc: list[tuple[int, ...]] = []
-
-    def place(remaining: tuple[int, ...], depth: int) -> None:
-        if depth == len(sizes):
-            out.append(_trusted(m, tuple(acc)))
-            return
-        opener, rest = remaining[0], remaining[1:]
-        for combo in itertools.combinations(rest, sizes[depth] - 1):
-            taken = set(combo)
-            acc.append((opener, *combo))
-            place(tuple(x for x in rest if x not in taken), depth + 1)
-            acc.pop()
-
-    place(tuple(range(1, m + 1)), 0)
-    return tuple(out)
+    return tuple(map(partial(_trusted, m), sorted(_partitions(m, sizes, {}))))
 
 
 def enumerate_all_partitions(m: int, ceiling: int = DEFAULT_PARTITION_CEILING) -> Iterator[SetPartition]:
@@ -166,6 +151,8 @@ def enumerate_all_partitions(m: int, ceiling: int = DEFAULT_PARTITION_CEILING) -
     which is restricted-growth order: the single-block partition comes
     first, all singletons last.
     """
+    if m < 0:
+        raise ValueError(f"ground size must be nonnegative, got {m}")
     _check_ceiling(m, ceiling, f"Bell({m}) partitions")
     return map(partial(_trusted, m), _iter_partitions(m))
 
@@ -202,30 +189,35 @@ def _iter_partitions(m: int) -> Iterator[Blocks]:
     return itertools.chain.from_iterable(extend(1))
 
 
-def _partitions_by_type(m: int, canon: dict[Block, Block]) -> dict[tuple[int, ...], list[Blocks]]:
-    """Block tuples of every partition of {1..m}, bucketed by type.
+def _partitions(m: int, sizes: Sequence[int], canon: dict[Block, Block]) -> list[Blocks]:
+    """Block tuples of the partitions of {1..m} whose block j holds at most
+    ``sizes[j]`` elements, in restricted-growth order.
 
-    Built level by level in restricted-growth fashion: element e joins each
-    block of a partition of {1..e-1} or opens a new one.  e exceeds every
-    element placed so far, so each result is canonical as built.  Each new
-    block is taken from ``canon`` when an equal one is there, so the Bell(m)
+    Built level by level: element e joins each block of a partition of
+    {1..e-1} that has room, or opens a new one while there are fewer than
+    ``len(sizes)`` blocks.  e exceeds every element placed so far, so each
+    result is canonical as built.  Caps ``(m,) * m`` never bind and give the
+    whole lattice.  Sizes that sum to m give exactly the class of that type:
+    every partial partition can still be completed, so the walk never hits a
+    dead end and no level holds more entries than the class does.  Each new
+    block is taken from ``canon`` when an equal one is there, so the
     partitions share at most 2^m - 1 block objects.
     """
     intern = canon.setdefault
+    count = len(sizes)
     level: list[Blocks] = [()]
     for e in range(1, m + 1):
         new = (e,)
         nxt: list[Blocks] = []
         for p in level:
-            for j in range(len(p)):
-                block = p[j] + new
-                nxt.append(p[:j] + (intern(block, block),) + p[j + 1:])
-            nxt.append(p + (new,))
+            for j, block in enumerate(p):
+                if len(block) < sizes[j]:
+                    block += new
+                    nxt.append(p[:j] + (intern(block, block),) + p[j + 1:])
+            if len(p) < count:
+                nxt.append(p + (new,))
         level = nxt
-    buckets: dict[tuple[int, ...], list[Blocks]] = {}
-    for p in level:
-        buckets.setdefault(tuple(map(len, p)), []).append(p)
-    return buckets
+    return level
 
 
 def _type_of_code(entries: Sequence[int]) -> tuple[int, ...]:
@@ -333,7 +325,9 @@ def build_partition_chains(n: int, ceiling: int = DEFAULT_PARTITION_CEILING) -> 
     _check_ceiling(m, ceiling, f"Bell({m}) partitions")
     boolean = gk_decomposition(n, ceiling)
     canon: dict[Block, Block] = {}
-    buckets = _partitions_by_type(m, canon)
+    buckets: dict[tuple[int, ...], list[Blocks]] = {}
+    for p in _partitions(m, (m,) * m, canon):
+        buckets.setdefault(tuple(map(len, p)), []).append(p)
     grown: list[list[Blocks]] = []
     excluded: list[Blocks] = []
     for bchain in boolean.chains:
@@ -416,11 +410,12 @@ def verify_partition_chains(fam: PartitionChainFamily) -> VerificationReport:
             failures.append(("overlap", f"excluded {p.literal()}"))
     if len(status) != members + len(fam.excluded):
         failures.append(("overlap", "excluded list repeats a partition"))
-    total = 0
+    total = missing = 0
     for p in _iter_partitions(m):
         total += 1
         covered = status.get(p)
         if covered is None:
+            missing += 1
             failures.append(("missing", _literal(p)))
         if not covered:
             b = len(p)
@@ -428,7 +423,7 @@ def verify_partition_chains(fam: PartitionChainFamily) -> VerificationReport:
                 failures.append(("coverage", f"{_literal(p)} has {b} blocks"))
             if m - b <= (n - 1) // 2:
                 failures.append(("coverage", f"{_literal(p)} has rank {m - b}"))
-    if len(status) != total:
+    if len(status) != total - missing:
         failures.append(("missing", "family mentions partitions outside the lattice"))
     expected = stirling_table(m).value(m, m - n // 2)
     if len(fam.chains) != expected:

@@ -6,6 +6,7 @@ and chain machinery is checked against it.
 """
 
 import hashlib
+import itertools
 import json
 from functools import lru_cache
 from math import comb
@@ -40,6 +41,7 @@ from symchains.partitions import (
     _is_singleton_merge,
     _iter_partitions,
     _merge_index,
+    _trusted,
 )
 
 P4 = SetPartition.from_literal
@@ -99,6 +101,29 @@ def reference_iter_partitions(m):
     return extend(1)
 
 
+def reference_enumerate_class(s):
+    """The class of ``s`` by recursive placement: the type is the code's
+    nonzeros reversed; the smallest unplaced element opens each successive
+    block and the rest of that block is chosen ascending from what is left."""
+    m = s.n + 1
+    sizes = [e for e in reversed(encode(s).entries) if e]
+    out, acc = [], []
+
+    def place(remaining, depth):
+        if depth == len(sizes):
+            out.append(SetPartition(m, tuple(acc)))
+            return
+        opener, rest = remaining[0], remaining[1:]
+        for combo in itertools.combinations(rest, sizes[depth] - 1):
+            taken = set(combo)
+            acc.append((opener, *combo))
+            place(tuple(x for x in rest if x not in taken), depth + 1)
+            acc.pop()
+
+    place(tuple(range(1, m + 1)), 0)
+    return tuple(out)
+
+
 def reference_is_singleton_merge(lo, hi):
     """The link check by sets: exactly two blocks of ``lo`` are gone from
     ``hi`` and one is new, the new one is their union, and the singleton
@@ -128,18 +153,18 @@ def outcome(f, *args):
 
 def reference_family(n):
     """The chain family by the object walk: each class of a subset chain
-    from enumerate_class, chain tips moved by reference_inject, then pruned
-    to the rank window r..n-r of each chain's birth rank r."""
+    from reference_enumerate_class, chain tips moved by reference_inject,
+    then pruned to the rank window r..n-r of each chain's birth rank r."""
     grown, excluded = [], []
     for bchain in gk_decomposition(n).chains:
-        active = [[p] for p in enumerate_class(bchain.bottom)]
+        active = [[p] for p in reference_enumerate_class(bchain.bottom)]
         for lo, hi in zip(bchain.sets, bchain.sets[1:]):
             (added,) = set(hi.elements) - set(lo.elements)
             images = set()
             for chain in active:
                 chain.append(reference_inject(chain[-1], added))
                 images.add(chain[-1])
-            active += [[p] for p in enumerate_class(hi) if p not in images]
+            active += [[p] for p in reference_enumerate_class(hi) if p not in images]
         for chain in active:
             keep = max(0, n - 2 * chain[0].rank + 1)
             if keep:
@@ -293,6 +318,12 @@ class TestTypesAndClasses:
         assert row(Subset.of(3, [2, 3])) == ["1,2,3/4", "1,2,4/3", "1,3,4/2"]
         assert row(Subset.of(3, [])) == ["1/2/3/4"]
 
+    def test_enumerate_class_equals_placement_reference(self):
+        # same partitions in the same order, for every class with n <= 8
+        for n in range(9):
+            for s in all_subsets(n):
+                assert enumerate_class(s) == reference_enumerate_class(s), s
+
     def test_class_sizes_are_binomial_products(self):
         for n in range(7):
             for s in all_subsets(n):
@@ -341,6 +372,11 @@ class TestEnumeration:
             enumerate_all_partitions(13)
         # An explicit ceiling still admits m = 13; the enumeration is lazy.
         enumerate_all_partitions(13, ceiling=13)
+
+    def test_negative_ground_size(self):
+        for m in (-1, -5):
+            with pytest.raises(ValueError, match="nonnegative"):
+                enumerate_all_partitions(m)
 
 
 class TestWalkAndLinkRules:
@@ -529,6 +565,21 @@ class TestChainFamily:
             PartitionChainFamily(4, fam.chains, fam.excluded + fam.excluded))
         assert not rep.ok
         assert "overlap" in {kind for kind, _ in rep.failures}
+
+    def test_outside_witness_only_for_outside_partitions(self):
+        outside = ("missing", "family mentions partitions outside the lattice")
+        fam = build_partition_chains(3)
+        rep = verify_partition_chains(PartitionChainFamily(4, fam.chains[1:], fam.excluded))
+        assert "missing" in {kind for kind, _ in rep.failures}
+        assert outside not in rep.failures
+        fam = build_partition_chains(2)
+        extra = _trusted(3, ((1, 2), (4,)))
+        rep = verify_partition_chains(PartitionChainFamily(3, fam.chains, fam.excluded + (extra,)))
+        assert outside in rep.failures
+        # one partition missing and one outside: the counts cancel, but the
+        # outside one is still reported
+        rep = verify_partition_chains(PartitionChainFamily(1, (), (_trusted(1, ((2,),)),)))
+        assert ("missing", "1") in rep.failures and outside in rep.failures
 
     def test_wrong_chain_count_is_reported(self):
         fam = build_partition_chains(2)
