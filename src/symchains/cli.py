@@ -2,10 +2,12 @@
 
 Every subcommand prints a text document by default; --format json emits a
 machine-readable equivalent and --format dot a Hasse diagram (decomposition
-commands only).  A subcommand that enumerates takes --ceiling, defaulting
-to the library's own ceiling for that enumeration.  Exit codes: 0 success,
-1 a verification reported failures, 2 usage errors, malformed literals, or
-ceiling refusals.
+commands only).  Output has one path: each handler computes its result and
+hands ``_emit`` a lazy view per format, and ``_emit`` builds and prints only
+the requested one, none under --quiet, text and dot a line at a time.  A
+subcommand that enumerates takes --ceiling, defaulting to the library's own
+ceiling for that enumeration.  Exit codes: 0 success, 1 a verification
+reported failures, 2 usage errors, malformed literals, or ceiling refusals.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from . import identities
 from .boolean import (
@@ -44,28 +46,35 @@ _BOOLEAN_METHODS = {
 }
 
 
-def _say(args: argparse.Namespace, text: str) -> None:
-    if not args.quiet:
-        print(text)
+def _emit(args: argparse.Namespace, **views: Callable[[], Any]) -> None:
+    """Print the view for ``args.format``, and nothing under --quiet.
 
-
-def _emit_json(args: argparse.Namespace, obj: object) -> None:
-    if not args.quiet:
-        print(json.dumps(obj, indent=2))
+    Each view is a zero-argument callable, and only the requested one is
+    called: ``json`` returns the document, ``text`` and ``dot`` an iterable
+    of lines, printed one at a time so a long listing is never held whole.
+    """
+    if args.quiet:
+        return
+    view = views[args.format]()
+    if args.format == "json":
+        print(json.dumps(view, indent=2))
+    else:
+        for line in view:
+            print(line)
 
 
 def _report_out(args: argparse.Namespace, rep: VerificationReport, extra: dict) -> int:
-    if args.format == "json":
-        _emit_json(args, {**extra, **rep.to_json()})
-    else:
-        _say(args, f"ok: {'yes' if rep.ok else 'no'}")
-        _say(args, f"elements: {rep.element_count}")
-        _say(args, f"chains: {rep.chain_count}")
+    def text() -> Iterator[str]:
+        yield f"ok: {'yes' if rep.ok else 'no'}"
+        yield f"elements: {rep.element_count}"
+        yield f"chains: {rep.chain_count}"
         for key, value in extra.items():
             if key not in ("n", "m"):
-                _say(args, f"{key}: {value}")
+                yield f"{key}: {value}"
         for kind, witness in rep.failures:
-            _say(args, f"fail {kind}: {witness}")
+            yield f"fail {kind}: {witness}"
+
+    _emit(args, json=lambda: {**extra, **rep.to_json()}, text=text)
     return 0 if rep.ok else 1
 
 
@@ -73,86 +82,78 @@ def _cmd_word(args: argparse.Namespace) -> int:
     s = Subset.from_literal(args.n, args.set)
     word = word_of(s)
     ms = match_parens(word)
-    if args.format == "json":
-        _emit_json(args, {
-            "n": s.n,
-            "set": list(s.elements),
-            "word": word,
-            "matched_pairs": [list(p) for p in ms.matched_pairs],
-            "unmatched_rights": list(ms.unmatched_rights),
-            "unmatched_lefts": list(ms.unmatched_lefts),
-        })
-    else:
-        _say(args, word)
-        _say(args, "matched: " + " ".join(f"({a},{b})" for a, b in ms.matched_pairs))
-        _say(args, "unmatched-right: " + " ".join(str(p) for p in ms.unmatched_rights))
-        _say(args, "unmatched-left: " + " ".join(str(p) for p in ms.unmatched_lefts))
+    _emit(args, json=lambda: {
+        "n": s.n,
+        "set": list(s.elements),
+        "word": word,
+        "matched_pairs": [list(p) for p in ms.matched_pairs],
+        "unmatched_rights": list(ms.unmatched_rights),
+        "unmatched_lefts": list(ms.unmatched_lefts),
+    }, text=lambda: [
+        word,
+        "matched: " + " ".join(f"({a},{b})" for a, b in ms.matched_pairs),
+        "unmatched-right: " + " ".join(str(p) for p in ms.unmatched_rights),
+        "unmatched-left: " + " ".join(str(p) for p in ms.unmatched_lefts),
+    ])
     return 0
 
 
 def _cmd_chain(args: argparse.Namespace) -> int:
     s = Subset.from_literal(args.n, args.set)
     chain = chain_of(s)
-    if args.format == "json":
-        _emit_json(args, {"n": s.n, "chain": [list(t.elements) for t in chain.sets]})
-    else:
-        for t in chain.sets:
-            _say(args, t.literal())
+    _emit(args, json=lambda: {"n": s.n, "chain": [list(t.elements) for t in chain.sets]},
+          text=lambda: (t.literal() for t in chain.sets))
     return 0
 
 
 def _cmd_decompose_boolean(args: argparse.Namespace) -> int:
     d = _BOOLEAN_METHODS[args.method](args.n, ceiling=args.ceiling)
-    if args.format == "json":
-        _emit_json(args, decomposition_to_json(d))
-    elif args.format == "dot":
-        _say(args, decomposition_to_dot(d))
-    else:
-        for chain in d.chains:
-            _say(args, " < ".join(s.literal() for s in chain.sets))
+    _emit(args, json=lambda: decomposition_to_json(d),
+          dot=lambda: decomposition_to_dot(d).splitlines(),
+          text=lambda: (" < ".join(s.literal() for s in chain.sets) for chain in d.chains))
     return 0
 
 
 def _cmd_code(args: argparse.Namespace) -> int:
     s = Subset.from_literal(args.n, args.set)
     code = encode(s)
-    if args.format == "json":
+    # Built before any view, so --compact on a code with no compact form is
+    # refused in every format and under --quiet alike.
+    line = code.compact() if args.compact else code.literal()
+
+    def doc() -> dict:
         doc = {"n": s.n, "set": list(s.elements), "entries": list(code.entries)}
         if all(e <= 9 for e in code.entries):
             doc["compact"] = code.compact()
-        _emit_json(args, doc)
-    else:
-        _say(args, code.compact() if args.compact else code.literal())
+        return doc
+
+    _emit(args, json=doc, text=lambda: [line])
     return 0
 
 
 def _cmd_class(args: argparse.Namespace) -> int:
     s = Subset.from_literal(args.n, args.set)
     members = enumerate_class(s, ceiling=args.ceiling)
-    if args.format == "json":
-        _emit_json(args, {
-            "n": s.n,
-            "set": list(s.elements),
-            "code": list(encode(s).entries),
-            "type": [len(b) for b in members[0].blocks] if members else [],
-            "partitions": [[list(block) for block in p.blocks] for p in members],
-        })
-    else:
-        for p in members:
-            _say(args, p.literal())
+    _emit(args, json=lambda: {
+        "n": s.n,
+        "set": list(s.elements),
+        "code": list(encode(s).entries),
+        "type": [len(b) for b in members[0].blocks] if members else [],
+        "partitions": [[list(block) for block in p.blocks] for p in members],
+    }, text=lambda: (p.literal() for p in members))
     return 0
 
 
 def _cmd_decompose_partition(args: argparse.Namespace) -> int:
     fam = build_partition_chains(args.n, ceiling=args.ceiling)
-    if args.format == "json":
-        _emit_json(args, family_to_json(fam))
-    elif args.format == "dot":
-        _say(args, family_to_dot(fam))
-    else:
+
+    def text() -> Iterator[str]:
         for chain in fam.chains:
-            _say(args, " < ".join(p.literal() for p in chain))
-        _say(args, "excluded: " + " ".join(p.literal() for p in fam.excluded))
+            yield " < ".join(p.literal() for p in chain)
+        yield "excluded: " + " ".join(p.literal() for p in fam.excluded)
+
+    _emit(args, json=lambda: family_to_json(fam), dot=lambda: family_to_dot(fam).splitlines(),
+          text=text)
     return 0
 
 
@@ -176,19 +177,15 @@ _BELL_METHODS = {
 def _cmd_bell(args: argparse.Namespace) -> int:
     method, default = _BELL_METHODS[args.method]
     value = method(args.n, ceiling=default if args.ceiling is None else args.ceiling)
-    if args.format == "json":
-        _emit_json(args, {"n": args.n, "method": args.method, "value": value})
-    else:
-        _say(args, str(value))
+    _emit(args, json=lambda: {"n": args.n, "method": args.method, "value": value},
+          text=lambda: [str(value)])
     return 0
 
 
 def _cmd_stirling(args: argparse.Namespace) -> int:
     row = identities.stirling_table(args.n, ceiling=args.ceiling).row(args.n)
-    if args.format == "json":
-        _emit_json(args, {"n": args.n, "row": list(row)})
-    else:
-        _say(args, " ".join(str(v) for v in row))
+    _emit(args, json=lambda: {"n": args.n, "row": list(row)},
+          text=lambda: [" ".join(str(v) for v in row)])
     return 0
 
 
@@ -202,32 +199,29 @@ def _cmd_stirling_check(args: argparse.Namespace) -> int:
     plain = [(n, *c) for n, _, audit in rows for c in audit.reflection_counterexamples]
     shifted = [(n, *c) for n, _, audit in rows for c in audit.shifted_counterexamples]
     ok = not monotone_failures and not shifted
-    if args.format == "json":
-        _emit_json(args, {
-            "max_n": args.n,
-            "monotone_ok": not monotone_failures,
-            "monotone_failures": [list(f) for f in monotone_failures],
-            "reflection_ok": not plain,
-            "reflection_counterexamples": [list(c) for c in plain],
-            "shifted_reflection_ok": not shifted,
-            "shifted_reflection_counterexamples": [list(c) for c in shifted],
-        })
-    else:
-        _say(args, f"monotone: {'ok' if not monotone_failures else 'FAIL'} (n <= {args.n})")
+
+    def text() -> Iterator[str]:
+        yield f"monotone: {'ok' if not monotone_failures else 'FAIL'} (n <= {args.n})"
         for _, witness in monotone_failures:
-            _say(args, f"  {witness}")
-        if plain:
-            _say(args, f"reflection k -> n-k: {len(plain)} counterexamples")
-            for n, k, lhs, rhs in plain:
-                _say(args, f"  S({n},{k})={lhs} < S({n},{n - k})={rhs}")
-        else:
-            _say(args, f"reflection k -> n-k: ok (n <= {args.n})")
-        if shifted:
-            _say(args, f"shifted reflection k -> n-k+1: {len(shifted)} counterexamples")
-            for n, k, lhs, rhs in shifted:
-                _say(args, f"  S({n},{k})={lhs} < S({n},{n - k + 1})={rhs}")
-        else:
-            _say(args, f"shifted reflection k -> n-k+1: ok (n <= {args.n})")
+            yield f"  {witness}"
+        for label, shift, found in (("reflection k -> n-k", 0, plain),
+                                    ("shifted reflection k -> n-k+1", 1, shifted)):
+            if not found:
+                yield f"{label}: ok (n <= {args.n})"
+                continue
+            yield f"{label}: {len(found)} counterexamples"
+            for n, k, lhs, rhs in found:
+                yield f"  S({n},{k})={lhs} < S({n},{n - k + shift})={rhs}"
+
+    _emit(args, json=lambda: {
+        "max_n": args.n,
+        "monotone_ok": not monotone_failures,
+        "monotone_failures": [list(f) for f in monotone_failures],
+        "reflection_ok": not plain,
+        "reflection_counterexamples": [list(c) for c in plain],
+        "shifted_reflection_ok": not shifted,
+        "shifted_reflection_counterexamples": [list(c) for c in shifted],
+    }, text=text)
     return 0 if ok else 1
 
 
@@ -236,7 +230,8 @@ def _cmd_symfun(args: argparse.Namespace) -> int:
     agreement = None
     if args.check:
         agreement = poly == identities.complete_from_elementary_oracle(args.n)
-    if args.format == "json":
+
+    def doc() -> dict:
         doc = {
             "n": args.n,
             "expansion": str(poly),
@@ -245,11 +240,14 @@ def _cmd_symfun(args: argparse.Namespace) -> int:
         }
         if agreement is not None:
             doc["oracle_match"] = agreement
-        _emit_json(args, doc)
-    else:
-        _say(args, str(poly))
+        return doc
+
+    def text() -> Iterator[str]:
+        yield str(poly)
         if agreement is not None:
-            _say(args, f"oracle agreement: {'ok' if agreement else 'FAIL'}")
+            yield f"oracle agreement: {'ok' if agreement else 'FAIL'}"
+
+    _emit(args, json=doc, text=text)
     return 0 if agreement in (None, True) else 1
 
 
@@ -277,21 +275,19 @@ def _cmd_derivative_check(args: argparse.Namespace) -> int:
             formula = identities.derivative_formula(g, k, ceiling=args.ceiling)
             if formula != identities.derivative_oracle(g, k):
                 seeded_ok = False
-    ok = bell_ok and seeded_ok
-    if args.format == "json":
-        _emit_json(args, {
-            "max_order": order,
-            "bell_values": [int(v) for v in bell_values],
-            "bell_ok": bell_ok,
-            "seeds": list(identities.SERIES_SEEDS),
-            "seeded_ok": seeded_ok,
-        })
-    else:
-        _say(args, "bell: " + " ".join(str(v) for v in bell_values))
-        _say(args, f"bell agreement: {'ok' if bell_ok else 'FAIL'}")
-        seeds = " ".join(str(s) for s in identities.SERIES_SEEDS)
-        _say(args, f"seeded agreement: {'ok' if seeded_ok else 'FAIL'} (seeds {seeds})")
-    return 0 if ok else 1
+    seeds = identities.SERIES_SEEDS
+    _emit(args, json=lambda: {
+        "max_order": order,
+        "bell_values": [int(v) for v in bell_values],
+        "bell_ok": bell_ok,
+        "seeds": list(seeds),
+        "seeded_ok": seeded_ok,
+    }, text=lambda: [
+        "bell: " + " ".join(str(v) for v in bell_values),
+        f"bell agreement: {'ok' if bell_ok else 'FAIL'}",
+        f"seeded agreement: {'ok' if seeded_ok else 'FAIL'} (seeds {' '.join(map(str, seeds))})",
+    ])
+    return 0 if bell_ok and seeded_ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

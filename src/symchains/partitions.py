@@ -17,7 +17,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .boolean import gk_decomposition
-from .coding import _link_added, code_from_nonzeros, decode, encode
+from .coding import _link_added, code_from_nonzeros, encode
 from .identities import stirling_table
 from .reports import VerificationReport, report
 from .subsets import Subset, _check_ceiling, _json_int
@@ -52,6 +52,8 @@ class SetPartition:
             if not block:
                 raise ValueError("empty block")
             if block[0] <= prev_min:
+                if block[0] < 1:
+                    raise ValueError(f"element {block[0]} outside ground set 1..{self.m}")
                 raise ValueError("blocks must be ordered by ascending minimum")
             prev_min = block[0]
             prev = 0
@@ -126,9 +128,14 @@ def type_of(p: SetPartition) -> tuple[int, ...]:
 
 def class_of(p: SetPartition) -> Subset:
     """The subset of {1..m-1} indexing the class of ``p``: the reversed type
-    is the nonzero sequence of exactly one code, and that code decodes to the
-    class index."""
-    return decode(code_from_nonzeros(tuple(reversed(type_of(p)))))
+    is the nonzero sequence of exactly one code, whose nonzero entries sit at
+    the running totals of that sequence, and the class index holds the other
+    positions 1..m-1."""
+    if not p.blocks:
+        # The coding's refusal: no code has an empty nonzero sequence.
+        raise ValueError("at least one nonzero entry is required")
+    totals = set(itertools.accumulate(map(len, reversed(p.blocks))))
+    return Subset(p.m - 1, tuple(i for i in range(1, p.m) if i not in totals))
 
 
 def enumerate_class(s: Subset, ceiling: int = DEFAULT_PARTITION_CEILING) -> tuple[SetPartition, ...]:

@@ -60,6 +60,8 @@ class Subset:
         prev = 0
         for e in self.elements:
             if e <= prev:
+                if e < 1:
+                    raise ValueError(f"element {e} outside ground set 1..{self.n}")
                 raise ValueError(f"elements must be strictly increasing, got {self.elements}")
             prev = e
         if prev > self.n:

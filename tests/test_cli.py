@@ -1,6 +1,7 @@
 """Command-line surface: golden outputs, formats, exit codes."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -26,6 +27,92 @@ from symchains.reports import report
 
 def out_of(capsys):
     return capsys.readouterr().out.rstrip("\n")
+
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+# Exit code and SHA-256 of stdout and of stderr of run(argv): a change to how
+# the CLI is built must leave every output byte-identical.  Every subcommand
+# appears in each format it takes and under -q, next to the method and flag
+# variants and the ceiling, usage, range and negative-n errors.  argparse words
+# its usage errors differently across Python versions, so for those (stderr
+# None) only the "usage:" prefix is pinned.
+CLI_SHA256 = [
+    ("word 10 1,3,4,8,9", 0, "bf15f36dab40507a63df1c1814ecf681154c3477d1f090ab1f514afc869ee3ec", EMPTY),
+    ("word 10 1,3,4,8,9 -f json", 0, "702a7988d5afee5c360dd361a7f2251604da9f59364f072a281c97182dc327ff", EMPTY),
+    ("word 10 1,3,4,8,9 -q", 0, EMPTY, EMPTY),
+    ("word 3 -", 0, "0064a6eb585941a6b444686a9debfdbbd18737cd247e9778542db4ff69a52f5c", EMPTY),
+    ("chain 10 1,3,4,8,9", 0, "c6ec4bc284e0b3bd69bbdc660bb9d7ae8c1b11bc7ba6fbfafb3aac363de1126a", EMPTY),
+    ("chain 10 1,3,4,8,9 -f json", 0, "77666a309ec3fb0a9fba76b9154a34e285ca9cdd3ea4fe591e51783f88fac890", EMPTY),
+    ("chain 10 1,3,4,8,9 -q", 0, EMPTY, EMPTY),
+    ("decompose-boolean 4", 0, "9b43b0638e5da758be12bb9a932ae29826d30799e73216870c6ba2958c650b66", EMPTY),
+    ("decompose-boolean 4 -f json", 0, "cd328bec5bc0bf4aeae2f753d8612bec6eef337522c2f551f349e0bbe2ccc378", EMPTY),
+    ("decompose-boolean 4 -f dot", 0, "8f55f4d792f59b636d8917877b85fc7f8182f9a060e85e49f1b348ab8355c2c0", EMPTY),
+    ("decompose-boolean 4 -q", 0, EMPTY, EMPTY),
+    ("decompose-boolean 4 -f json -q", 0, EMPTY, EMPTY),
+    ("decompose-boolean 4 -f dot -q", 0, EMPTY, EMPTY),
+    ("decompose-boolean 5 --method gk", 0, "1a185952c3597aaf1d5095377c05ba05e7de8fe89f4e0a8e724b478eb3327124", EMPTY),
+    ("decompose-boolean 5 --method debruijn", 0, "1a185952c3597aaf1d5095377c05ba05e7de8fe89f4e0a8e724b478eb3327124", EMPTY),
+    ("decompose-boolean 5 --method product", 0, "1a185952c3597aaf1d5095377c05ba05e7de8fe89f4e0a8e724b478eb3327124", EMPTY),
+    ("decompose-boolean 0", 0, "61d1954b9aba0c9aedb8d1338804e817c7262cfc36da94161dab8e3ed7a3a43a", EMPTY),
+    ("code 3 1,3", 0, "acafea9e9d6d14f5b782ffc32917d5978b7bffc4c0652386d53227c98138bf26", EMPTY),
+    ("code 3 1,3 -f json", 0, "23dee1399ab46df79b1f04869aef429ca2d1a683922270128502c179ad7655fd", EMPTY),
+    ("code 3 1,3 --compact", 0, "74dd5b5f35b7e475a04d62b31b488f89676b74c1a5a8c393b073e0fe12b6158a", EMPTY),
+    ("code 3 1,3 -q", 0, EMPTY, EMPTY),
+    ("code 10 1,2,3,4,5,6,7,8,9 --compact -q", 2, EMPTY, "47ec3c5fdfba42126480b8aadebfc668503bba52dabbca615e5fef6bda3da642"),
+    ("code 3 -", 0, "3d76cfe18cabd0d0a9d8e2f6f1c2d63ab7281ebecbe33b18db72975bed04bdd0", EMPTY),
+    ("class 4 2,3", 0, "9d375d9a566307744ea81f89f968a22a68e7a31ec38e397fcf5c021b34e952ef", EMPTY),
+    ("class 4 2,3 -f json", 0, "ea349ea9bceb37e186960f8d6067d30e6bf9cc608562cd94ad567b2dcaeafb1e", EMPTY),
+    ("class 4 2,3 -q", 0, EMPTY, EMPTY),
+    ("decompose-partition 4", 0, "d3b693afbf837082567edcd8b606e51bf0032ed11a483e53ab50943b9562bcbf", EMPTY),
+    ("decompose-partition 4 -f json", 0, "a88155d3977c4713d58ed0e339c9e71f791decda976dbeb077f60ff601347d16", EMPTY),
+    ("decompose-partition 4 -f dot", 0, "88436b26e01dbb33b076831f68780ff98b9710cd609ba2a55057c26e9a9e5394", EMPTY),
+    ("decompose-partition 4 -q", 0, EMPTY, EMPTY),
+    ("decompose-partition 4 -f dot -q", 0, EMPTY, EMPTY),
+    ("decompose-partition 0", 0, "1c046eff3179551305c758c178946b334e0b862b1cae132600ee85cd3f0426dc", EMPTY),
+    ("verify-boolean 5", 0, "2e9fcf1583e12422a3362a8846a3bcaffcaab5255e67751497c76eb2598e4a67", EMPTY),
+    ("verify-boolean 5 -f json", 0, "e852680e1c33d05169af50486e3bb64f4c80ce2f84c187bc2300778623d8e8eb", EMPTY),
+    ("verify-boolean 5 -q", 0, EMPTY, EMPTY),
+    ("verify-partition 4", 0, "49b533dabae1adfdecb7c691be29a73885c3a1a2f2087159e60b666792cce653", EMPTY),
+    ("verify-partition 4 -f json", 0, "09f68bb4a3497967e4f3c83df07642cb2487e1bbd746708a38d985b294bf2fee", EMPTY),
+    ("verify-partition 4 -q", 0, EMPTY, EMPTY),
+    ("bell 6", 0, "fac89bae5eac39640ce768446a28ff0770328c8c93ff079036e6ecad6ecbc20f", EMPTY),
+    ("bell 6 -f json", 0, "a717b2be803919f9639076a5fed691ac8f6b96e66a3bc032a94dbf5893d49717", EMPTY),
+    ("bell 6 -q", 0, EMPTY, EMPTY),
+    ("bell 6 --method oracle", 0, "fac89bae5eac39640ce768446a28ff0770328c8c93ff079036e6ecad6ecbc20f", EMPTY),
+    ("stirling 5", 0, "b29af8990137307778a57e32d5249465e6ceebec5135abd8b45d6595347c6db0", EMPTY),
+    ("stirling 5 -f json", 0, "6c52d40b546a6b7a03e9ba506a99e812b8cb4341a1df6c146f169d04469ba501", EMPTY),
+    ("stirling 5 -q", 0, EMPTY, EMPTY),
+    ("stirling-check 8", 0, "b7a6b1760ae25c20c6b8a71cba3b31d6d10a3cec9737924338d28750929080c8", EMPTY),
+    ("stirling-check 8 -f json", 0, "0d5a4481550b4d5ac58b59f91defc68d52792610ffe69a87d3d4f3ddb0d88f29", EMPTY),
+    ("stirling-check 8 -q", 0, EMPTY, EMPTY),
+    ("stirling-check 3", 0, "e18b2e7bd848e3759788fe403335b0bd9aeb865d588e65366b73d23aa08fb377", EMPTY),
+    ("stirling-check 3 -f json", 0, "b0175a8260558da54197699c711d1905b16a8ad3b0225e848a4592f1a933eef2", EMPTY),
+    ("symfun 4", 0, "f427ff67279d93d3e2f965afbd2b7bcdf1e1c72fd686813c968db830e570de70", EMPTY),
+    ("symfun 4 -f json", 0, "192be753548b420defe9db46613d3cf6ec4cfdc211324651f6a566c43832a175", EMPTY),
+    ("symfun 4 -q", 0, EMPTY, EMPTY),
+    ("symfun 4 --check", 0, "3fceec19dde1b2f7ea8c167b1ffed9555a21e6a2db42be74df4617fa962a3774", EMPTY),
+    ("symfun 4 --check -f json", 0, "e4e16a4aa0533251598df412dc02f8edca43481f5a0b4690e09519968475b627", EMPTY),
+    ("derivative-check 5", 0, "17ca0897e6cbd6f9e8412362bef807f048947d654fa802c4c27b1be2565c209e", EMPTY),
+    ("derivative-check 5 -f json", 0, "7f3782fd6e8edb4583ed2e94a342e77b6300785b9cb9683468c1067faf1f29f6", EMPTY),
+    ("derivative-check 5 -q", 0, EMPTY, EMPTY),
+    ("decompose-boolean 30", 2, EMPTY, "c37531f71a8d4112d47ca917c4fa228f4842cd9496d3af38ac14171953147f5c"),
+    ("word 3 1 -f dot", 2, EMPTY, None),
+    ("stirling-check -1", 2, EMPTY, "5dbba25f90f46fe500885e332215fa740be3c65ced2d72c2061d05816a03b7d2"),
+    ("chain 5 9", 2, EMPTY, "3cd85bff76c04b4ce50ee0666a4ac19c3b44fc71b5e40ffecb6452f71c38be73"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out_sha, err_sha", CLI_SHA256,
+                         ids=[row[0] for row in CLI_SHA256])
+def test_cli_output_is_pinned(capsys, argv, code, out_sha, err_sha):
+    assert run(argv.split()) == code
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == out_sha
+    if err_sha is None:
+        assert err.startswith("usage: symchains ")
+    else:
+        assert hashlib.sha256(err.encode()).hexdigest() == err_sha
 
 
 class TestGoldenText:
@@ -105,6 +192,23 @@ class TestGoldenText:
         assert "monotone: ok" in text
         assert "S(5,2)=15 < S(5,3)=25" in text
         assert "shifted reflection" in text and text.count("ok") >= 2
+
+    def test_stirling_check_reports_failures(self, capsys, monkeypatch):
+        # The triangle satisfies both checked inequalities, so faked audits
+        # drive the failure lines and the exit code.
+        from symchains import identities
+        monkeypatch.setattr(identities, "_monotone_report", lambda table, n: report(
+            1, 1, [("monotone", f"row {n}")] if n == 2 else []))
+        monkeypatch.setattr(identities, "_symmetry_audit", lambda table, n: identities.SymmetryAudit(
+            n, True, (), n != 2, ((1, 3, 7),) if n == 2 else ()))
+        assert run(["stirling-check", "2"]) == 1
+        assert out_of(capsys).splitlines() == [
+            "monotone: FAIL (n <= 2)",
+            "  row 2",
+            "reflection k -> n-k: ok (n <= 2)",
+            "shifted reflection k -> n-k+1: 1 counterexamples",
+            "  S(2,1)=3 < S(2,2)=7",
+        ]
 
     def test_stirling_check_reads_every_row_from_one_triangle(self, capsys):
         t0 = time.perf_counter()
@@ -197,6 +301,29 @@ class TestExitCodes:
 
     def test_element_out_of_range(self, capsys):
         assert run(["chain", "5", "9"]) == 2
+
+    @pytest.mark.parametrize("argv, e", [
+        (["chain", "3", "0"], 0), (["code", "3", "0,1"], 0), (["word", "3", "-2"], -2),
+        (["class", "3", "0,2"], 0),
+    ])
+    def test_element_below_one_is_out_of_range(self, capsys, argv, e):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: element {e} outside ground set 1..3\n"
+
+    def test_compact_without_a_compact_form_is_refused_in_every_format(self, capsys):
+        # An entry of 10 has no digit form.  Text, json and --quiet all
+        # refuse it alike, since --quiet keeps exit codes and builds no view.
+        for fmt in ("text", "json"):
+            for quiet in ([], ["-q"]):
+                argv = ["code", "10", "1,2,3,4,5,6,7,8,9", "--compact", "-f", fmt, *quiet]
+                assert run(argv) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.startswith("error: entries above 9 have no compact form")
+        assert run(["code", "10", "1,2,3,4,5,6,7,8,9", "-f", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["entries"][9] == 10
 
     def test_enumeration_ceiling(self, capsys):
         assert run(["decompose-boolean", "30"]) == 2

@@ -23,6 +23,8 @@ from symchains import (
     bell_oracle,
     build_partition_chains,
     class_of,
+    code_from_nonzeros,
+    decode,
     encode,
     enumerate_all_partitions,
     enumerate_class,
@@ -122,6 +124,12 @@ def reference_enumerate_class(s):
 
     place(tuple(range(1, m + 1)), 0)
     return tuple(out)
+
+
+def reference_class_of(p):
+    """The class index through the coding: the reversed type is the nonzero
+    sequence of one code, which decodes to the class."""
+    return decode(code_from_nonzeros(tuple(reversed(type_of(p)))))
 
 
 def reference_is_singleton_merge(lo, hi):
@@ -246,6 +254,13 @@ class TestSetPartition:
         with pytest.raises(ValueError):
             SetPartition.of(3, [[1, 2, 3], []])  # empty block
 
+    @pytest.mark.parametrize("blocks, e", [
+        ([[0], [1, 2]], 0), ([[-1], [1, 2]], -1), ([[0, 1], [2]], 0), ([[-3, 2], [1]], -3),
+    ])
+    def test_element_below_one_is_outside_the_ground_set(self, blocks, e):
+        with pytest.raises(ValueError, match=f"^element {e} outside ground set 1..3$"):
+            SetPartition.of(3, blocks)
+
     def test_literal_roundtrip(self):
         for m in range(1, 7):
             for p in enumerate_all_partitions(m):
@@ -317,6 +332,17 @@ class TestTypesAndClasses:
         assert row(Subset.of(3, [3])) == ["1,2/3/4", "1,3/2/4", "1,4/2/3"]
         assert row(Subset.of(3, [2, 3])) == ["1,2,3/4", "1,2,4/3", "1,3,4/2"]
         assert row(Subset.of(3, [])) == ["1/2/3/4"]
+
+    def test_class_of_equals_coding_reference(self):
+        for m in range(1, 9):
+            for p in enumerate_all_partitions(m):
+                assert class_of(p) == reference_class_of(p), p
+
+    def test_class_of_refuses_the_empty_ground_set(self):
+        with pytest.raises(ValueError, match="^at least one nonzero entry is required$"):
+            class_of(SetPartition(0, ()))
+        with pytest.raises(ValueError, match="^at least one nonzero entry is required$"):
+            reference_class_of(SetPartition(0, ()))
 
     def test_enumerate_class_equals_placement_reference(self):
         # same partitions in the same order, for every class with n <= 8

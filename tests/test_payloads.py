@@ -117,6 +117,14 @@ class TestFamilyLoader:
         with pytest.raises(ValueError):
             family_from_json({"m": -1, "chains": [], "excluded": []})
 
+    @pytest.mark.parametrize("e", [0, -1])
+    def test_element_below_one_is_outside_the_ground_set(self, e):
+        message = f"^element {e} outside ground set 1..3$"
+        with pytest.raises(ValueError, match=message):
+            family_from_json({"m": 3, "chains": [[[[e], [1, 2]]]], "excluded": []})
+        with pytest.raises(ValueError, match=message):
+            family_from_json({"m": 3, "chains": [], "excluded": [[[1, 2], [e]]]})
+
     @settings(max_examples=200)
     @given(ANY_JSON)
     def test_fuzz_arbitrary(self, payload):

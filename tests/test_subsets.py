@@ -31,6 +31,13 @@ class TestSubset:
         with pytest.raises(ValueError):
             Subset.of(3, [2, 2])
 
+    @pytest.mark.parametrize("elements, e", [((0,), 0), ((-2,), -2), ((0, 1), 0), ((-5, 2), -5)])
+    def test_element_below_one_is_outside_the_ground_set(self, elements, e):
+        with pytest.raises(ValueError, match=f"^element {e} outside ground set 1..3$"):
+            Subset(3, elements)
+        with pytest.raises(ValueError, match=f"^element {e} outside ground set 1..3$"):
+            Subset.of(3, elements)
+
     def test_ground_size_bounds(self):
         check_ground_size(0)
         check_ground_size(64)
