@@ -4,16 +4,19 @@ Every subcommand prints a text document by default; --format json emits a
 machine-readable equivalent and --format dot a Hasse diagram (decomposition
 commands only).  Output has one path: each handler computes its result and
 hands ``_emit`` a lazy view per format, and ``_emit`` builds and prints only
-the requested one, none under --quiet, text and dot a line at a time.  A
-subcommand that enumerates takes --ceiling, defaulting to the library's own
-ceiling for that enumeration.  Exit codes: 0 success, 1 a verification
-reported failures, 2 usage errors, malformed literals, or ceiling refusals.
+the requested one, none under --quiet, text and dot a line at a time and
+JSON in batches of encoder chunks.  A subcommand that enumerates takes
+--ceiling, defaulting to the library's own ceiling for that enumeration.
+Exit codes: 0 success, 1 a verification reported failures, 2 usage errors,
+malformed literals, or ceiling refusals.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import re
 import sys
 from typing import Any, Callable, Iterator, Sequence
 
@@ -30,9 +33,9 @@ from .boolean import (
 from .coding import encode
 from .partitions import (
     DEFAULT_PARTITION_CEILING,
+    _dot_lines,
     build_partition_chains,
     enumerate_class,
-    family_to_dot,
     family_to_json,
     verify_partition_chains,
 )
@@ -57,7 +60,13 @@ def _emit(args: argparse.Namespace, **views: Callable[[], Any]) -> None:
         return
     view = views[args.format]()
     if args.format == "json":
-        print(json.dumps(view, indent=2))
+        # Streamed, so the document is never held as one string, and in
+        # batches of chunks: one write per chunk, as json.dump makes, takes
+        # about twice as long on a pipe.
+        chunks = json.JSONEncoder(indent=2).iterencode(view)
+        for first in chunks:
+            sys.stdout.write(first + "".join(itertools.islice(chunks, 8191)))
+        print()
     else:
         for line in view:
             print(line)
@@ -152,7 +161,7 @@ def _cmd_decompose_partition(args: argparse.Namespace) -> int:
             yield " < ".join(p.literal() for p in chain)
         yield "excluded: " + " ".join(p.literal() for p in fam.excluded)
 
-    _emit(args, json=lambda: family_to_json(fam), dot=lambda: family_to_dot(fam).splitlines(),
+    _emit(args, json=lambda: family_to_json(fam), dot=lambda: _dot_lines(fam),
           text=text)
     return 0
 
@@ -300,6 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
         """A subcommand taking n and only the flags it uses: dot output for the
         decompositions, --ceiling for the commands that enumerate."""
         p = sub.add_parser(name, help=help_text)
+        # No option starts with a digit, so a token such as -2,1 is a value
+        # (a set literal, left to Subset.from_literal), never an option.
+        p._negative_number_matcher = re.compile(r"-\d")
         p.set_defaults(handler=handler)
         p.add_argument("n", type=int)
         p.add_argument("--format", "-f", choices=("text", "json", "dot") if dot else ("text", "json"),

@@ -54,17 +54,29 @@ class Code:
         return "".join(str(e) for e in self.entries)
 
 
+def _trusted(n: int, entries: tuple[int, ...]) -> Code:
+    """A Code around entries a package kernel built valid, without the
+    checks of the public constructor.  Input from callers and payloads goes
+    through ``Code(...)`` and keeps every check."""
+    c = object.__new__(Code)
+    object.__setattr__(c, "n", n)
+    object.__setattr__(c, "entries", entries)
+    return c
+
+
 def encode(s: Subset) -> Code:
-    members = set(s.elements)
-    entries = []
-    total = 0
-    for i in range(1, s.n + 2):
-        if i in members:
-            entries.append(0)
-        else:
-            entries.append(i - total)
-            total = i
-    return Code(s.n, tuple(entries))
+    """The code of ``s`` by carries over its members only.
+
+    With no members every entry is 1.  Each member e, ascending, zeroes
+    position e and carries its count onto position e+1, which is how far
+    that position now reaches back to the last non-member.  The result is
+    valid by construction, so it is built unchecked.
+    """
+    entries = [1] * (s.n + 1)
+    for e in s.elements:
+        entries[e] += entries[e - 1]
+        entries[e - 1] = 0
+    return _trusted(s.n, tuple(entries))
 
 
 def decode(c: Code) -> Subset:

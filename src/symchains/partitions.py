@@ -466,24 +466,34 @@ def family_from_json(obj: dict) -> PartitionChainFamily:
 def family_to_dot(fam: PartitionChainFamily) -> str:
     """Hasse diagram of all partitions in the family; chain links solid,
     other covers dotted, excluded partitions dashed."""
-    nodes = {p for chain in fam.chains for p in chain} | set(fam.excluded)
-    links = {(lo, hi) for chain in fam.chains for lo, hi in zip(chain, chain[1:])}
-    excluded = set(fam.excluded)
-    lines = ["digraph partition_chains {", "  rankdir=BT;", "  node [shape=box];"]
-    for p in sorted(nodes, key=lambda q: q.blocks):
-        attr = " [style=dashed]" if p in excluded else ""
-        lines.append(f'  "{p.literal()}"{attr};')
-    edges = []
-    for p in nodes:
-        for a in range(p.block_count):
-            for b in range(a + 1, p.block_count):
-                up_blocks = [blk for idx, blk in enumerate(p.blocks) if idx not in (a, b)]
-                up_blocks.append(tuple(sorted(p.blocks[a] + p.blocks[b])))
-                up = SetPartition.of(p.m, up_blocks)
-                if up in nodes:
-                    style = "solid" if (p, up) in links else "dotted"
-                    edges.append((p.blocks, up.blocks, f'  "{p.literal()}" -> "{up.literal()}" [style={style}];'))
-    for _, _, line in sorted(edges):
-        lines.append(line)
-    lines.append("}")
-    return "\n".join(lines)
+    return "\n".join(_dot_lines(fam))
+
+
+def _dot_lines(fam: PartitionChainFamily) -> Iterator[str]:
+    """The lines of ``family_to_dot``, one at a time.
+
+    Works on block tuples: a cover merges blocks a < b, and the merged
+    block keeps block a's minimum and place, so the result is canonical.
+    Nodes are numbered in block order, so sorting a node's covers by number
+    puts the edges in order without holding them all."""
+    excluded = {p.blocks for p in fam.excluded}
+    nodes = sorted({p.blocks for chain in fam.chains for p in chain} | excluded)
+    index = {blocks: i for i, blocks in enumerate(nodes)}
+    literals = [_literal(blocks) for blocks in nodes]
+    # Chains are disjoint, so a partition has at most one chain successor.
+    succ = {index[lo.blocks]: index[hi.blocks]
+            for chain in fam.chains for lo, hi in zip(chain, chain[1:])}
+    yield from ("digraph partition_chains {", "  rankdir=BT;", "  node [shape=box];")
+    for blocks, lo in zip(nodes, literals):
+        yield f'  "{lo}"{" [style=dashed]" if blocks in excluded else ""};'
+    for i, blocks in enumerate(nodes):
+        ups = []
+        for a, b in itertools.combinations(range(len(blocks)), 2):
+            merged = tuple(sorted(blocks[a] + blocks[b]))
+            j = index.get(blocks[:a] + (merged,) + blocks[a + 1:b] + blocks[b + 1:])
+            if j is not None:
+                ups.append(j)
+        lo, nxt = literals[i], succ.get(i)
+        for j in sorted(ups):
+            yield f'  "{lo}" -> "{literals[j]}" [style={"solid" if j == nxt else "dotted"}];'
+    yield "}"

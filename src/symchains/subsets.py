@@ -173,6 +173,31 @@ def all_subsets(n: int, ceiling: int = DEFAULT_ENUM_CEILING) -> Iterator[Subset]
     return _iter_subsets(n)
 
 
+def _trusted(n: int, elements: tuple[int, ...]) -> Subset:
+    """A Subset around members a package kernel built ascending and inside
+    1..n, without the checks of the public constructor.  Input from callers
+    and payloads goes through ``Subset(...)`` and keeps every check."""
+    s = object.__new__(Subset)
+    object.__setattr__(s, "n", n)
+    object.__setattr__(s, "elements", elements)
+    return s
+
+
+def _member_table(first: int, last: int) -> list[tuple[int, ...]]:
+    """Member tuples of every subset of {first..last}, ascending by mask
+    (bit i-first encodes i): each element doubles the table."""
+    table: list[tuple[int, ...]] = [()]
+    for i in range(first, last + 1):
+        table += [t + (i,) for t in table]
+    return table
+
+
 def _iter_subsets(n: int) -> Iterator[Subset]:
-    for mask in range(1 << n):
-        yield Subset.from_mask(n, mask)
+    """Ascending-mask order from two split tables: the high positions'
+    subsets in the outer loop, the low positions' in the inner, each subset
+    their concatenation.  Memory is O(2^(n/2)), never a 2^n list."""
+    h = n // 2
+    low = _member_table(1, h)
+    for high in _member_table(h + 1, n):
+        for members in low:
+            yield _trusted(n, members + high)

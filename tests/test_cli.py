@@ -312,6 +312,15 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: element {e} outside ground set 1..3\n"
 
+    @pytest.mark.parametrize("command", ["word", "chain", "code", "class"])
+    def test_negative_set_literal_with_a_comma_reaches_the_parser(self, capsys, command):
+        # argparse would read -2,1 as an option and report the set missing
+        for argv in ([command, "3", "-2,1"], [command, "3", "-2,1", "-f", "json"]):
+            assert run(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: element -2 outside ground set 1..3\n"
+
     def test_compact_without_a_compact_form_is_refused_in_every_format(self, capsys):
         # An entry of 10 has no digit form.  Text, json and --quiet all
         # refuse it alike, since --quiet keeps exit codes and builds no view.

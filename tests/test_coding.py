@@ -38,6 +38,21 @@ N3_CODES = {
 }
 
 
+def reference_encode(s):
+    """The code of ``s`` by a membership test at every position 1..n+1:
+    0 at a member, otherwise the distance back to the last non-member."""
+    members = set(s.elements)
+    entries = []
+    total = 0
+    for i in range(1, s.n + 2):
+        if i in members:
+            entries.append(0)
+        else:
+            entries.append(i - total)
+            total = i
+    return tuple(entries)
+
+
 def all_valid_codes(n):
     """Every valid length-(n+1) code, by the two-branch construction."""
     codes = [((), 0)]
@@ -107,6 +122,23 @@ class TestEncodeDecode:
         assert is_valid_code(c.entries)
         assert decode(c) == s
         assert sum(c.entries) == s.n + 1
+
+    def test_carries_equal_the_membership_reference(self):
+        for n in range(13):
+            for s in all_subsets(n):
+                c = encode(s)
+                assert c.entries == reference_encode(s)
+                assert is_valid_code(c.entries)
+
+    @given(st.integers(min_value=0, max_value=64).flatmap(
+        lambda n: st.sets(st.integers(min_value=1, max_value=max(n, 1))).map(
+            lambda els: Subset.of(n, [e for e in els if e <= n])
+        )
+    ))
+    def test_carries_equal_the_reference_up_to_64(self, s):
+        c = encode(s)
+        assert c.entries == reference_encode(s)
+        assert c == Code(s.n, c.entries)
 
     def test_bijective_onto_valid_codes(self):
         for n in range(9):

@@ -703,6 +703,35 @@ class TestVerifierMutations:
         assert "coverage" in failure_kinds(n + 1, chains, fam.excluded + (bottom,))
 
 
+def reference_family_to_dot(fam):
+    """family_to_dot by objects: every block pair of every node merged
+    through SetPartition.of, and all edges sorted at the end."""
+    nodes = {p for chain in fam.chains for p in chain} | set(fam.excluded)
+    links = {(lo, hi) for chain in fam.chains for lo, hi in zip(chain, chain[1:])}
+    excluded = set(fam.excluded)
+    lines = ["digraph partition_chains {", "  rankdir=BT;", "  node [shape=box];"]
+    for p in sorted(nodes, key=lambda q: q.blocks):
+        attr = " [style=dashed]" if p in excluded else ""
+        lines.append(f'  "{p.literal()}"{attr};')
+    edges = []
+    for p in nodes:
+        for a in range(p.block_count):
+            for b in range(a + 1, p.block_count):
+                up_blocks = [blk for idx, blk in enumerate(p.blocks) if idx not in (a, b)]
+                up_blocks.append(tuple(sorted(p.blocks[a] + p.blocks[b])))
+                up = SetPartition.of(p.m, up_blocks)
+                if up in nodes:
+                    style = "solid" if (p, up) in links else "dotted"
+                    edges.append((p.blocks, up.blocks, f'  "{p.literal()}" -> "{up.literal()}" [style={style}];'))
+    lines.extend(line for _, _, line in sorted(edges))
+    lines.append("}")
+    return "\n".join(lines)
+
+
+# SHA-256 of family_to_dot(build_partition_chains(7)), as the object-based
+# reference gave it.
+FAMILY_DOT_7_SHA256 = "f5a7e262c7b2724e3a4fc0ce3b31b06336f4cf8f311adb119225127acd37fe73"
+
 # SHA-256 of json.dumps(family_to_json(build_partition_chains(n))), n = 0..9:
 # a faster builder must give byte-identical families.
 FAMILY_JSON_SHA256 = [
@@ -735,6 +764,13 @@ class TestFamilySerialization:
     def test_json_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             family_from_json({"m": 3, "chains": []})
+
+    def test_dot_equals_the_object_reference(self):
+        for n in range(7):
+            fam = build_partition_chains(n)
+            assert family_to_dot(fam) == reference_family_to_dot(fam), n
+        dot = family_to_dot(build_partition_chains(7))
+        assert hashlib.sha256(dot.encode()).hexdigest() == FAMILY_DOT_7_SHA256
 
     def test_dot_output(self):
         dot = family_to_dot(build_partition_chains(3))

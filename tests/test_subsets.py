@@ -143,6 +143,11 @@ class TestEnumeration:
         assert masks == sorted(masks)
         assert masks[0] == 0 and masks[-1] == 2**5 - 1
 
+    def test_split_tables_equal_the_masks(self):
+        # n = 0 and 1 give the low half no positions; odd n splits unevenly
+        for n in range(13):
+            assert list(all_subsets(n)) == [Subset.from_mask(n, m) for m in range(2**n)]
+
     def test_ceiling_is_checked_eagerly(self):
         with pytest.raises(CeilingExceeded):
             all_subsets(9, ceiling=8)
