@@ -10,7 +10,9 @@ establish that rather than assume it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from itertools import accumulate
+from operator import or_
+from typing import Iterable, Iterator, NamedTuple
 
 from .reports import VerificationReport, report
 from .subsets import (
@@ -18,35 +20,61 @@ from .subsets import (
     Subset,
     _check_ceiling,
     _json_int,
+    _members,
+    _trusted as _subset,
     check_ground_size,
     match_parens,
     word_of,
 )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BooleanChain:
-    """A chain of subsets, bottom first.  Structure beyond consistent ground
-    sizes is the verifier's business, so malformed chains can be built and
-    then reported on."""
+    """A chain of subsets, bottom first, stored as integer masks (bit i-1
+    for element i).  Structure beyond consistent ground sizes is the
+    verifier's business, so malformed chains can be built and then reported
+    on.  ``sets``, ``bottom`` and ``top`` build their ``Subset``s on each
+    access; nothing holds them, so a decomposition costs one int per set."""
 
     n: int
-    sets: tuple[Subset, ...]
+    masks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.sets:
+    def __init__(self, n: int, sets: Iterable[Subset]) -> None:
+        sets = tuple(sets)
+        if not sets:
             raise ValueError("a chain needs at least one set")
-        for s in self.sets:
-            if s.n != self.n:
-                raise ValueError(f"ground size mismatch: chain has {self.n}, set has {s.n}")
+        for s in sets:
+            if s.n != n:
+                raise ValueError(f"ground size mismatch: chain has {n}, set has {s.n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "masks", tuple(s.mask() for s in sets))
+
+    @property
+    def sets(self) -> tuple[Subset, ...]:
+        n = self.n
+        return tuple([_subset(n, _members(m)) for m in self.masks])
 
     @property
     def bottom(self) -> Subset:
-        return self.sets[0]
+        return _subset(self.n, _members(self.masks[0]))
 
     @property
     def top(self) -> Subset:
-        return self.sets[-1]
+        return _subset(self.n, _members(self.masks[-1]))
+
+
+def _chain(n: int, masks: tuple[int, ...]) -> BooleanChain:
+    """A BooleanChain around masks a package kernel built, nonempty and
+    below 2^n, without the checks of the public constructor."""
+    c = object.__new__(BooleanChain)
+    object.__setattr__(c, "n", n)
+    object.__setattr__(c, "masks", masks)
+    return c
+
+
+def _literal(mask: int) -> str:
+    """``Subset.literal`` of the set ``mask`` stands for."""
+    return ",".join(map(str, _members(mask))) or "-"
 
 
 @dataclass(frozen=True)
@@ -62,7 +90,7 @@ class BooleanDecomposition:
 
     @classmethod
     def of(cls, n: int, chains: Iterable[BooleanChain]) -> "BooleanDecomposition":
-        ordered = sorted(chains, key=lambda c: c.bottom.mask())
+        ordered = sorted(chains, key=lambda c: c.masks[0])
         return cls(n, tuple(ordered))
 
 
@@ -80,11 +108,9 @@ def chain_of(s: Subset) -> BooleanChain:
     time from the bottom.
     """
     ms = match_parens(word_of(s))
-    fixed = sorted(close for _, close in ms.matched_pairs)
-    toggles = list(ms.unmatched_rights) + list(ms.unmatched_lefts)
-    sets = [Subset(s.n, tuple(sorted(fixed + toggles[:t])))
-            for t in range(len(toggles) + 1)]
-    return BooleanChain(s.n, tuple(sets))
+    bottom = sum(1 << (close - 1) for _, close in ms.matched_pairs)
+    toggles = (1 << (t - 1) for t in ms.unmatched_rights + ms.unmatched_lefts)
+    return _chain(s.n, tuple(accumulate(toggles, or_, initial=bottom)))
 
 
 def gk_decomposition(n: int, ceiling: int = DEFAULT_ENUM_CEILING) -> BooleanDecomposition:
@@ -96,27 +122,21 @@ def gk_decomposition(n: int, ceiling: int = DEFAULT_ENUM_CEILING) -> BooleanDeco
     with its stack of open LEFTs: a LEFT is pushed, a RIGHT pops the stack and
     may only be placed on a nonempty one.  The LEFTs still open at the end are
     the unmatched ones, u_1 < ... < u_k, and the chain is bottom plus
-    {u_1..u_t} for t = 0..k.
+    {u_1..u_t} for t = 0..k: the bottom's mask, then cumulative ORs of the
+    unmatched bits.
     """
     check_ground_size(n)
     _check_ceiling(n, ceiling, f"2^{n} subsets")
-    level: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = [(0, (), ())]
-    for i in range(1, n + 1):
-        bit, pos = 1 << (i - 1), (i,)
-        step = []
-        for mask, members, lefts in level:
-            step.append((mask, members, lefts + pos))
-            if lefts:
-                step.append((mask | bit, members + pos, lefts[:-1]))
-        level = step
-    level.sort()
-    chains = []
-    for _, members, lefts in level:
-        sets = [Subset(n, members)]
-        for t in range(1, len(lefts) + 1):
-            sets.append(Subset(n, tuple(sorted(members + lefts[:t]))))
-        chains.append(BooleanChain(n, tuple(sets)))
-    return BooleanDecomposition(n, tuple(chains))
+    masks: list[int] = [0]
+    stacks: list[tuple[int, ...]] = [()]
+    for i in range(n):
+        bit = 1 << i
+        # Words that place a RIGHT here gain the new highest bit, so they
+        # follow all the others and the bottoms stay in ascending mask order.
+        masks += [m | bit for m, stack in zip(masks, stacks) if stack]
+        stacks = [stack + (bit,) for stack in stacks] + [stack[:-1] for stack in stacks if stack]
+    return BooleanDecomposition(n, tuple([_chain(n, tuple(accumulate(stack, or_, initial=m)))
+                                          for m, stack in zip(masks, stacks)]))
 
 
 def debruijn_decomposition(n: int, ceiling: int = DEFAULT_ENUM_CEILING) -> BooleanDecomposition:
@@ -129,16 +149,16 @@ def debruijn_decomposition(n: int, ceiling: int = DEFAULT_ENUM_CEILING) -> Boole
     """
     check_ground_size(n)
     _check_ceiling(n, ceiling, f"2^{n} subsets")
-    chains: list[list[tuple[int, ...]]] = [[()]]
-    for k in range(1, n + 1):
-        step: list[list[tuple[int, ...]]] = []
+    chains: list[list[int]] = [[0]]
+    for k in range(n):
+        bit = 1 << k
+        step: list[list[int]] = []
         for chain in chains:
-            step.append(chain + [chain[-1] + (k,)])
+            step.append(chain + [chain[-1] | bit])
             if len(chain) > 1:
-                step.append([els + (k,) for els in chain[:-1]])
+                step.append([x | bit for x in chain[:-1]])
         chains = step
-    built = [BooleanChain(n, tuple(Subset(n, els) for els in chain)) for chain in chains]
-    return BooleanDecomposition.of(n, built)
+    return BooleanDecomposition.of(n, [_chain(n, tuple(chain)) for chain in chains])
 
 
 class GridElement(NamedTuple):
@@ -165,26 +185,34 @@ def product_scd(k: int, l: int) -> tuple[tuple[GridElement, ...], ...]:
     return tuple(chains)
 
 
+def _two_hooks(k: int) -> list[tuple[tuple[int, bool], ...]]:
+    """``product_scd(k, 2)`` with each cell (row, col) read as (row - 1,
+    col == 2): the index of a set in a k-set chain, and whether the new
+    element joins it."""
+    return [tuple((row - 1, col == 2) for row, col in hook) for hook in product_scd(k, 2)]
+
+
 def iterated_product_scd(n: int, ceiling: int = DEFAULT_ENUM_CEILING) -> BooleanDecomposition:
     """Decomposition built as an n-fold product of two-element chains.
 
     Each element of {1..n} contributes the chain (absent, present); hooks
     from product_scd knit the accumulated chains together one element at a
     time.  Row r picks the r-th set of the old chain, column 2 adds the new
-    element.
+    element.  The hooks of each chain length are computed once per call.
     """
     check_ground_size(n)
     _check_ceiling(n, ceiling, f"2^{n} subsets")
-    chains: list[list[tuple[int, ...]]] = [[()]]
-    for k in range(1, n + 1):
-        step: list[list[tuple[int, ...]]] = []
+    # A chain over {1..k} has at most k+1 sets, and k runs up to n-1.
+    hooks = [_two_hooks(size) for size in range(1, n + 1)]
+    chains: list[list[int]] = [[0]]
+    for k in range(n):
+        bit = 1 << k
+        step: list[list[int]] = []
         for chain in chains:
-            for hook in product_scd(len(chain), 2):
-                step.append([chain[row - 1] + ((k,) if col == 2 else ())
-                             for row, col in hook])
+            for hook in hooks[len(chain) - 1]:
+                step.append([chain[row] | bit if add else chain[row] for row, add in hook])
         chains = step
-    built = [BooleanChain(n, tuple(Subset(n, els) for els in chain)) for chain in chains]
-    return BooleanDecomposition.of(n, built)
+    return BooleanDecomposition.of(n, [_chain(n, tuple(chain)) for chain in chains])
 
 
 def verify_scd(d: BooleanDecomposition) -> VerificationReport:
@@ -193,51 +221,56 @@ def verify_scd(d: BooleanDecomposition) -> VerificationReport:
     added in increasing order, n sits in every chain's top, and a link
     adding i requires i+1 absent and (i = 1 or i-1 present).
 
-    Each set is read once into its integer mask (bit i-1 for element i);
-    every test after that is arithmetic on masks."""
+    Every test is arithmetic on the chains' masks (bit i-1 for element i),
+    coverage is one byte per subset, and a set is spelled out only in the
+    witness of a failure."""
     n = d.n
-    bit = [0, *(1 << i for i in range(n))].__getitem__
     failures: list[tuple[str, str]] = []
-    seen: set[int] = set()
+    covered = bytearray(1 << n)
     for chain in d.chains:
-        sets = chain.sets
-        masks = [sum(map(bit, s.elements)) for s in sets]
-        for s, m in zip(sets, masks):
-            if m in seen:
-                failures.append(("overlap", s.literal()))
-            seen.add(m)
-        bottom, top = sets[0], sets[-1]
-        if len(bottom.elements) + len(top.elements) != n:
-            failures.append(("not_symmetric", f"{bottom.literal()} .. {top.literal()}"))
-        if n >= 1 and not masks[-1] >> (n - 1):
-            failures.append(("link_rule", f"top {top.literal()} lacks {n}"))
+        masks = chain.masks
+        for m in masks:
+            if covered[m]:
+                failures.append(("overlap", _literal(m)))
+            covered[m] = 1
+        bottom, top = masks[0], masks[-1]
+        if bottom.bit_count() + top.bit_count() != n:
+            failures.append(("not_symmetric", f"{_literal(bottom)} .. {_literal(top)}"))
+        if n >= 1 and not top >> (n - 1):
+            failures.append(("link_rule", f"top {_literal(top)} lacks {n}"))
         prev_added = 0
-        for j in range(1, len(sets)):
+        for j in range(1, len(masks)):
             lo, hi = masks[j - 1], masks[j]
             added = hi ^ lo
             if hi & lo != lo or not added or added & (added - 1):
-                failures.append(("not_saturated",
-                                 f"{sets[j - 1].literal()} -> {sets[j].literal()}"))
+                failures.append(("not_saturated", f"{_literal(lo)} -> {_literal(hi)}"))
                 continue
             i = added.bit_length()
             if i <= prev_added:
                 failures.append(("link_rule",
-                                 f"added {i} after {prev_added} in chain from {bottom.literal()}"))
+                                 f"added {i} after {prev_added} in chain from {_literal(bottom)}"))
             if lo & added << 1 or (added > 1 and not lo & added >> 1):
-                failures.append(("link_rule", f"link {sets[j - 1].literal()} -> add {i}"))
+                failures.append(("link_rule", f"link {_literal(lo)} -> add {i}"))
             prev_added = i
-    if len(seen) != 1 << n:
-        for mask in range(1 << n):
-            if mask not in seen:
-                failures.append(("missing", Subset.from_mask(n, mask).literal()))
-    return report(len(seen), len(d.chains), failures)
+    seen = covered.count(1)
+    mask = covered.find(0)
+    while mask >= 0:
+        failures.append(("missing", _literal(mask)))
+        mask = covered.find(0, mask + 1)
+    return report(seen, len(d.chains), failures)
 
 
 def decomposition_to_json(d: BooleanDecomposition) -> dict:
-    return {
-        "n": d.n,
-        "chains": [[list(s.elements) for s in chain.sets] for chain in d.chains],
-    }
+    doc = _json_view(d)
+    doc["chains"] = list(doc["chains"])
+    return doc
+
+
+def _json_view(d: BooleanDecomposition) -> dict:
+    """The document of ``decomposition_to_json`` with its chain list an
+    iterator, for a writer that streams it chain by chain."""
+    return {"n": d.n,
+            "chains": ([list(_members(m)) for m in chain.masks] for chain in d.chains)}
 
 
 def decomposition_from_json(obj: dict) -> BooleanDecomposition:
@@ -255,22 +288,22 @@ def decomposition_from_json(obj: dict) -> BooleanDecomposition:
 def decomposition_to_dot(d: BooleanDecomposition) -> str:
     """Hasse diagram of the covered subsets; chain links solid, other covers
     dotted."""
-    by_mask = {s.mask(): s for chain in d.chains for s in chain.sets}
-    links = {(lo.mask(), hi.mask())
-             for chain in d.chains
-             for lo, hi in zip(chain.sets, chain.sets[1:])}
-    lines = ["digraph scd {", "  rankdir=BT;", "  node [shape=box];"]
-    for mask in sorted(by_mask):
-        lines.append(f'  "{by_mask[mask].literal()}";')
-    for mask in sorted(by_mask):
-        s = by_mask[mask]
-        for i in range(1, d.n + 1):
-            if i in s:
+    return "\n".join(_dot_lines(d))
+
+
+def _dot_lines(d: BooleanDecomposition) -> Iterator[str]:
+    """The lines of ``decomposition_to_dot``, one at a time."""
+    literals = {m: _literal(m) for chain in d.chains for m in chain.masks}
+    links = {(lo, hi) for chain in d.chains for lo, hi in zip(chain.masks, chain.masks[1:])}
+    masks = sorted(literals)
+    yield from ("digraph scd {", "  rankdir=BT;", "  node [shape=box];")
+    for mask in masks:
+        yield f'  "{literals[mask]}";'
+    for mask in masks:
+        for i in range(d.n):
+            hi = mask | 1 << i
+            if hi == mask or hi not in literals:
                 continue
-            hi_mask = mask | 1 << (i - 1)
-            if hi_mask not in by_mask:
-                continue
-            style = "solid" if (mask, hi_mask) in links else "dotted"
-            lines.append(f'  "{s.literal()}" -> "{by_mask[hi_mask].literal()}" [style={style}];')
-    lines.append("}")
-    return "\n".join(lines)
+            style = "solid" if (mask, hi) in links else "dotted"
+            yield f'  "{literals[mask]}" -> "{literals[hi]}" [style={style}];'
+    yield "}"

@@ -5,7 +5,7 @@ machine-readable equivalent and --format dot a Hasse diagram (decomposition
 commands only).  Output has one path: each handler computes its result and
 hands ``_emit`` a lazy view per format, and ``_emit`` builds and prints only
 the requested one, none under --quiet, text and dot a line at a time and
-JSON in batches of encoder chunks.  A subcommand that enumerates takes
+JSON in batches of list elements.  A subcommand that enumerates takes
 --ceiling, defaulting to the library's own ceiling for that enumeration.
 Exit codes: 0 success, 1 a verification reported failures, 2 usage errors,
 malformed literals, or ceiling refusals.
@@ -20,12 +20,10 @@ import re
 import sys
 from typing import Any, Callable, Iterator, Sequence
 
-from . import identities
+from . import boolean, identities, partitions
 from .boolean import (
     chain_of,
     debruijn_decomposition,
-    decomposition_to_dot,
-    decomposition_to_json,
     gk_decomposition,
     iterated_product_scd,
     verify_scd,
@@ -33,10 +31,8 @@ from .boolean import (
 from .coding import encode
 from .partitions import (
     DEFAULT_PARTITION_CEILING,
-    _dot_lines,
     build_partition_chains,
     enumerate_class,
-    family_to_json,
     verify_partition_chains,
 )
 from .reports import VerificationReport
@@ -60,16 +56,37 @@ def _emit(args: argparse.Namespace, **views: Callable[[], Any]) -> None:
         return
     view = views[args.format]()
     if args.format == "json":
-        # Streamed, so the document is never held as one string, and in
-        # batches of chunks: one write per chunk, as json.dump makes, takes
-        # about twice as long on a pipe.
-        chunks = json.JSONEncoder(indent=2).iterencode(view)
-        for first in chunks:
-            sys.stdout.write(first + "".join(itertools.islice(chunks, 8191)))
+        sys.stdout.writelines(_json_chunks(view))
         print()
     else:
         for line in view:
             print(line)
+
+
+def _json_chunks(doc: dict) -> Iterator[str]:
+    """The text of ``json.dumps(doc, indent=2)`` in pieces.  A top-level
+    value that is a list, a tuple or an iterator is written a batch of
+    elements at a time, so a document whose long lists are iterators (a
+    decomposition's chains, say) is never held whole, as objects or as one
+    string."""
+    encode = json.JSONEncoder(indent=2).encode
+    last = len(doc) - 1
+    yield "{"
+    for k, (key, value) in enumerate(doc.items()):
+        yield f"\n  {encode(key)}: "
+        if isinstance(value, (list, tuple, Iterator)):
+            # A batch encodes as "[\n  row,\n  row\n]": its inside, one
+            # level deeper, is that stretch of the list.
+            rows, head = iter(value), "[\n"
+            for batch in iter(lambda: list(itertools.islice(rows, 1024)), []):
+                yield head + "  " + encode(batch)[2:-2].replace("\n", "\n  ")
+                head = ",\n"
+            yield "[]" if head == "[\n" else "\n  ]"
+        else:
+            yield encode(value).replace("\n", "\n  ")
+        if k < last:
+            yield ","
+    yield "\n}"
 
 
 def _report_out(args: argparse.Namespace, rep: VerificationReport, extra: dict) -> int:
@@ -117,9 +134,8 @@ def _cmd_chain(args: argparse.Namespace) -> int:
 
 def _cmd_decompose_boolean(args: argparse.Namespace) -> int:
     d = _BOOLEAN_METHODS[args.method](args.n, ceiling=args.ceiling)
-    _emit(args, json=lambda: decomposition_to_json(d),
-          dot=lambda: decomposition_to_dot(d).splitlines(),
-          text=lambda: (" < ".join(s.literal() for s in chain.sets) for chain in d.chains))
+    _emit(args, json=lambda: boolean._json_view(d), dot=lambda: boolean._dot_lines(d),
+          text=lambda: (" < ".join(map(boolean._literal, chain.masks)) for chain in d.chains))
     return 0
 
 
@@ -161,7 +177,7 @@ def _cmd_decompose_partition(args: argparse.Namespace) -> int:
             yield " < ".join(p.literal() for p in chain)
         yield "excluded: " + " ".join(p.literal() for p in fam.excluded)
 
-    _emit(args, json=lambda: family_to_json(fam), dot=lambda: _dot_lines(fam),
+    _emit(args, json=lambda: partitions._json_view(fam), dot=lambda: partitions._dot_lines(fam),
           text=text)
     return 0
 

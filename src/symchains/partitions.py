@@ -16,7 +16,7 @@ from functools import partial
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .boolean import gk_decomposition
+from .boolean import _literal as _literal_mask, gk_decomposition
 from .coding import _link_added, code_from_nonzeros, encode
 from .identities import stirling_table
 from .reports import VerificationReport, report
@@ -340,11 +340,12 @@ def build_partition_chains(n: int, ceiling: int = DEFAULT_PARTITION_CEILING) -> 
     for bchain in boolean.chains:
         code = list(encode(bchain.bottom).entries)
         active = [[p] for p in buckets.pop(_type_of_code(code))]
-        for lo, hi in zip(bchain.sets, bchain.sets[1:]):
-            (added,) = set(hi.elements) - set(lo.elements)
+        masks = bchain.masks
+        for lo, hi in zip(masks, masks[1:]):
+            added = (hi ^ lo).bit_length()
             k = _link_added(code, added)
             if k == 0:
-                raise ValueError(f"no chain link adds {added} to class {lo.literal()}")
+                raise ValueError(f"no chain link adds {added} to class {_literal_mask(lo)}")
             j = _merge_index(code, added)
             code[added - 1], code[added] = 0, k + 1
             for chain in active:
@@ -439,12 +440,20 @@ def verify_partition_chains(fam: PartitionChainFamily) -> VerificationReport:
 
 
 def family_to_json(fam: PartitionChainFamily) -> dict:
-    return {
-        "m": fam.m,
-        "chains": [[[list(block) for block in p.blocks] for p in chain]
-                   for chain in fam.chains],
-        "excluded": [[list(block) for block in p.blocks] for p in fam.excluded],
-    }
+    doc = _json_view(fam)
+    doc["chains"], doc["excluded"] = list(doc["chains"]), list(doc["excluded"])
+    return doc
+
+
+def _json_view(fam: PartitionChainFamily) -> dict:
+    """The document of ``family_to_json`` with its two lists iterators, for
+    a writer that streams it chain by chain."""
+    def rows(p: SetPartition) -> list[list[int]]:
+        return [list(block) for block in p.blocks]
+
+    return {"m": fam.m,
+            "chains": ([rows(p) for p in chain] for chain in fam.chains),
+            "excluded": map(rows, fam.excluded)}
 
 
 def family_from_json(obj: dict) -> PartitionChainFamily:

@@ -9,13 +9,19 @@ rest of the package.  Positions are 1-based throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator
 
 LEFT = "("
 RIGHT = ")"
 
 # Whole-lattice enumerations refuse to run past this many ground elements
-# unless the caller raises the ceiling explicitly.
+# unless the caller raises the ceiling explicitly.  Set by memory:
+# gk_decomposition plus verify_scd at n = 24 (16.8 million subsets, one int
+# each) peaks at about 1.2 GB RSS and takes about 20 s, the other two
+# constructions at about 1.4 GB, and memory grows fourfold per two elements,
+# so n = 26 would need about 5 GB, too close to what an 8 GB machine has to
+# admit by default.
 DEFAULT_ENUM_CEILING = 24
 
 # Per-set operations stay cheap far beyond enumeration range.
@@ -190,6 +196,26 @@ def _member_table(first: int, last: int) -> list[tuple[int, ...]]:
     for i in range(first, last + 1):
         table += [t + (i,) for t in table]
     return table
+
+
+@cache
+def _byte_table(k: int) -> tuple[tuple[int, ...], ...]:
+    """Member tuples of every value of byte k of a mask, which holds the
+    elements 8k+1..8k+8; built on first use, at most eight of them."""
+    return tuple(_member_table(8 * k + 1, 8 * k + 8))
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    """The members of ``mask`` (bit i-1 for element i), ascending: one table
+    lookup per byte, so masks of any ground size up to MAX_GROUND_SIZE are
+    served by tables of 256 entries."""
+    out = _byte_table(0)[mask & 255]
+    k = 0
+    while mask > 255:
+        mask >>= 8
+        k += 1
+        out += _byte_table(k)[mask & 255]
+    return out
 
 
 def _iter_subsets(n: int) -> Iterator[Subset]:

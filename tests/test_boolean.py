@@ -5,6 +5,8 @@ decompositions; the three construction methods are cross-checked
 against each other, which is the point of keeping all three.
 """
 
+import hashlib
+import json
 import math
 
 import pytest
@@ -31,6 +33,7 @@ from symchains import (
     product_scd,
     verify_scd,
 )
+from symchains import boolean
 from symchains.reports import report
 
 
@@ -162,6 +165,28 @@ class TestConstructions:
             d = gk_decomposition(n)
             assert len(d.chains) == math.comb(n, n // 2)
 
+    def test_public_chain_equals_kernel_chain(self):
+        # Equality and hash are over (n, masks), as they were over (n, sets).
+        for n in range(9):
+            for method in METHODS:
+                for chain in method(n).chains:
+                    public = BooleanChain(n, chain.sets)
+                    assert public == chain and hash(public) == hash(chain)
+                    assert public.masks == chain.masks
+                    assert (chain.bottom, chain.top) == (chain.sets[0], chain.sets[-1])
+
+    def test_chain_keeps_only_masks(self):
+        chain = gk_decomposition(3).chains[0]
+        assert BooleanChain.__slots__ == ("n", "masks")
+        assert chain.masks == (0b000, 0b001, 0b011, 0b111)
+        assert chain.sets == chain.sets and chain.sets is not chain.sets
+
+    def test_public_chain_checks(self):
+        with pytest.raises(ValueError, match="at least one set"):
+            BooleanChain(3, ())
+        with pytest.raises(ValueError, match="ground size mismatch"):
+            BooleanChain(3, (Subset.of(3, [1]), Subset.of(4, [1, 4])))
+
     def test_ceiling(self):
         with pytest.raises(CeilingExceeded):
             gk_decomposition(25)
@@ -198,6 +223,25 @@ class TestProductGrid:
     def test_rejects_empty_factor(self):
         with pytest.raises(ValueError):
             product_scd(0, 2)
+
+    def test_mask_hooks_equal_product_scd(self):
+        for k in range(1, 12):
+            hooks = [tuple(GridElement(row + 1, 2 if add else 1) for row, add in hook)
+                     for hook in boolean._two_hooks(k)]
+            assert tuple(hooks) == product_scd(k, 2)
+
+    def test_hooks_computed_once_per_chain_length(self, monkeypatch):
+        calls = []
+
+        def counted(k, l):
+            calls.append((k, l))
+            return product_scd(k, l)
+
+        monkeypatch.setattr(boolean, "product_scd", counted)
+        d = iterated_product_scd(8)
+        # The chains that meet element 8 have 1..8 sets.
+        assert sorted(calls) == [(k, 2) for k in range(1, 9)]
+        assert chains_as_sets(d) == chains_as_sets(gk_decomposition(8))
 
 
 class TestVerifier:
@@ -279,6 +323,17 @@ class TestVerifierOracle:
                 d = method(n)
                 assert verify_scd(d) == reference_verify_scd(d)
 
+    def test_agrees_on_every_two_set_chain(self):
+        # Deterministic where the mutants below are random: a neighbour
+        # shift off by one, a top test that misses bit n, or coverage that
+        # loses a byte each changes some report here.
+        for n in range(5):
+            sets = [Subset.from_mask(n, m) for m in range(2**n)]
+            for lo in sets:
+                for hi in sets:
+                    d = BooleanDecomposition(n, (BooleanChain(n, (lo, hi)),))
+                    assert verify_scd(d) == reference_verify_scd(d)
+
     @settings(max_examples=300)
     @given(st.integers(0, 6), st.sampled_from(METHODS), st.integers(1, 4), st.data())
     def test_agrees_on_mutants(self, n, method, ops, data):
@@ -296,7 +351,38 @@ class TestSlots:
             assert not hasattr(obj, "__dict__")
 
 
+# SHA-256 of json.dumps(decomposition_to_json(gk_decomposition(n))) for
+# n = 0..12, recorded from the Subset-based decomposition before chains
+# were stored as masks.
+GK_JSON_SHA256 = [
+    "bf0c3b34755d23df6fc81a095107c1b4876d5c70fb5e5115acb04b560a1f6123",
+    "22d3849938a675daf7133618de98e5530487422fde4e152b3222ec77e1905dc5",
+    "dbd9944f030fa3d84741db42b4fda09ec6ad45c4e2ca2ab26508341866d91e0e",
+    "1236e64de2709c818f7e845cc61d16894150a33b068856fa516a8ce66f9c3ad1",
+    "fc4b22ecc47000f27bcc9f352b78292496bf8141347182fdf767f8d69521422b",
+    "e9935b43e533eab167fed31e8a17e637a4300066ba3e8688adb47a6bea1be9c9",
+    "bb9ab1ecead860f0d83131025f469a53696a6dc0cd46be4f31ddf3bbf384ed9d",
+    "a3b28ca157c8dc971ecd23ba9d4c2b4c8f710addb39a74183b9920b7e9850bee",
+    "fd9af084bb8a67bf02026477f18a28cd7390e711a3913d4713857c2e2fd6bd51",
+    "a4265c0b915e68b54f2b785fba7085842871b52030c62927c9a3c375687888c0",
+    "64201fac6b0423c9b53fe606a99e96c00ca14caec7e0bda701fbc09180e5896c",
+    "32552b12c5260770a61a1056060fc61a6ddc7ec0313fde7163987c23f0190b28",
+    "0d7f982069b2dc6f4f7854965f98cfbbf02a5281142fc3f969bef0c3a6122d9b",
+]
+
+
 class TestSerialization:
+    def test_gk_json_is_pinned(self):
+        for n, expected in enumerate(GK_JSON_SHA256):
+            text = json.dumps(decomposition_to_json(gk_decomposition(n)))
+            assert hashlib.sha256(text.encode()).hexdigest() == expected, n
+
+    def test_json_roundtrip_every_method(self):
+        for n in range(9):
+            for method in METHODS:
+                d = method(n)
+                assert decomposition_from_json(decomposition_to_json(d)) == d
+
     def test_json_roundtrip(self):
         d = gk_decomposition(4)
         obj = decomposition_to_json(d)

@@ -10,6 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import symchains
 from symchains import (
@@ -18,9 +19,10 @@ from symchains import (
     decomposition_from_json,
     decomposition_to_json,
     family_from_json,
+    family_to_json,
     gk_decomposition,
 )
-from symchains.cli import _report_out, build_parser, run
+from symchains.cli import _json_chunks, _report_out, build_parser, run
 from symchains.identities import DEFAULT_STIRLING_CEILING
 from symchains.reports import report
 
@@ -270,6 +272,29 @@ class TestJsonAndDot:
         assert run(["decompose-partition", "4", "--format", "json"]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert family_from_json(obj) == build_partition_chains(4)
+
+    def test_streamed_json_equals_dumps(self, capsys):
+        # Written a chain at a time, the documents keep json.dumps' bytes,
+        # empty lists (no excluded partitions at n <= 1) included.
+        methods = {"gk": gk_decomposition, "debruijn": symchains.debruijn_decomposition,
+                   "product": symchains.iterated_product_scd}
+        for n in range(9):
+            for name, method in methods.items():
+                assert run(["decompose-boolean", str(n), "-f", "json", "--method", name]) == 0
+                expected = json.dumps(decomposition_to_json(method(n)), indent=2)
+                assert capsys.readouterr().out == expected + "\n"
+        for n in range(8):
+            assert run(["decompose-partition", str(n), "-f", "json"]) == 0
+            expected = json.dumps(family_to_json(build_partition_chains(n)), indent=2)
+            assert capsys.readouterr().out == expected + "\n"
+
+    @given(st.dictionaries(st.text(), st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text(),
+        lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner), max_leaves=12),
+        min_size=1))
+    def test_json_chunks_equal_dumps(self, doc):
+        streamed = {k: iter(v) if isinstance(v, list) else v for k, v in doc.items()}
+        assert "".join(_json_chunks(streamed)) == json.dumps(doc, indent=2)
 
     def test_verify_json(self, capsys):
         assert run(["verify-boolean", "6", "--format", "json"]) == 0

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from symchains import CeilingExceeded, MatchStructure, Subset, all_subsets, match_parens, parse_word, word_of
-from symchains.subsets import LEFT, RIGHT, check_ground_size
+from symchains.subsets import LEFT, RIGHT, _members, check_ground_size
 
 
 def subset_strategy(max_n=14):
@@ -147,6 +147,17 @@ class TestEnumeration:
         # n = 0 and 1 give the low half no positions; odd n splits unevenly
         for n in range(13):
             assert list(all_subsets(n)) == [Subset.from_mask(n, m) for m in range(2**n)]
+
+    def test_byte_tables_equal_from_mask(self):
+        for n in range(13):
+            for m in range(2**n):
+                assert _members(m) == Subset.from_mask(n, m).elements
+
+    @given(st.integers(min_value=0, max_value=64).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=2**n - 1))))
+    def test_byte_tables_equal_from_mask_to_64(self, nm):
+        n, m = nm
+        assert _members(m) == Subset.from_mask(n, m).elements
 
     def test_ceiling_is_checked_eagerly(self):
         with pytest.raises(CeilingExceeded):
