@@ -21,7 +21,9 @@ from .subsets import (
     _check_ceiling,
     _json_int,
     _members,
+    _set_literal,
     _trusted as _subset,
+    _unchecked,
     check_ground_size,
     match_parens,
     word_of,
@@ -63,18 +65,13 @@ class BooleanChain:
         return _subset(self.n, _members(self.masks[-1]))
 
 
-def _chain(n: int, masks: tuple[int, ...]) -> BooleanChain:
-    """A BooleanChain around masks a package kernel built, nonempty and
-    below 2^n, without the checks of the public constructor."""
-    c = object.__new__(BooleanChain)
-    object.__setattr__(c, "n", n)
-    object.__setattr__(c, "masks", masks)
-    return c
+# A BooleanChain around masks a kernel built, nonempty and below 2^n.
+_chain = _unchecked(BooleanChain)
 
 
 def _literal(mask: int) -> str:
     """``Subset.literal`` of the set ``mask`` stands for."""
-    return ",".join(map(str, _members(mask))) or "-"
+    return _set_literal(_members(mask))
 
 
 @dataclass(frozen=True)
@@ -215,7 +212,7 @@ def iterated_product_scd(n: int, ceiling: int = DEFAULT_ENUM_CEILING) -> Boolean
     return BooleanDecomposition.of(n, [_chain(n, tuple(chain)) for chain in chains])
 
 
-def verify_scd(d: BooleanDecomposition) -> VerificationReport:
+def verify_scd(d: BooleanDecomposition, ceiling: int = DEFAULT_ENUM_CEILING) -> VerificationReport:
     """Check cover, disjointness, saturation, rank symmetry, and the three
     structural facts every bracket-matching chain satisfies: elements are
     added in increasing order, n sits in every chain's top, and a link
@@ -223,8 +220,10 @@ def verify_scd(d: BooleanDecomposition) -> VerificationReport:
 
     Every test is arithmetic on the chains' masks (bit i-1 for element i),
     coverage is one byte per subset, and a set is spelled out only in the
-    witness of a failure."""
+    witness of a failure.  Coverage and the missing witnesses grow as 2^n
+    however few chains there are, so n past ``ceiling`` is refused first."""
     n = d.n
+    _check_ceiling(n, ceiling, f"2^{n} subsets")
     failures: list[tuple[str, str]] = []
     covered = bytearray(1 << n)
     for chain in d.chains:

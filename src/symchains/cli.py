@@ -184,12 +184,13 @@ def _cmd_decompose_partition(args: argparse.Namespace) -> int:
 
 def _cmd_verify_boolean(args: argparse.Namespace) -> int:
     d = _BOOLEAN_METHODS[args.method](args.n, ceiling=args.ceiling)
-    return _report_out(args, verify_scd(d), {"n": args.n, "method": args.method})
+    rep = verify_scd(d, ceiling=args.ceiling)
+    return _report_out(args, rep, {"n": args.n, "method": args.method})
 
 
 def _cmd_verify_partition(args: argparse.Namespace) -> int:
     fam = build_partition_chains(args.n, ceiling=args.ceiling)
-    rep = verify_partition_chains(fam)
+    rep = verify_partition_chains(fam, ceiling=args.ceiling)
     return _report_out(args, rep, {"n": args.n, "excluded": len(fam.excluded)})
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .subsets import Subset, check_ground_size
+from .subsets import Subset, _unchecked, check_ground_size
 
 
 def is_valid_code(entries: Sequence[int]) -> bool:
@@ -54,14 +54,8 @@ class Code:
         return "".join(str(e) for e in self.entries)
 
 
-def _trusted(n: int, entries: tuple[int, ...]) -> Code:
-    """A Code around entries a package kernel built valid, without the
-    checks of the public constructor.  Input from callers and payloads goes
-    through ``Code(...)`` and keeps every check."""
-    c = object.__new__(Code)
-    object.__setattr__(c, "n", n)
-    object.__setattr__(c, "entries", entries)
-    return c
+# A Code around entries a kernel built valid.
+_trusted = _unchecked(Code)
 
 
 def encode(s: Subset) -> Code:

@@ -20,7 +20,7 @@ from .boolean import _literal as _literal_mask, gk_decomposition
 from .coding import _link_added, code_from_nonzeros, encode
 from .identities import stirling_table
 from .reports import VerificationReport, report
-from .subsets import Subset, _check_ceiling, _json_int
+from .subsets import Subset, _check_ceiling, _json_int, _unchecked
 
 # Set by memory: building and verifying the family for m = 12 (4.2 million
 # partitions) peaks at about 970 MB RSS, about 240 bytes per partition, so the
@@ -107,14 +107,8 @@ class SetPartition:
         return self.m - len(self.blocks)
 
 
-def _trusted(m: int, blocks: Blocks) -> SetPartition:
-    """A SetPartition around blocks a package kernel built canonical, without
-    the checks of the public constructor.  Input from callers and payloads
-    goes through ``SetPartition(...)`` and keeps every check."""
-    p = object.__new__(SetPartition)
-    object.__setattr__(p, "m", m)
-    object.__setattr__(p, "blocks", blocks)
-    return p
+# A SetPartition around blocks a kernel built canonical.
+_trusted = _unchecked(SetPartition)
 
 
 def _literal(blocks: Blocks) -> str:
@@ -389,14 +383,18 @@ def _is_singleton_merge(lo: Blocks, hi: Blocks) -> bool:
     return hi[j + 1:] == rest[:k] + rest[k + 1:]
 
 
-def verify_partition_chains(fam: PartitionChainFamily) -> VerificationReport:
+def verify_partition_chains(fam: PartitionChainFamily,
+                            ceiling: int = DEFAULT_PARTITION_CEILING) -> VerificationReport:
     """Check the family against everything claimed of it: disjointness,
     singleton-merge saturation, rank symmetry about n = m-1, the two
     coverage bounds (every partition with more than floor((n+1)/2) blocks,
     and every partition of rank at most floor((n-1)/2), sits in a chain),
     the full audit trail (chains plus excluded is the whole lattice), and
-    the chain count matching the middle level size S(n+1, n+1-floor(n/2))."""
+    the chain count matching the middle level size S(n+1, n+1-floor(n/2)).
+    The audit walks all Bell(m) partitions however small the family is, so
+    m past ``ceiling`` is refused first."""
     m = fam.m
+    _check_ceiling(m, ceiling, f"Bell({m}) partitions")
     n = m - 1
     failures: list[tuple[str, str]] = []
     # Every partition the family names: True in a chain, False excluded.

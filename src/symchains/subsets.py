@@ -8,9 +8,9 @@ rest of the package.  Positions are 1-based throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 LEFT = "("
 RIGHT = ")"
@@ -49,6 +49,23 @@ def _json_int(value: object) -> int:
     return value
 
 
+def _unchecked(cls: type) -> Callable[[Any, Any], Any]:
+    """A constructor for ``cls``, a frozen, slotted dataclass of two fields,
+    that sets them through their slot descriptors and runs no checks.  Only
+    kernels call it, on values they built valid; input from callers and
+    payloads goes through the public constructor and keeps every check."""
+    first, second = (getattr(cls, f.name).__set__ for f in fields(cls))
+    new = object.__new__
+
+    def make(a: Any, b: Any) -> Any:
+        obj = new(cls)
+        first(obj, a)
+        second(obj, b)
+        return obj
+
+    return make
+
+
 def check_ground_size(n: int) -> None:
     if not 0 <= n <= MAX_GROUND_SIZE:
         raise ValueError(f"ground size must be in 0..{MAX_GROUND_SIZE}, got {n}")
@@ -81,7 +98,7 @@ class Subset:
     def from_mask(cls, n: int, mask: int) -> "Subset":
         if not 0 <= mask < (1 << n):
             raise ValueError(f"mask {mask} out of range for ground size {n}")
-        return cls(n, tuple(i for i in range(1, n + 1) if mask >> (i - 1) & 1))
+        return cls(n, _members(mask))
 
     @classmethod
     def from_literal(cls, n: int, text: str) -> "Subset":
@@ -98,7 +115,7 @@ class Subset:
         return cls(n, tuple(sorted(values)))
 
     def literal(self) -> str:
-        return ",".join(str(e) for e in self.elements) if self.elements else "-"
+        return _set_literal(self.elements)
 
     def mask(self) -> int:
         out = 0
@@ -179,14 +196,14 @@ def all_subsets(n: int, ceiling: int = DEFAULT_ENUM_CEILING) -> Iterator[Subset]
     return _iter_subsets(n)
 
 
-def _trusted(n: int, elements: tuple[int, ...]) -> Subset:
-    """A Subset around members a package kernel built ascending and inside
-    1..n, without the checks of the public constructor.  Input from callers
-    and payloads goes through ``Subset(...)`` and keeps every check."""
-    s = object.__new__(Subset)
-    object.__setattr__(s, "n", n)
-    object.__setattr__(s, "elements", elements)
-    return s
+# A Subset around members a kernel built ascending and inside 1..n.
+_trusted = _unchecked(Subset)
+
+
+def _set_literal(elements: tuple[int, ...]) -> str:
+    """The set literal of these members, as ``from_literal`` reads it:
+    comma-separated, ``-`` for the empty set."""
+    return ",".join(map(str, elements)) or "-"
 
 
 def _member_table(first: int, last: int) -> list[tuple[int, ...]]:

@@ -6,8 +6,10 @@ against each other, which is the point of keeping all three.
 """
 
 import hashlib
+import inspect
 import json
 import math
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,9 @@ from hypothesis import given, settings, strategies as st
 from symchains import (
     BooleanChain,
     BooleanDecomposition,
+    DEFAULT_ENUM_CEILING,
     CeilingExceeded,
+    Code,
     GridElement,
     SetPartition,
     Subset,
@@ -33,7 +37,7 @@ from symchains import (
     product_scd,
     verify_scd,
 )
-from symchains import boolean
+from symchains import boolean, coding, partitions, subsets
 from symchains.reports import report
 
 
@@ -316,6 +320,28 @@ def mutate(chains, ops, data):
     return chains
 
 
+class TestVerifierCeiling:
+    # Explicit small ceilings only: past the default, coverage alone would
+    # be a 2^n bytearray.
+    def test_default_is_the_enumeration_ceiling(self):
+        assert inspect.signature(verify_scd).parameters["ceiling"].default == DEFAULT_ENUM_CEILING
+
+    def test_refuses_past_the_ceiling_before_allocating(self, monkeypatch):
+        def no_bytearray(size):
+            raise AssertionError(f"allocated {size} bytes")
+
+        monkeypatch.setattr(boolean, "bytearray", no_bytearray, raising=False)
+        with pytest.raises(CeilingExceeded):
+            verify_scd(gk_decomposition(9), ceiling=8)
+        # Chains are not needed for the refusal: an empty payload of n = 9
+        # would otherwise list 512 missing subsets.
+        with pytest.raises(CeilingExceeded):
+            verify_scd(BooleanDecomposition(9, ()), ceiling=8)
+
+    def test_admits_the_ceiling(self):
+        assert verify_scd(gk_decomposition(8), ceiling=8).ok
+
+
 class TestVerifierOracle:
     def test_agrees_on_the_three_constructions(self):
         for n in range(9):
@@ -349,6 +375,22 @@ class TestSlots:
         for obj in (s, match_parens("(()"), BooleanChain(3, (s,)), encode(s),
                     SetPartition.of(3, [[1, 3], [2]])):
             assert not hasattr(obj, "__dict__")
+        # The kernels' constructors, all made by subsets._unchecked, build
+        # the same values as the public ones: equal, equally hashed, slotted
+        # and frozen.
+        code = encode(s).entries
+        for kernel, public in (
+            (subsets._trusted(3, (1, 3)), s),
+            (coding._trusted(3, code), Code(3, code)),
+            (partitions._trusted(3, ((1, 3), (2,))), SetPartition(3, ((1, 3), (2,)))),
+            (boolean._chain(3, (0b101, 0b111)), BooleanChain(3, (s, Subset.of(3, [1, 2, 3])))),
+        ):
+            assert type(kernel) is type(public)
+            assert kernel == public and hash(kernel) == hash(public)
+            assert not hasattr(kernel, "__dict__")
+            for name in kernel.__slots__:
+                with pytest.raises(FrozenInstanceError):
+                    setattr(kernel, name, getattr(public, name))
 
 
 # SHA-256 of json.dumps(decomposition_to_json(gk_decomposition(n))) for

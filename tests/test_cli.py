@@ -22,6 +22,7 @@ from symchains import (
     family_to_json,
     gk_decomposition,
 )
+from symchains import cli
 from symchains.cli import _json_chunks, _report_out, build_parser, run
 from symchains.identities import DEFAULT_STIRLING_CEILING
 from symchains.reports import report
@@ -366,6 +367,22 @@ class TestExitCodes:
     def test_ceiling_flag_moves_the_limit(self, capsys):
         assert run(["decompose-boolean", "10", "--ceiling", "9", "--quiet"]) == 2
         assert run(["decompose-boolean", "10", "--ceiling", "10", "--quiet"]) == 0
+
+    @pytest.mark.parametrize("argv, verifier", [
+        (["verify-boolean", "4", "--ceiling", "7"], "verify_scd"),
+        (["verify-partition", "4", "--ceiling", "7"], "verify_partition_chains"),
+    ])
+    def test_verifiers_get_the_ceiling_flag(self, capsys, monkeypatch, argv, verifier):
+        seen = []
+        real = getattr(cli, verifier)
+
+        def spy(family, ceiling):
+            seen.append(ceiling)
+            return real(family, ceiling=ceiling)
+
+        monkeypatch.setattr(cli, verifier, spy)
+        assert run(argv + ["--quiet"]) == 0
+        assert seen == [7]
 
     def test_partition_ceiling_default(self, capsys):
         # Checked before the run: admitting m = 13 would build 27.6 million partitions.

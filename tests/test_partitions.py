@@ -6,6 +6,7 @@ and chain machinery is checked against it.
 """
 
 import hashlib
+import inspect
 import itertools
 import json
 from functools import lru_cache
@@ -398,6 +399,18 @@ class TestEnumeration:
             enumerate_all_partitions(13)
         # An explicit ceiling still admits m = 13; the enumeration is lazy.
         enumerate_all_partitions(13, ceiling=13)
+
+    def test_verifier_ceiling(self):
+        # Explicit small ceilings only: past the default, the audit would
+        # walk Bell(m) partitions.
+        assert (inspect.signature(verify_partition_chains).parameters["ceiling"].default
+                == DEFAULT_PARTITION_CEILING)
+        fam = build_partition_chains(5)
+        with pytest.raises(CeilingExceeded):
+            verify_partition_chains(fam, ceiling=5)
+        with pytest.raises(CeilingExceeded):
+            verify_partition_chains(PartitionChainFamily(9, (), ()), ceiling=8)
+        assert verify_partition_chains(fam, ceiling=6).ok
 
     def test_negative_ground_size(self):
         for m in (-1, -5):
