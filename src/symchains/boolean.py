@@ -3,8 +3,8 @@
 Three constructions are provided: bracket matching (each chain grows from
 its bottom, a subset whose parenthesis word has every right matched), the
 append/lift recursion on n, and iterated products of two-element chains
-decomposed into hooks.  All three produce the same set of chains; tests
-establish that rather than assume it.
+decomposed into hooks.  All three produce the same chains in the same
+order; tests establish that rather than assume it.
 """
 
 from __future__ import annotations
@@ -12,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .reports import VerificationReport, report
 from .subsets import (
     DEFAULT_ENUM_CEILING,
+    MAX_GROUND_SIZE,
     Subset,
     _check_ceiling,
     _json_int,
@@ -93,8 +94,7 @@ class BooleanDecomposition:
 
 def chain_key(s: Subset) -> Subset:
     """The bottom of the chain through ``s``: its matched right positions."""
-    ms = match_parens(word_of(s))
-    return Subset(s.n, tuple(sorted(close for _, close in ms.matched_pairs)))
+    return chain_of(s).bottom
 
 
 def chain_of(s: Subset) -> BooleanChain:
@@ -136,6 +136,20 @@ def gk_decomposition(n: int, ceiling: int = DEFAULT_ENUM_CEILING) -> BooleanDeco
                                           for m, stack in zip(masks, stacks)]))
 
 
+def _grow(n: int, ceiling: int, extend: Callable, lift: Callable) -> BooleanDecomposition:
+    """Chains grown from [0] one element at a time: each ``extend(chain, bit)``
+    keeps its bottom and precedes every ``lift(chain, bit)`` of a chain past
+    one set, whose bottom gains ``bit``, the highest so far, so bottoms ascend."""
+    check_ground_size(n)
+    _check_ceiling(n, ceiling, f"2^{n} subsets")
+    chains: list[list[int]] = [[0]]
+    for bit in (1 << k for k in range(n)):
+        step = [extend(chain, bit) for chain in chains]
+        step += (lift(chain, bit) for chain in chains if len(chain) > 1)
+        chains = step
+    return BooleanDecomposition(n, tuple([_chain(n, tuple(chain)) for chain in chains]))
+
+
 def debruijn_decomposition(n: int, ceiling: int = DEFAULT_ENUM_CEILING) -> BooleanDecomposition:
     """Decomposition by recursion on the ground size.
 
@@ -144,18 +158,8 @@ def debruijn_decomposition(n: int, ceiling: int = DEFAULT_ENUM_CEILING) -> Boole
     adding m+1 to every set with its top dropped (dropping keeps the lifted
     chain disjoint from the extended one; a one-set chain yields nothing).
     """
-    check_ground_size(n)
-    _check_ceiling(n, ceiling, f"2^{n} subsets")
-    chains: list[list[int]] = [[0]]
-    for k in range(n):
-        bit = 1 << k
-        step: list[list[int]] = []
-        for chain in chains:
-            step.append(chain + [chain[-1] | bit])
-            if len(chain) > 1:
-                step.append([x | bit for x in chain[:-1]])
-        chains = step
-    return BooleanDecomposition.of(n, [_chain(n, tuple(chain)) for chain in chains])
+    return _grow(n, ceiling, lambda chain, bit: chain + [chain[-1] | bit],
+                 lambda chain, bit: [x | bit for x in chain[:-1]])
 
 
 class GridElement(NamedTuple):
@@ -197,19 +201,14 @@ def iterated_product_scd(n: int, ceiling: int = DEFAULT_ENUM_CEILING) -> Boolean
     time.  Row r picks the r-th set of the old chain, column 2 adds the new
     element.  The hooks of each chain length are computed once per call.
     """
-    check_ground_size(n)
-    _check_ceiling(n, ceiling, f"2^{n} subsets")
-    # A chain over {1..k} has at most k+1 sets, and k runs up to n-1.
-    hooks = [_two_hooks(size) for size in range(1, n + 1)]
-    chains: list[list[int]] = [[0]]
-    for k in range(n):
-        bit = 1 << k
-        step: list[list[int]] = []
-        for chain in chains:
-            for hook in hooks[len(chain) - 1]:
-                step.append([chain[row] | bit if add else chain[row] for row, add in hook])
-        chains = step
-    return BooleanDecomposition.of(n, [_chain(n, tuple(chain)) for chain in chains])
+    # Chains have at most n sets; _grow refuses n past MAX_GROUND_SIZE.
+    hooks = [_two_hooks(size) for size in range(1, min(n, MAX_GROUND_SIZE) + 1)]
+
+    def hook(j: int) -> Callable:
+        return lambda chain, bit: [chain[row] | bit if add else chain[row]
+                                   for row, add in hooks[len(chain) - 1][j]]
+
+    return _grow(n, ceiling, hook(0), hook(1))
 
 
 def verify_scd(d: BooleanDecomposition, ceiling: int = DEFAULT_ENUM_CEILING) -> VerificationReport:

@@ -101,10 +101,10 @@ def _weighted_code_sum(n: int, ceiling: int, weight: Callable[[int], Fraction | 
 def bell_via_codes(n: int, ceiling: int = DEFAULT_CODE_SUM_CEILING) -> int:
     """Bell number as the code sum over subsets of {1..n-1}: each subset
     contributes the product of C(i-1, e_i - 1) over the nonzero code
-    entries, which counts the partitions in its class."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return _weighted_code_sum(n, ceiling, lambda e: 1).numerator
+    entries, which counts the partitions in its class.  B(0) is 1."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return _weighted_code_sum(n, ceiling, lambda e: 1).numerator if n else 1
 
 
 def check_stirling_monotone(n: int,

@@ -122,9 +122,12 @@ def test_criterion_03_method_agreement():
     with criterion("3 construction methods agree, n <= 12", 30.0):
         for n in range(13):
             key = lambda d: {tuple(s.elements for s in c.sets) for c in d.chains}
-            built = key(gk_decomposition(n))
-            assert key(debruijn_decomposition(n)) == built
-            assert key(iterated_product_scd(n)) == built
+            gk = gk_decomposition(n)
+            built = key(gk)
+            for method in (debruijn_decomposition, iterated_product_scd):
+                d = method(n)
+                assert key(d) == built
+                assert d == gk  # chain order included
 
 
 def test_criterion_04_boolean_verifier():

@@ -36,6 +36,7 @@ from symchains import (
     match_parens,
     product_scd,
     verify_scd,
+    word_of,
 )
 from symchains import boolean, coding, partitions, subsets
 from symchains.reports import report
@@ -126,6 +127,13 @@ class TestChainOf:
         keys = {chain_key(s) for s in chain.sets}
         assert keys == {Subset.of(10, [3, 8, 9])}
 
+    def test_chain_key_is_the_matched_rights(self):
+        # chain_key reads chain_of's bottom; this is the direct spelling.
+        for n in range(11):
+            for s in all_subsets(n):
+                closes = sorted(close for _, close in match_parens(word_of(s)).matched_pairs)
+                assert chain_key(s) == Subset(n, tuple(closes))
+
     def test_every_set_lies_on_its_chain(self):
         for n in range(11):
             d = gk_decomposition(n)
@@ -158,11 +166,18 @@ class TestConstructions:
         assert [lit(c) for c in debruijn_decomposition(1).chains] == [["-", "1"]]
 
     def test_methods_agree_small(self):
-        # full agreement as chain sets; acceptance pushes this to n <= 12
-        for n in range(10):
-            g = chains_as_sets(gk_decomposition(n))
-            assert chains_as_sets(debruijn_decomposition(n)) == g
-            assert chains_as_sets(iterated_product_scd(n)) == g
+        # As chain sets and as whole values, chain order included: the de
+        # Bruijn and product steps list the chains that keep their bottom
+        # before those that gain the new highest bit, gk's ascending order.
+        for n in range(13):
+            gk = gk_decomposition(n)
+            g = chains_as_sets(gk)
+            for method in METHODS:
+                d = method(n)
+                assert chains_as_sets(d) == g
+                assert d == gk, (method.__name__, n)
+                bottoms = [chain.masks[0] for chain in d.chains]
+                assert all(a < b for a, b in zip(bottoms, bottoms[1:])), (method.__name__, n)
 
     def test_chain_count_is_middle_binomial(self):
         for n in range(11):

@@ -184,6 +184,9 @@ class TestGoldenText:
         assert out_of(capsys) == "5"
         assert run(["bell", "10", "--method", "oracle"]) == 0
         assert out_of(capsys) == "115975"
+        for method in ("codes", "oracle"):
+            assert run(["bell", "0", "--method", method]) == 0
+            assert out_of(capsys) == "1"
 
     def test_stirling_row(self, capsys):
         assert run(["stirling", "5"]) == 0

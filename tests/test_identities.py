@@ -113,8 +113,10 @@ class TestBell:
         assert bell_via_codes(3) == 5
 
     def test_codes_identity_matches_oracle(self):
-        for n in range(1, 13):
+        for n in range(13):
             assert bell_via_codes(n) == bell_oracle(n)
+        with pytest.raises(ValueError, match="nonnegative"):
+            bell_via_codes(-1)
 
 
 class TestStirlingInequalities:
