@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
-from .reports import VerificationReport, report
+from .reports import _WITNESS_CAP, VerificationReport
 from .subsets import (
     DEFAULT_ENUM_CEILING,
     MAX_GROUND_SIZE,
@@ -86,16 +86,6 @@ class BooleanDecomposition:
             if chain.n != self.n:
                 raise ValueError("ground size mismatch between decomposition and chain")
 
-    @classmethod
-    def of(cls, n: int, chains: Iterable[BooleanChain]) -> "BooleanDecomposition":
-        ordered = sorted(chains, key=lambda c: c.masks[0])
-        return cls(n, tuple(ordered))
-
-
-def chain_key(s: Subset) -> Subset:
-    """The bottom of the chain through ``s``: its matched right positions."""
-    return chain_of(s).bottom
-
 
 def chain_of(s: Subset) -> BooleanChain:
     """The full chain through ``s``.
@@ -162,15 +152,9 @@ def debruijn_decomposition(n: int, ceiling: int = DEFAULT_ENUM_CEILING) -> Boole
                  lambda chain, bit: [x | bit for x in chain[:-1]])
 
 
-class GridElement(NamedTuple):
-    """A cell of the k x l grid poset, both coordinates 1-based."""
-
-    row: int
-    col: int
-
-
-def product_scd(k: int, l: int) -> tuple[tuple[GridElement, ...], ...]:
-    """Hook chains decomposing the product of a k-chain and an l-chain.
+def product_scd(k: int, l: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Hook chains decomposing the product of a k-chain and an l-chain, each
+    cell a (row, col) pair, both 1-based.
 
     Hook j runs down column j from row 1 to row k-j+1 and then right along
     that row to column l, for j = 1..min(k, l).  Hooks are disjoint, cover
@@ -180,8 +164,8 @@ def product_scd(k: int, l: int) -> tuple[tuple[GridElement, ...], ...]:
         raise ValueError("grid sides must be positive")
     chains = []
     for j in range(1, min(k, l) + 1):
-        vertical = [GridElement(r, j) for r in range(1, k - j + 2)]
-        horizontal = [GridElement(k - j + 1, c) for c in range(j + 1, l + 1)]
+        vertical = [(r, j) for r in range(1, k - j + 2)]
+        horizontal = [(k - j + 1, c) for c in range(j + 1, l + 1)]
         chains.append(tuple(vertical + horizontal))
     return tuple(chains)
 
@@ -219,8 +203,10 @@ def verify_scd(d: BooleanDecomposition, ceiling: int = DEFAULT_ENUM_CEILING) -> 
 
     Every test is arithmetic on the chains' masks (bit i-1 for element i),
     coverage is one byte per subset, and a set is spelled out only in the
-    witness of a failure.  Coverage and the missing witnesses grow as 2^n
-    however few chains there are, so n past ``ceiling`` is refused first."""
+    witness of a failure, and at most ``_WITNESS_CAP`` missing sets are
+    spelled out before one ``("missing", "<N> more")``.  Coverage grows as
+    2^n however few chains there are, so n past ``ceiling`` is refused
+    first."""
     n = d.n
     _check_ceiling(n, ceiling, f"2^{n} subsets")
     failures: list[tuple[str, str]] = []
@@ -251,11 +237,14 @@ def verify_scd(d: BooleanDecomposition, ceiling: int = DEFAULT_ENUM_CEILING) -> 
                 failures.append(("link_rule", f"link {_literal(lo)} -> add {i}"))
             prev_added = i
     seen = covered.count(1)
-    mask = covered.find(0)
-    while mask >= 0:
-        failures.append(("missing", _literal(mask)))
+    missing = len(covered) - seen
+    mask = -1
+    for _ in range(min(missing, _WITNESS_CAP)):
         mask = covered.find(0, mask + 1)
-    return report(seen, len(d.chains), failures)
+        failures.append(("missing", _literal(mask)))
+    if missing > _WITNESS_CAP:
+        failures.append(("missing", f"{missing - _WITNESS_CAP} more"))
+    return VerificationReport(seen, len(d.chains), tuple(failures))
 
 
 def decomposition_to_json(d: BooleanDecomposition) -> dict:
@@ -274,7 +263,7 @@ def _json_view(d: BooleanDecomposition) -> dict:
 def decomposition_from_json(obj: dict) -> BooleanDecomposition:
     try:
         n = _json_int(obj["n"])
-        # verify_scd lists every missing subset, however few are listed.
+        # verify_scd allocates 2^n bytes of coverage, however few sets are listed.
         _check_ceiling(n, DEFAULT_ENUM_CEILING, f"2^{n} subsets")
         chains = [BooleanChain(n, tuple(Subset(n, tuple(map(_json_int, els))) for els in chain))
                   for chain in obj["chains"]]

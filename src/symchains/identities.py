@@ -15,7 +15,7 @@ from operator import getitem
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .coding import encode
-from .reports import VerificationReport, report
+from .reports import VerificationReport
 from .subsets import _check_ceiling, all_subsets
 
 # 2^(n-1) terms per sum; past this the closed forms are refused by default.
@@ -122,7 +122,7 @@ def _monotone_report(table: StirlingTable, n: int) -> VerificationReport:
         lhs, rhs = table.value(n, k), table.value(n, k - 1)
         if lhs > rhs:
             failures.append(("monotone", f"S({n},{k})={lhs} > S({n},{k - 1})={rhs}"))
-    return report(checked, 1, failures)
+    return VerificationReport(checked, 1, tuple(failures))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .boolean import _literal as _literal_mask, gk_decomposition
 from .coding import _link_added, code_from_nonzeros, encode
 from .identities import stirling_table
-from .reports import VerificationReport, report
+from .reports import _WITNESS_CAP, VerificationReport
 from .subsets import Subset, _check_ceiling, _json_int, _unchecked
 
 # Set by memory: building and verifying the family for m = 12 (4.2 million
@@ -391,6 +391,10 @@ def verify_partition_chains(fam: PartitionChainFamily,
     and every partition of rank at most floor((n-1)/2), sits in a chain),
     the full audit trail (chains plus excluded is the whole lattice), and
     the chain count matching the middle level size S(n+1, n+1-floor(n/2)).
+    The block bound is rank at most floor(n/2), so the rank test follows
+    from it; for even n the block bound is the stronger.  The walk spells
+    out at most ``_WITNESS_CAP`` failures of each kind, ``missing`` and
+    ``coverage``, and counts the rest in one ``(kind, "<N> more")``.
     The audit walks all Bell(m) partitions however small the family is, so
     m past ``ceiling`` is refused first."""
     m = fam.m
@@ -416,25 +420,33 @@ def verify_partition_chains(fam: PartitionChainFamily,
             failures.append(("overlap", f"excluded {p.literal()}"))
     if len(status) != members + len(fam.excluded):
         failures.append(("overlap", "excluded list repeats a partition"))
-    total = missing = 0
+    total = missing = uncovered = 0
     for p in _iter_partitions(m):
         total += 1
         covered = status.get(p)
         if covered is None:
             missing += 1
-            failures.append(("missing", _literal(p)))
+            if missing <= _WITNESS_CAP:
+                failures.append(("missing", _literal(p)))
         if not covered:
             b = len(p)
             if b > (n + 1) // 2:
-                failures.append(("coverage", f"{_literal(p)} has {b} blocks"))
+                uncovered += 1
+                if uncovered <= _WITNESS_CAP:
+                    failures.append(("coverage", f"{_literal(p)} has {b} blocks"))
             if m - b <= (n - 1) // 2:
-                failures.append(("coverage", f"{_literal(p)} has rank {m - b}"))
+                uncovered += 1
+                if uncovered <= _WITNESS_CAP:
+                    failures.append(("coverage", f"{_literal(p)} has rank {m - b}"))
+    for kind, count in (("missing", missing), ("coverage", uncovered)):
+        if count > _WITNESS_CAP:
+            failures.append((kind, f"{count - _WITNESS_CAP} more"))
     if len(status) != total - missing:
         failures.append(("missing", "family mentions partitions outside the lattice"))
     expected = stirling_table(m).value(m, m - n // 2)
     if len(fam.chains) != expected:
         failures.append(("chain_count", f"{len(fam.chains)} chains, middle level has {expected}"))
-    return report(members, len(fam.chains), failures)
+    return VerificationReport(members, len(fam.chains), tuple(failures))
 
 
 def family_to_json(fam: PartitionChainFamily) -> dict:

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+
+# A per-element scan spells out at most this many failures of a kind and
+# then one ``(kind, "<N> more")``, so an empty payload cannot make a report
+# as large as the lattice.
+_WITNESS_CAP = 1000
 
 
 @dataclass(frozen=True)
@@ -31,8 +35,3 @@ class VerificationReport:
             "chain_count": self.chain_count,
             "failures": [list(item) for item in self.failures],
         }
-
-
-def report(element_count: int, chain_count: int,
-           failures: Iterable[tuple[str, str]]) -> VerificationReport:
-    return VerificationReport(element_count, chain_count, tuple(failures))

@@ -20,11 +20,9 @@ from symchains import (
     DEFAULT_ENUM_CEILING,
     CeilingExceeded,
     Code,
-    GridElement,
     SetPartition,
     Subset,
     all_subsets,
-    chain_key,
     chain_of,
     debruijn_decomposition,
     decomposition_from_json,
@@ -39,20 +37,21 @@ from symchains import (
     word_of,
 )
 from symchains import boolean, coding, partitions, subsets
-from symchains.reports import report
+from symchains.reports import VerificationReport
 
 
 def reference_gk(n):
     """The decomposition by grouping: every subset of {1..n} goes to the
-    chain named by its chain key, and each group sorted by size is a chain."""
+    chain named by its bottom, each group sorted by size is a chain, and
+    the chains are sorted by bottom."""
     groups = {}
     for s in all_subsets(n):
-        groups.setdefault(chain_key(s).elements, []).append(s)
+        groups.setdefault(chain_of(s).bottom.mask(), []).append(s)
     chains = []
-    for members in groups.values():
-        members.sort(key=len)
+    for bottom in sorted(groups):
+        members = sorted(groups[bottom], key=len)
         chains.append(BooleanChain(n, tuple(members)))
-    return BooleanDecomposition.of(n, chains)
+    return BooleanDecomposition(n, tuple(chains))
 
 
 def reference_verify_scd(d):
@@ -91,7 +90,7 @@ def reference_verify_scd(d):
         for mask in range(1 << n):
             if mask not in seen:
                 failures.append(("missing", Subset.from_mask(n, mask).literal()))
-    return report(len(seen), len(d.chains), failures)
+    return VerificationReport(len(seen), len(d.chains), tuple(failures))
 
 
 METHODS = (gk_decomposition, debruijn_decomposition, iterated_product_scd)
@@ -122,17 +121,17 @@ class TestChainOf:
         assert sizes == list(range(sizes[0], sizes[-1] + 1))
         assert sizes[0] + sizes[-1] == 10
 
-    def test_chain_key_is_shared_along_chain(self):
+    def test_bottom_is_shared_along_chain(self):
         chain = chain_of(Subset.of(10, [1, 3, 4, 8, 9]))
-        keys = {chain_key(s) for s in chain.sets}
-        assert keys == {Subset.of(10, [3, 8, 9])}
+        bottoms = {chain_of(s).bottom for s in chain.sets}
+        assert bottoms == {Subset.of(10, [3, 8, 9])}
 
-    def test_chain_key_is_the_matched_rights(self):
-        # chain_key reads chain_of's bottom; this is the direct spelling.
+    def test_bottom_is_the_matched_rights(self):
+        # chain_of builds the bottom from masks; this is the direct spelling.
         for n in range(11):
             for s in all_subsets(n):
                 closes = sorted(close for _, close in match_parens(word_of(s)).matched_pairs)
-                assert chain_key(s) == Subset(n, tuple(closes))
+                assert chain_of(s).bottom == Subset(n, tuple(closes))
 
     def test_every_set_lies_on_its_chain(self):
         for n in range(11):
@@ -216,14 +215,14 @@ class TestConstructions:
 class TestProductGrid:
     def test_hooks_3x2(self):
         assert product_scd(3, 2) == (
-            (GridElement(1, 1), GridElement(2, 1), GridElement(3, 1), GridElement(3, 2)),
-            (GridElement(1, 2), GridElement(2, 2)),
+            ((1, 1), (2, 1), (3, 1), (3, 2)),
+            ((1, 2), (2, 2)),
         )
 
     def test_hooks_2x2(self):
         assert product_scd(2, 2) == (
-            (GridElement(1, 1), GridElement(2, 1), GridElement(2, 2)),
-            (GridElement(1, 2),),
+            ((1, 1), (2, 1), (2, 2)),
+            ((1, 2),),
         )
 
     def test_hooks_cover_grid_symmetrically(self):
@@ -231,9 +230,7 @@ class TestProductGrid:
             for l in range(1, 7):
                 chains = product_scd(k, l)
                 cells = [cell for chain in chains for cell in chain]
-                assert sorted(cells) == sorted(
-                    GridElement(r, c) for r in range(1, k + 1) for c in range(1, l + 1)
-                )
+                assert sorted(cells) == [(r, c) for r in range(1, k + 1) for c in range(1, l + 1)]
                 for chain in chains:
                     ranks = [r + c for r, c in chain]
                     assert ranks == list(range(ranks[0], ranks[-1] + 1))
@@ -245,7 +242,7 @@ class TestProductGrid:
 
     def test_mask_hooks_equal_product_scd(self):
         for k in range(1, 12):
-            hooks = [tuple(GridElement(row + 1, 2 if add else 1) for row, add in hook)
+            hooks = [tuple((row + 1, 2 if add else 1) for row, add in hook)
                      for hook in boolean._two_hooks(k)]
             assert tuple(hooks) == product_scd(k, 2)
 
@@ -311,6 +308,32 @@ class TestVerifier:
         rep = verify_scd(BooleanDecomposition(2, chains))
         assert not rep.ok
         assert "link_rule" in {kind for kind, _ in rep.failures}
+
+
+class TestVerifierWitnessCap:
+    def test_empty_payload_lists_1000_missing_sets(self):
+        rep = verify_scd(decomposition_from_json({"n": 12, "chains": []}))
+        assert not rep.ok and (rep.element_count, rep.chain_count) == (0, 0)
+        assert rep.failures == tuple(
+            ("missing", Subset.from_mask(12, m).literal()) for m in range(1000)
+        ) + (("missing", "3096 more"),)
+
+    def test_empty_payload_at_n22_stays_small(self):
+        rep = verify_scd(BooleanDecomposition(22, ()))
+        assert len(rep.failures) == 1001
+        assert rep.failures[-1] == ("missing", "4193304 more")
+
+    def test_cap_boundary(self):
+        # One-set chains at the top of the lattice: 1000 missing sets are
+        # all listed as the reference lists them; a 1001st ends in a count.
+        for listed in (24, 23):
+            chains = tuple(BooleanChain(10, (Subset.from_mask(10, m),))
+                           for m in range(1024 - listed, 1024))
+            d = BooleanDecomposition(10, chains)
+            expected = reference_verify_scd(d).failures
+            if listed == 23:
+                expected = expected[:-1] + (("missing", "1 more"),)
+            assert verify_scd(d).failures == expected
 
 
 def mutate(chains, ops, data):

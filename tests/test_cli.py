@@ -25,7 +25,7 @@ from symchains import (
 from symchains import cli
 from symchains.cli import _json_chunks, _report_out, build_parser, run
 from symchains.identities import DEFAULT_STIRLING_CEILING
-from symchains.reports import report
+from symchains.reports import VerificationReport
 
 
 def out_of(capsys):
@@ -203,8 +203,8 @@ class TestGoldenText:
         # The triangle satisfies both checked inequalities, so faked audits
         # drive the failure lines and the exit code.
         from symchains import identities
-        monkeypatch.setattr(identities, "_monotone_report", lambda table, n: report(
-            1, 1, [("monotone", f"row {n}")] if n == 2 else []))
+        monkeypatch.setattr(identities, "_monotone_report", lambda table, n: VerificationReport(
+            1, 1, (("monotone", f"row {n}"),) if n == 2 else ()))
         monkeypatch.setattr(identities, "_symmetry_audit", lambda table, n: identities.SymmetryAudit(
             n, True, (), n != 2, ((1, 3, 7),) if n == 2 else ()))
         assert run(["stirling-check", "2"]) == 1
@@ -258,7 +258,7 @@ class TestVerifyCommands:
 
     def test_failing_report_exits_one(self, capsys):
         args = argparse.Namespace(format="text", quiet=False)
-        rep = report(3, 1, [("missing", "2")])
+        rep = VerificationReport(3, 1, (("missing", "2"),))
         assert _report_out(args, rep, {"n": 2}) == 1
         text = out_of(capsys)
         assert "ok: no" in text

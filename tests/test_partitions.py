@@ -629,6 +629,60 @@ class TestChainFamily:
         kinds = {kind for kind, _ in rep.failures}
         assert "chain_count" in kinds
 
+    def test_block_bound_is_rank_at_most_half(self):
+        # More than (n+1)//2 blocks is rank at most n//2.  For even n that
+        # admits the S(n+1, n/2+1) partitions of rank n/2 beyond rank at
+        # most (n-1)//2 (1, 3, 25, 350, 6951 for n = 0, 2, 4, 6, 8), and
+        # the family covers them all.
+        extra = {0: 1, 2: 3, 4: 25, 6: 350, 8: 6951}
+        for n in range(9):
+            m = n + 1
+            covered = {p for chain in family(n).chains for p in chain}
+            every = list(enumerate_all_partitions(m))
+            by_blocks = {p for p in every if p.block_count > (n + 1) // 2}
+            assert by_blocks == {p for p in every if p.rank <= n // 2}
+            by_rank = {p for p in by_blocks if p.rank <= (n - 1) // 2}
+            assert len(by_blocks - by_rank) == extra.get(n, 0), n
+            assert by_blocks <= covered, n
+
+
+class TestVerifierWitnessCap:
+    def test_empty_family_lists_1000_of_each_kind(self):
+        rep = verify_partition_chains(family_from_json({"m": 8, "chains": [], "excluded": []}))
+        assert not rep.ok and (rep.element_count, rep.chain_count) == (0, 0)
+        by_kind = {}
+        for kind, witness in rep.failures:
+            by_kind.setdefault(kind, []).append(witness)
+        walk = list(enumerate_all_partitions(8))
+        assert len(walk) == 4140
+        assert by_kind["missing"] == [p.literal() for p in walk[:1000]] + ["3140 more"]
+        # n = 7 is odd, so a partition with five or more blocks fails both
+        # coverage tests: 2 * (1050 + 266 + 28 + 1) = 2690 failures.
+        assert len(by_kind["coverage"]) == 1001
+        assert by_kind["coverage"][-1] == "1690 more"
+        assert by_kind["coverage"][:2] == ["1,2,3,4/5/6/7/8 has 5 blocks",
+                                           "1,2,3,4/5/6/7/8 has rank 3"]
+        assert by_kind["chain_count"] == ["0 chains, middle level has 1050"]
+        assert set(by_kind) == {"missing", "coverage", "chain_count"}
+
+    def test_one_partition_short_names_it(self):
+        fam = family(7)
+        short = PartitionChainFamily(8, fam.chains, fam.excluded[1:])
+        rep = verify_partition_chains(short)
+        assert rep.failures == (("missing", fam.excluded[0].literal()),)
+
+    def test_cap_boundary(self):
+        # Excluded partitions have few blocks, so dropping them adds only
+        # missing failures: 1000 are all listed, 1001 end in a count.
+        fam = family(7)
+        for dropped, tail in ((1000, ()), (1001, (("missing", "1 more"),))):
+            rep = verify_partition_chains(
+                PartitionChainFamily(8, fam.chains, fam.excluded[dropped:]))
+            listed, rest = rep.failures[:1000], rep.failures[1000:]
+            assert {kind for kind, _ in listed} == {"missing"}
+            assert {w for _, w in listed} <= {p.literal() for p in fam.excluded[:dropped]}
+            assert rest == tail
+
 
 class TestAgainstReference:
     def test_built_family_equals_object_walk(self):
