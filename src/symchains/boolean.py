@@ -260,11 +260,11 @@ def _json_view(d: BooleanDecomposition) -> dict:
             "chains": ([list(_members(m)) for m in chain.masks] for chain in d.chains)}
 
 
-def decomposition_from_json(obj: dict) -> BooleanDecomposition:
+def decomposition_from_json(obj: dict, ceiling: int = DEFAULT_ENUM_CEILING) -> BooleanDecomposition:
     try:
         n = _json_int(obj["n"])
         # verify_scd allocates 2^n bytes of coverage, however few sets are listed.
-        _check_ceiling(n, DEFAULT_ENUM_CEILING, f"2^{n} subsets")
+        _check_ceiling(n, ceiling, f"2^{n} subsets")
         chains = [BooleanChain(n, tuple(Subset(n, tuple(map(_json_int, els))) for els in chain))
                   for chain in obj["chains"]]
     except (KeyError, TypeError) as exc:

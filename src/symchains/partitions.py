@@ -11,10 +11,12 @@ every partition with many blocks.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from math import comb
+from operator import mul
+from typing import Optional
 
 from .boolean import _literal as _literal_mask, gk_decomposition
 from .coding import _link_added, code_from_nonzeros, encode
@@ -22,11 +24,13 @@ from .identities import stirling_table
 from .reports import _WITNESS_CAP, VerificationReport
 from .subsets import Subset, _check_ceiling, _json_int, _unchecked
 
-# Set by memory: building and verifying the family for m = 12 (4.2 million
-# partitions) peaks at about 970 MB RSS, about 240 bytes per partition, so the
-# 27.6 million of m = 13 would need about 6.2 GB, too close to what an 8 GB
-# machine has to admit by default.  Past m = 12 needs an explicit ceiling
-# override.
+# Set by memory.  The family holds only its chain starts and the verifier a
+# byte per partition: for m = 13 (27.6 million partitions) building peaks at
+# 426 MB RSS and building plus verifying at 471 MB, inside the 1.2 GB that
+# set the subset ceiling.  The writers are not: reading ``fam.excluded``
+# sorts about 17 million keys at m = 13, some 1.1 GB more, and the dot writer
+# indexes every partition (300 MB at m = 11, growing with the lattice).  So
+# past m = 12 needs an explicit ceiling override.
 DEFAULT_PARTITION_CEILING = 12
 
 # A partition's canonical blocks, as SetPartition.blocks holds them; the
@@ -226,6 +230,16 @@ def _type_of_code(entries: Sequence[int]) -> tuple[int, ...]:
     return tuple(e for e in reversed(entries) if e)
 
 
+def _class_size(sizes: Sequence[int]) -> int:
+    """The number of partitions of this type: each block holds the least
+    element left and sizes[j] - 1 of the others."""
+    count, left = 1, sum(sizes)
+    for size in sizes:
+        count *= comb(left - 1, size - 1)
+        left -= size
+    return count
+
+
 def _merge_index(entries: Sequence[int], i: int) -> int:
     """Index j of the block the link adding ``i`` merges or splits.
 
@@ -250,6 +264,20 @@ def _is_image(blocks: Blocks, j: int) -> bool:
     splitting block j into its minimum and the rest stays canonical, so j
     is the last block or the rest's minimum is below block j+1's."""
     return not (j + 1 < len(blocks) and blocks[j][1] > blocks[j + 1][0])
+
+
+def _births(m: int, sizes: tuple[int, ...], j: int, canon: dict[Block, Block]) -> list[Blocks]:
+    """The members of the class of this type that start chains: all of them
+    at the bottom of a subset chain (``j`` < 0), otherwise those that are
+    no image (``_is_image``) across the arriving link, whose merge index is
+    ``j``.  When block j is the last, every member is an image, and the
+    class is not walked."""
+    if j + 1 == len(sizes):
+        return []
+    members = _partitions(m, sizes, canon)
+    if j < 0:
+        return members
+    return [p for p in members if not _is_image(p, j)]
 
 
 def inject(p: SetPartition, i: int) -> SetPartition:
@@ -284,80 +312,246 @@ def inject_inverse(q: SetPartition, i: int) -> Optional[SetPartition]:
     return _trusted(q.m, blocks[:j] + ((merged[0],), merged[1:]) + blocks[j + 1:])
 
 
+class _TupleView(Sequence):
+    """A read-only sequence that compares, hashes, concatenates and prints
+    as the tuple of its items, so the views of a built family stand in for
+    the tuples a hand-built one holds."""
+
+    __slots__ = ()
+
+    def __getitem__(self, i):
+        return tuple(self)[i]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (tuple, _TupleView)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __add__(self, other: object) -> tuple:
+        if isinstance(other, (tuple, _TupleView)):
+            return tuple(self) + tuple(other)
+        return NotImplemented
+
+    def __radd__(self, other: object) -> tuple:
+        if isinstance(other, tuple):
+            return other + tuple(self)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+def _key(blocks: Blocks) -> bytes:
+    """The blocks as one byte string, with a 0 byte between blocks.  Keys
+    sort as the block tuples do: both compare the same elements in the
+    same order, where one block ends first its 0 sorts below the element
+    the other block goes on with, and no key is a prefix of another."""
+    return b"\0".join(map(bytes, blocks))
+
+
+def _unkey(key: bytes) -> Blocks:
+    return tuple(map(tuple, key.split(b"\0")))
+
+
+def _expand(p: Blocks, js: Sequence[int], canon: dict[Block, Block]) -> list[Blocks]:
+    """``p`` and its merges at the indices ``js`` in turn."""
+    run = [p]
+    for j in js:
+        p = _merge(p, j, canon)
+        run.append(p)
+    return run
+
+
+class _Chains(_TupleView):
+    """The chains of a built family, held as their starts.
+
+    ``starts`` holds the key of each chain's bottom, sorted.  ``ups`` maps
+    a class's type to the merge indices of the links from that class to
+    the top of its subset chain.  A chain starting with b blocks keeps
+    2b - m partitions, so its length is read off the key's 0 bytes, and
+    its members are the start merged along the first 2b - m - 1 indices.
+    """
+
+    __slots__ = ("m", "starts", "ups")
+
+    def __init__(self, m: int, starts: list[bytes], ups: dict[tuple[int, ...], tuple[int, ...]]):
+        self.m, self.starts, self.ups = m, starts, ups
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(_Chain(self, key) for key in self.starts[i])
+        return _Chain(self, self.starts[i])
+
+    def __iter__(self) -> Iterator["_Chain"]:
+        return map(partial(_Chain, self), self.starts)
+
+    def kept(self, key: bytes, canon: dict[Block, Block]) -> list[Blocks]:
+        p = _unkey(key)
+        return _expand(p, self.ups[tuple(map(len, p))][:2 * len(p) - self.m - 1], canon)
+
+    def blocks(self) -> Iterator[list[Blocks]]:
+        """Each chain's block tuples, in chain order."""
+        canon: dict[Block, Block] = {}
+        return (self.kept(key, canon) for key in self.starts)
+
+
+class _Chain(_TupleView):
+    """One chain of a built family: its partitions are expanded from its
+    start on access, and its length is not."""
+
+    __slots__ = ("_chains", "_key")
+
+    def __init__(self, chains: _Chains, key: bytes):
+        self._chains, self._key = chains, key
+
+    def __len__(self) -> int:
+        return 2 * self._key.count(0) + 2 - self._chains.m
+
+    def __iter__(self) -> Iterator[SetPartition]:
+        return map(partial(_trusted, self._chains.m), self._chains.kept(self._key, {}))
+
+
+class _Excluded(_TupleView):
+    """The partitions a built family leaves out, in ascending block order:
+    each kept chain's run past its kept part, and the whole run of every
+    chain born above the middle.  Nothing of them is stored but the classes
+    whose births have excluded runs, each with the merge index of the link
+    arriving there (-1 at the bottom of a subset chain) and the number of
+    each run's partitions that are kept.  Those classes are walked again
+    for their births (``_births``).  The length is counted when built; the
+    members are expanded, and sorted, on access."""
+
+    __slots__ = ("_chains", "_classes", "_count")
+
+    def __init__(self, chains: _Chains, classes: list[tuple[tuple[int, ...], int, int]], count: int):
+        self._chains, self._classes, self._count = chains, classes, count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[SetPartition]:
+        make = partial(_trusted, self._chains.m)
+        return (make(_unkey(key)) for key in sorted(map(_key, self.blocks())))
+
+    def blocks(self) -> Iterator[Blocks]:
+        """The excluded block tuples, in no particular order."""
+        m, ups, canon = self._chains.m, self._chains.ups, {}
+        for sizes, j, kept in self._classes:
+            js = ups[sizes]
+            for p in _births(m, sizes, j, canon):
+                yield from _expand(p, js, canon)[kept:]
+
+
+def _chain_blocks(chains: Sequence[Sequence[SetPartition]]) -> Iterable[list[Blocks]]:
+    """Each chain as a list of block tuples; a built family's chains are
+    expanded from their starts without a SetPartition per member."""
+    if isinstance(chains, _Chains):
+        return chains.blocks()
+    return ([p.blocks for p in chain] for chain in chains)
+
+
+def _excluded_blocks(excluded: Sequence[SetPartition]) -> Iterable[Blocks]:
+    """The block tuples of the excluded partitions; a built family's come
+    unsorted, straight from the runs that hold them."""
+    if isinstance(excluded, _Excluded):
+        return excluded.blocks()
+    return (p.blocks for p in excluded)
+
+
 @dataclass(frozen=True)
 class PartitionChainFamily:
     """Disjoint chains in the partition lattice of {1..m}, plus the
-    partitions left out by pruning."""
+    partitions left out by pruning.
+
+    ``chains`` and ``excluded`` are sequences of SetPartition tuples.  A
+    hand-built or loaded family holds tuples; ``build_partition_chains``
+    gives views that hold only the chain starts and expand on access."""
 
     m: int
-    chains: tuple[tuple[SetPartition, ...], ...]
-    excluded: tuple[SetPartition, ...]
+    chains: Sequence[Sequence[SetPartition]]
+    excluded: Sequence[SetPartition]
 
     def __post_init__(self) -> None:
         if self.m < 0:
             raise ValueError(f"ground size must be nonnegative, got {self.m}")
-        for chain in self.chains:
-            if not chain:
-                raise ValueError("empty chain")
-            for p in chain:
+        # The views of a built family hold partitions of {1..m} by construction.
+        if not (isinstance(self.chains, _Chains) and self.chains.m == self.m):
+            for chain in self.chains:
+                if not chain:
+                    raise ValueError("empty chain")
+                for p in chain:
+                    if p.m != self.m:
+                        raise ValueError("ground size mismatch in chain family")
+        if not (isinstance(self.excluded, _Excluded) and self.excluded._chains.m == self.m):
+            for p in self.excluded:
                 if p.m != self.m:
-                    raise ValueError("ground size mismatch in chain family")
-        for p in self.excluded:
-            if p.m != self.m:
-                raise ValueError("ground size mismatch in excluded list")
+                    raise ValueError("ground size mismatch in excluded list")
 
 
 def build_partition_chains(n: int, ceiling: int = DEFAULT_PARTITION_CEILING) -> PartitionChainFamily:
     """The chain family on partitions of {1..n+1}.
 
-    Walk each subset chain bottom to top.  Every member of the bottom class
-    starts a chain; across each link the chain tips move by inject, and
-    class members missed by the injection start new chains at that level.
-    The tips are the whole class below, so a member is missed exactly when
-    it is no image (``_is_image``), and no set of images is needed.
-    A chain born at rank r keeps ranks r..n-r; the rest of it is excluded,
-    and a chain born above the middle is excluded whole.
+    Walk each subset chain bottom to top, one class at a time.  Every
+    member of the bottom class starts a chain; across each link the chains
+    move up by inject, and the members of the class above that are no
+    image (``_is_image``) start new chains there.  A chain born at rank r
+    keeps ranks r..n-r; the rest of it is excluded, and a chain born above
+    the middle is excluded whole.
 
-    Partitions are block tuples throughout, and equal blocks are one object;
-    each class is the bucket of its type, read off the chain's code, which is
-    rewritten link by link.
+    Only the starts are kept, as keys (``_key``), with the merge indices of
+    each class's links up its subset chain; the family's views expand the
+    chains from them.  A class at or below the middle is enumerated by the
+    capped walk at its type, read off the chain's code, which is rewritten
+    link by link.  A class above it starts no kept chain, so it is not
+    walked: its births are counted from the class sizes, and the excluded
+    view walks it when read.
     """
     m = n + 1
     _check_ceiling(m, ceiling, f"Bell({m}) partitions")
     boolean = gk_decomposition(n, ceiling)
     canon: dict[Block, Block] = {}
-    buckets: dict[tuple[int, ...], list[Blocks]] = {}
-    for p in _partitions(m, (m,) * m, canon):
-        buckets.setdefault(tuple(map(len, p)), []).append(p)
-    grown: list[list[Blocks]] = []
-    excluded: list[Blocks] = []
+    ups: dict[tuple[int, ...], tuple[int, ...]] = {}
+    starts: list[bytes] = []
+    tailed: list[tuple[tuple[int, ...], int, int]] = []
+    excluded = 0
     for bchain in boolean.chains:
         code = list(encode(bchain.bottom).entries)
-        active = [[p] for p in buckets.pop(_type_of_code(code))]
+        # Class t of the chain has type types[t]; the link arriving there
+        # merges at index js[t], and -1 marks the bottom.
+        types = [_type_of_code(code)]
+        js: list[int] = [-1]
         masks = bchain.masks
         for lo, hi in zip(masks, masks[1:]):
             added = (hi ^ lo).bit_length()
             k = _link_added(code, added)
             if k == 0:
                 raise ValueError(f"no chain link adds {added} to class {_literal_mask(lo)}")
-            j = _merge_index(code, added)
+            js.append(_merge_index(code, added))
             code[added - 1], code[added] = 0, k + 1
-            for chain in active:
-                chain.append(_merge(chain[-1], j, canon))
-            active.extend([p] for p in buckets.pop(_type_of_code(code)) if not _is_image(p, j))
-        for chain in active:
-            r = m - len(chain[0])
-            if 2 * r > n:
-                excluded.extend(chain)
-                continue
-            keep = (n - r) - r + 1
-            grown.append(chain[:keep])
-            excluded.extend(chain[keep:])
-    grown.sort(key=itemgetter(0))
-    excluded.sort()
-    make = partial(_trusted, m)
-    return PartitionChainFamily(m, tuple(tuple(map(make, c)) for c in grown),
-                                tuple(map(make, excluded)))
+            types.append(_type_of_code(code))
+        for t, (sizes, j) in enumerate(zip(types, js)):
+            ups[sizes] = tuple(js[t + 1:])
+            run, keep = len(types) - t, max(0, 2 * len(sizes) - m)
+            if keep:
+                born = _births(m, sizes, j, canon)
+                starts += map(_key, born)
+                count = len(born)
+            else:
+                # inject is one-to-one, so a class outnumbers the one below
+                # it by its births.
+                count = _class_size(sizes) - (_class_size(types[t - 1]) if t else 0)
+            if count and run > keep:
+                tailed.append((sizes, j, keep))
+                excluded += count * (run - keep)
+    starts.sort()
+    chains = _Chains(m, starts, ups)
+    return PartitionChainFamily(m, chains, _Excluded(chains, tailed, excluded))
 
 
 def _is_singleton_merge(lo: Blocks, hi: Blocks) -> bool:
@@ -383,6 +577,80 @@ def _is_singleton_merge(lo: Blocks, hi: Blocks) -> bool:
     return hi[j + 1:] == rest[:k] + rest[k + 1:]
 
 
+def _rank_index(m: int) -> Callable[[Blocks], int]:
+    """The rank of a partition of {1..m} in restricted-growth order, the
+    order of ``_iter_partitions``; -1 for blocks that are no canonical
+    partition of {1..m}.
+
+    Element e's digit a_e is the index of its block, and k_e counts the
+    blocks opened before e.  T(r, k) counts the ways to complete a string
+    with r places left and k blocks open: T(0, k) = 1 and
+    T(r, k) = k T(r-1, k) + T(r-1, k+1).  The rank is the sum over e of
+    a_e T(m-e, k_e) (Knuth, TAOCP 4A, 7.2.1.5).
+
+    The digits are packed into one integer, ``bits`` bits each, element 1
+    highest, and below them sits a count of each element's blocks: a block
+    adds its indicator (``weight``) times its index shifted above the
+    counts, plus the indicator itself.  No count reaches ``1 << bits`` with
+    at most m blocks, so the counts never carry, and they read one for
+    every element exactly when the blocks cover {1..m} once; then each
+    digit is a block index and nothing carries either.  The first h
+    elements' digits are looked up for their part of the rank and the
+    blocks they open; the rest's digits, with the counts, are looked up by
+    that number of blocks.  So a rank costs two dictionary lookups, and
+    the tables hold only restricted-growth digits over counts of one, so
+    anything else misses them.  h minimises the two tables' sizes: 2,284
+    entries for m = 10, 49,035 for m = 13.
+    """
+    bits = max(1, m.bit_length())
+    completions = [[1] * (m + 2)]
+    for _ in range(m):
+        prev = completions[-1]
+        completions.append([k * prev[k] + prev[k + 1] for k in range(m + 1)] + [0])
+
+    def strings(first: int, last: int, opened: int) -> list[tuple[int, int, int]]:
+        """(digits, rank part, blocks open) of each restricted-growth
+        placement of elements first..last after ``opened`` blocks."""
+        level = [(0, 0, opened)]
+        for e in range(first, last + 1):
+            t, shift = completions[m - e], bits * (m - e)
+            level = [(x | a << shift, r + a * t[k], k + (a == k))
+                     for x, r, k in level for a in range(k + 1)]
+        return level
+
+    def table_size(h: int) -> int:
+        """Entries in both tables when the first h elements make the first:
+        Bell(h) = T(h-1, 1) strings, then T(m-h, k) for each k <= h."""
+        return completions[h - 1][1] + sum(completions[m - h][1:h + 1])
+
+    h = min(range(1, m + 1), key=table_size) if m else 0
+    weight = {block: sum(1 << bits * (m - e) for e in block)
+              for size in range(1, m + 1)
+              for block in itertools.combinations(range(1, m + 1), size)}
+    width = bits * m
+    ones = sum(1 << bits * (m - e) for e in range(1, m + 1))
+    factors = [(j << width) + 1 for j in range(m)]
+    split = width + bits * (m - h)
+    rest_mask = (1 << split) - 1
+    tails = [{x << width | ones: r for x, r, _ in strings(h + 1, m, k)} for k in range(h + 1)]
+    head = {(x << width) >> split: (r, tails[k]) for x, r, k in strings(1, h, 0)}
+
+    def index(blocks: Blocks) -> int:
+        if len(blocks) > m:
+            return -1
+        try:
+            y = sum(map(mul, map(weight.__getitem__, blocks), factors))
+        except KeyError:
+            return -1
+        part = head.get(y >> split)
+        if part is None:
+            return -1
+        rest = part[1].get(y & rest_mask)
+        return -1 if rest is None else part[0] + rest
+
+    return index
+
+
 def verify_partition_chains(fam: PartitionChainFamily,
                             ceiling: int = DEFAULT_PARTITION_CEILING) -> VerificationReport:
     """Check the family against everything claimed of it: disjointness,
@@ -392,43 +660,73 @@ def verify_partition_chains(fam: PartitionChainFamily,
     the full audit trail (chains plus excluded is the whole lattice), and
     the chain count matching the middle level size S(n+1, n+1-floor(n/2)).
     The block bound is rank at most floor(n/2), so the rank test follows
-    from it; for even n the block bound is the stronger.  The walk spells
-    out at most ``_WITNESS_CAP`` failures of each kind, ``missing`` and
-    ``coverage``, and counts the rest in one ``(kind, "<N> more")``.
-    The audit walks all Bell(m) partitions however small the family is, so
-    m past ``ceiling`` is refused first."""
+    from it; for even n the block bound is the stronger.
+
+    Membership is one byte per partition of the lattice, indexed by its
+    rank (``_rank_index``): 0 missing, 1 in a chain, 2 excluded.  Blocks
+    the rank refuses are partitions outside the lattice and are kept
+    apart.  Walking ``_iter_partitions`` beside the bytes names each
+    missing or uncovered partition; it runs only when a byte is 0 or an
+    excluded partition breaks a coverage bound, so a sound family builds no
+    witness.  The walk spells out at most ``_WITNESS_CAP`` failures of each
+    kind, ``missing`` and ``coverage``, and counts the rest in one
+    ``(kind, "<N> more")``.  The audit takes a byte per Bell(m) partition
+    however small the family is, so m past ``ceiling`` is refused first."""
     m = fam.m
     _check_ceiling(m, ceiling, f"Bell({m}) partitions")
     n = m - 1
+    stirling = stirling_table(m)
+    index = _rank_index(m)
+    status = bytearray(sum(stirling.row(m)))
+    outside: dict[Blocks, int] = {}
+
+    def mark(p: Blocks, state: int) -> int:
+        """Set ``p``'s state unless it has one; return the state it had."""
+        i = index(p)
+        if i < 0:
+            was = outside.get(p, 0)
+            if not was:
+                outside[p] = state
+            return was
+        was = status[i]
+        if not was:
+            status[i] = state
+        return was
+
     failures: list[tuple[str, str]] = []
-    # Every partition the family names: True in a chain, False excluded.
-    # A partition's rank is m minus its block count.
-    status: dict[Blocks, bool] = {}
-    for chain in fam.chains:
+    members = 0
+    for chain in _chain_blocks(fam.chains):
         for p in chain:
-            if p.blocks in status:
-                failures.append(("overlap", p.literal()))
-            status[p.blocks] = True
-        if 2 * m - len(chain[0].blocks) - len(chain[-1].blocks) != n:
-            failures.append(("not_symmetric", f"{chain[0].literal()} .. {chain[-1].literal()}"))
+            if mark(p, 1):
+                failures.append(("overlap", _literal(p)))
+            else:
+                members += 1
+        if 2 * m - len(chain[0]) - len(chain[-1]) != n:
+            failures.append(("not_symmetric", f"{_literal(chain[0])} .. {_literal(chain[-1])}"))
         for lo, hi in zip(chain, chain[1:]):
-            if len(hi.blocks) != len(lo.blocks) - 1 or not _is_singleton_merge(lo.blocks, hi.blocks):
-                failures.append(("not_saturated", f"{lo.literal()} -> {hi.literal()}"))
-    members = len(status)
-    for p in fam.excluded:
-        if status.setdefault(p.blocks, False):
-            failures.append(("overlap", f"excluded {p.literal()}"))
-    if len(status) != members + len(fam.excluded):
+            if len(hi) != len(lo) - 1 or not _is_singleton_merge(lo, hi):
+                failures.append(("not_saturated", f"{_literal(lo)} -> {_literal(hi)}"))
+    fresh = 0
+    uncovered_excluded = False
+    for p in _excluded_blocks(fam.excluded):
+        was = mark(p, 2)
+        if was == 1:
+            failures.append(("overlap", f"excluded {_literal(p)}"))
+        elif not was:
+            fresh += 1
+            b = len(p)
+            uncovered_excluded |= b > (n + 1) // 2 or m - b <= (n - 1) // 2
+    if fresh != len(fam.excluded):
         failures.append(("overlap", "excluded list repeats a partition"))
-    total = missing = uncovered = 0
-    for p in _iter_partitions(m):
-        total += 1
-        covered = status.get(p)
-        if covered is None:
-            missing += 1
-            if missing <= _WITNESS_CAP:
-                failures.append(("missing", _literal(p)))
-        if not covered:
+    missing = uncovered = 0
+    if uncovered_excluded or 0 in status:
+        for p, state in zip(_iter_partitions(m), status):
+            if state == 1:
+                continue
+            if not state:
+                missing += 1
+                if missing <= _WITNESS_CAP:
+                    failures.append(("missing", _literal(p)))
             b = len(p)
             if b > (n + 1) // 2:
                 uncovered += 1
@@ -441,9 +739,9 @@ def verify_partition_chains(fam: PartitionChainFamily,
     for kind, count in (("missing", missing), ("coverage", uncovered)):
         if count > _WITNESS_CAP:
             failures.append((kind, f"{count - _WITNESS_CAP} more"))
-    if len(status) != total - missing:
+    if outside:
         failures.append(("missing", "family mentions partitions outside the lattice"))
-    expected = stirling_table(m).value(m, m - n // 2)
+    expected = stirling.value(m, m - n // 2)
     if len(fam.chains) != expected:
         failures.append(("chain_count", f"{len(fam.chains)} chains, middle level has {expected}"))
     return VerificationReport(members, len(fam.chains), tuple(failures))
@@ -458,19 +756,19 @@ def family_to_json(fam: PartitionChainFamily) -> dict:
 def _json_view(fam: PartitionChainFamily) -> dict:
     """The document of ``family_to_json`` with its two lists iterators, for
     a writer that streams it chain by chain."""
-    def rows(p: SetPartition) -> list[list[int]]:
-        return [list(block) for block in p.blocks]
+    def rows(blocks: Blocks) -> list[list[int]]:
+        return [list(block) for block in blocks]
 
     return {"m": fam.m,
-            "chains": ([rows(p) for p in chain] for chain in fam.chains),
-            "excluded": map(rows, fam.excluded)}
+            "chains": ([rows(p) for p in chain] for chain in _chain_blocks(fam.chains)),
+            "excluded": (rows(p.blocks) for p in fam.excluded)}
 
 
-def family_from_json(obj: dict) -> PartitionChainFamily:
+def family_from_json(obj: dict, ceiling: int = DEFAULT_PARTITION_CEILING) -> PartitionChainFamily:
     try:
         m = _json_int(obj["m"])
-        # The verifier walks all Bell(m) partitions, however few are listed.
-        _check_ceiling(m, DEFAULT_PARTITION_CEILING, f"Bell({m}) partitions")
+        # The verifier takes a byte per Bell(m) partition, however few are listed.
+        _check_ceiling(m, ceiling, f"Bell({m}) partitions")
 
         def partition(p: list) -> SetPartition:
             return SetPartition(m, tuple(tuple(map(_json_int, block)) for block in p))
@@ -495,13 +793,14 @@ def _dot_lines(fam: PartitionChainFamily) -> Iterator[str]:
     block keeps block a's minimum and place, so the result is canonical.
     Nodes are numbered in block order, so sorting a node's covers by number
     puts the edges in order without holding them all."""
-    excluded = {p.blocks for p in fam.excluded}
-    nodes = sorted({p.blocks for chain in fam.chains for p in chain} | excluded)
+    chains = list(_chain_blocks(fam.chains))
+    excluded = set(_excluded_blocks(fam.excluded))
+    nodes = sorted({p for chain in chains for p in chain} | excluded)
     index = {blocks: i for i, blocks in enumerate(nodes)}
     literals = [_literal(blocks) for blocks in nodes]
     # Chains are disjoint, so a partition has at most one chain successor.
-    succ = {index[lo.blocks]: index[hi.blocks]
-            for chain in fam.chains for lo, hi in zip(chain, chain[1:])}
+    succ = {index[lo]: index[hi] for chain in chains for lo, hi in zip(chain, chain[1:])}
+    del chains  # not held while the lines are written
     yield from ("digraph partition_chains {", "  rankdir=BT;", "  node [shape=box];")
     for blocks, lo in zip(nodes, literals):
         yield f'  "{lo}"{" [style=dashed]" if blocks in excluded else ""};'

@@ -9,6 +9,7 @@ import hashlib
 import inspect
 import itertools
 import json
+from collections import Counter
 from functools import lru_cache
 from math import comb
 
@@ -20,6 +21,7 @@ from symchains import (
     PartitionChainFamily,
     SetPartition,
     Subset,
+    VerificationReport,
     all_subsets,
     bell_oracle,
     build_partition_chains,
@@ -38,14 +40,19 @@ from symchains import (
     type_of,
     verify_partition_chains,
 )
+from symchains import partitions
+from symchains.identities import stirling_table
 from symchains.partitions import (
     DEFAULT_PARTITION_CEILING,
     _is_image,
     _is_singleton_merge,
     _iter_partitions,
+    _literal,
     _merge_index,
+    _rank_index,
     _trusted,
 )
+from symchains.reports import _WITNESS_CAP
 
 P4 = SetPartition.from_literal
 
@@ -184,13 +191,76 @@ def reference_family(n):
     return PartitionChainFamily(n + 1, tuple(grown), tuple(excluded))
 
 
+def reference_verify_partition_chains(fam):
+    """verify_partition_chains by a dictionary keyed on block tuples: True
+    for a partition in a chain, False for an excluded one.  The walk of the
+    lattice looks every partition up, so no rank is involved."""
+    m = fam.m
+    n = m - 1
+    failures = []
+    status = {}
+    for chain in fam.chains:
+        for p in chain:
+            if p.blocks in status:
+                failures.append(("overlap", p.literal()))
+            status[p.blocks] = True
+        if 2 * m - len(chain[0].blocks) - len(chain[-1].blocks) != n:
+            failures.append(("not_symmetric", f"{chain[0].literal()} .. {chain[-1].literal()}"))
+        for lo, hi in zip(chain, chain[1:]):
+            if len(hi.blocks) != len(lo.blocks) - 1 or not _is_singleton_merge(lo.blocks, hi.blocks):
+                failures.append(("not_saturated", f"{lo.literal()} -> {hi.literal()}"))
+    members = len(status)
+    for p in fam.excluded:
+        if status.setdefault(p.blocks, False):
+            failures.append(("overlap", f"excluded {p.literal()}"))
+    if len(status) != members + len(fam.excluded):
+        failures.append(("overlap", "excluded list repeats a partition"))
+    total = missing = uncovered = 0
+    for p in _iter_partitions(m):
+        total += 1
+        covered = status.get(p)
+        if covered is None:
+            missing += 1
+            if missing <= _WITNESS_CAP:
+                failures.append(("missing", _literal(p)))
+        if not covered:
+            b = len(p)
+            if b > (n + 1) // 2:
+                uncovered += 1
+                if uncovered <= _WITNESS_CAP:
+                    failures.append(("coverage", f"{_literal(p)} has {b} blocks"))
+            if m - b <= (n - 1) // 2:
+                uncovered += 1
+                if uncovered <= _WITNESS_CAP:
+                    failures.append(("coverage", f"{_literal(p)} has rank {m - b}"))
+    for kind, count in (("missing", missing), ("coverage", uncovered)):
+        if count > _WITNESS_CAP:
+            failures.append((kind, f"{count - _WITNESS_CAP} more"))
+    if len(status) != total - missing:
+        failures.append(("missing", "family mentions partitions outside the lattice"))
+    expected = stirling_table(m).value(m, m - n // 2)
+    if len(fam.chains) != expected:
+        failures.append(("chain_count", f"{len(fam.chains)} chains, middle level has {expected}"))
+    return VerificationReport(members, len(fam.chains), tuple(failures))
+
+
+def checked_verify(fam):
+    """verify_partition_chains, held to the reference: the same verdict,
+    counts, and multiset of (kind, witness) failures."""
+    rep = verify_partition_chains(fam)
+    ref = reference_verify_partition_chains(fam)
+    assert (rep.ok, rep.element_count, rep.chain_count) == (ref.ok, ref.element_count, ref.chain_count)
+    assert Counter(rep.failures) == Counter(ref.failures)
+    return rep
+
+
 @lru_cache(maxsize=None)
 def family(n):
     return build_partition_chains(n)
 
 
 def failure_kinds(m, chains, excluded):
-    rep = verify_partition_chains(PartitionChainFamily(m, tuple(chains), tuple(excluded)))
+    rep = checked_verify(PartitionChainFamily(m, tuple(chains), tuple(excluded)))
     assert not rep.ok
     return {kind for kind, _ in rep.failures}
 
@@ -564,7 +634,7 @@ class TestChainFamily:
     def test_verifier_accepts_built_families(self):
         for n in range(7):
             fam = build_partition_chains(n)
-            rep = verify_partition_chains(fam)
+            rep = checked_verify(fam)
             assert rep.ok, (n, rep.failures)
             assert rep.element_count == bell_oracle(n + 1) - len(fam.excluded)
 
@@ -580,7 +650,7 @@ class TestChainFamily:
     def test_removing_a_top_breaks_symmetry(self):
         fam = build_partition_chains(3)
         chains = (fam.chains[0][:-1],) + fam.chains[1:]
-        rep = verify_partition_chains(PartitionChainFamily(4, chains, fam.excluded))
+        rep = checked_verify(PartitionChainFamily(4, chains, fam.excluded))
         assert not rep.ok
         kinds = {kind for kind, _ in rep.failures}
         assert "not_symmetric" in kinds and "missing" in kinds
@@ -593,14 +663,14 @@ class TestChainFamily:
             (P4(4, "1,3/2/4"), P4(4, "1,2,3/4")) if chain[0].literal() == "1,3/2/4" else chain
             for chain in fam.chains
         )
-        rep = verify_partition_chains(PartitionChainFamily(4, chains, fam.excluded))
+        rep = checked_verify(PartitionChainFamily(4, chains, fam.excluded))
         assert not rep.ok
         assert "not_saturated" in {kind for kind, _ in rep.failures}
         assert "overlap" in {kind for kind, _ in rep.failures}
 
     def test_duplicated_excluded_is_overlap(self):
         fam = build_partition_chains(3)
-        rep = verify_partition_chains(
+        rep = checked_verify(
             PartitionChainFamily(4, fam.chains, fam.excluded + fam.excluded))
         assert not rep.ok
         assert "overlap" in {kind for kind, _ in rep.failures}
@@ -608,16 +678,16 @@ class TestChainFamily:
     def test_outside_witness_only_for_outside_partitions(self):
         outside = ("missing", "family mentions partitions outside the lattice")
         fam = build_partition_chains(3)
-        rep = verify_partition_chains(PartitionChainFamily(4, fam.chains[1:], fam.excluded))
+        rep = checked_verify(PartitionChainFamily(4, fam.chains[1:], fam.excluded))
         assert "missing" in {kind for kind, _ in rep.failures}
         assert outside not in rep.failures
         fam = build_partition_chains(2)
         extra = _trusted(3, ((1, 2), (4,)))
-        rep = verify_partition_chains(PartitionChainFamily(3, fam.chains, fam.excluded + (extra,)))
+        rep = checked_verify(PartitionChainFamily(3, fam.chains, fam.excluded + (extra,)))
         assert outside in rep.failures
         # one partition missing and one outside: the counts cancel, but the
         # outside one is still reported
-        rep = verify_partition_chains(PartitionChainFamily(1, (), (_trusted(1, ((2,),)),)))
+        rep = checked_verify(PartitionChainFamily(1, (), (_trusted(1, ((2,),)),)))
         assert ("missing", "1") in rep.failures and outside in rep.failures
 
     def test_wrong_chain_count_is_reported(self):
@@ -625,7 +695,7 @@ class TestChainFamily:
         # drop a whole singleton-level chain and stash its members as excluded
         chains = fam.chains[:-1]
         extra = fam.chains[-1]
-        rep = verify_partition_chains(PartitionChainFamily(3, chains, fam.excluded + extra))
+        rep = checked_verify(PartitionChainFamily(3, chains, fam.excluded + extra))
         kinds = {kind for kind, _ in rep.failures}
         assert "chain_count" in kinds
 
@@ -648,7 +718,7 @@ class TestChainFamily:
 
 class TestVerifierWitnessCap:
     def test_empty_family_lists_1000_of_each_kind(self):
-        rep = verify_partition_chains(family_from_json({"m": 8, "chains": [], "excluded": []}))
+        rep = checked_verify(family_from_json({"m": 8, "chains": [], "excluded": []}))
         assert not rep.ok and (rep.element_count, rep.chain_count) == (0, 0)
         by_kind = {}
         for kind, witness in rep.failures:
@@ -668,7 +738,7 @@ class TestVerifierWitnessCap:
     def test_one_partition_short_names_it(self):
         fam = family(7)
         short = PartitionChainFamily(8, fam.chains, fam.excluded[1:])
-        rep = verify_partition_chains(short)
+        rep = checked_verify(short)
         assert rep.failures == (("missing", fam.excluded[0].literal()),)
 
     def test_cap_boundary(self):
@@ -676,7 +746,7 @@ class TestVerifierWitnessCap:
         # missing failures: 1000 are all listed, 1001 end in a count.
         fam = family(7)
         for dropped, tail in ((1000, ()), (1001, (("missing", "1 more"),))):
-            rep = verify_partition_chains(
+            rep = checked_verify(
                 PartitionChainFamily(8, fam.chains, fam.excluded[dropped:]))
             listed, rest = rep.failures[:1000], rep.failures[1000:]
             assert {kind for kind, _ in listed} == {"missing"}
@@ -844,3 +914,164 @@ class TestFamilySerialization:
         assert dot.startswith("digraph")
         assert "1,3,4/2" in dot
         assert "dashed" in dot
+
+
+def is_canonical_partition(m, blocks):
+    """True when ``blocks`` is a partition of {1..m} in canonical order."""
+    elements = [e for block in blocks for e in block]
+    return (sorted(elements) == list(range(1, m + 1))
+            and all(block and list(block) == sorted(set(block)) for block in blocks)
+            and [block[0] for block in blocks] == sorted(block[0] for block in blocks))
+
+
+@st.composite
+def block_tuples(draw):
+    """Block tuples for m <= 7 that are often partitions of {1..m} and
+    otherwise break one rule: an element repeated, missing or outside
+    1..m, a block out of order or unsorted, an empty block."""
+    m = draw(st.integers(min_value=0, max_value=7))
+    blocks = [list(b) for b in draw_partition(draw, m).blocks] if m else []
+    how = draw(st.sampled_from(["keep", "repeat", "drop", "outside", "swap", "unsort", "empty"]))
+    if how == "repeat" and blocks:
+        draw(st.sampled_from(blocks)).append(draw(st.integers(1, m)))
+    elif how == "drop" and blocks:
+        block = draw(st.sampled_from(blocks))
+        block.pop()
+        blocks = [b for b in blocks if b]
+    elif how == "outside":
+        blocks.append([draw(st.sampled_from([0, m + 1, m + 2, 255]))])
+    elif how == "swap" and len(blocks) > 1:
+        i = draw(st.integers(0, len(blocks) - 2))
+        blocks[i], blocks[i + 1] = blocks[i + 1], blocks[i]
+    elif how == "unsort":
+        long = [b for b in blocks if len(b) > 1]
+        if long:
+            draw(st.sampled_from(long)).reverse()
+    elif how == "empty":
+        blocks.insert(draw(st.integers(0, len(blocks))), [])
+    return m, tuple(map(tuple, blocks))
+
+
+class TestRankIndex:
+    def test_rank_is_the_walk_counter(self):
+        for m in range(10):
+            index = _rank_index(m)
+            ranks = [index(p) for p in _iter_partitions(m)]
+            assert ranks == list(range(len(ranks))), m
+            assert len(ranks) == bell_oracle(m)
+
+    def test_rank_is_a_bijection_onto_range_bell(self):
+        # the walk counter is 0..Bell(m)-1, so every rank lies in that range
+        for m in range(10):
+            index = _rank_index(m)
+            assert sorted(map(index, _iter_partitions(m))) == list(range(bell_oracle(m)))
+
+    def test_refusals(self):
+        index = _rank_index(4)
+        for blocks in [((1, 2), (3,)), ((1, 2), (3,), (4,), (4,)), ((2,), (1, 3, 4)),
+                       ((1, 3), (2,), (2, 4)), ((1,), (), (2, 3, 4)), ((1, 2, 3, 4, 5),),
+                       ((1, 2), (4, 3)), ((1,), (2,), (3,), (4,), (5,)), ((0, 1, 2, 3, 4),)]:
+            assert index(blocks) == -1, blocks
+
+    @settings(max_examples=400)
+    @given(block_tuples())
+    def test_rank_refuses_exactly_the_non_partitions(self, case):
+        m, blocks = case
+        rank = _rank_index(m)(blocks)
+        if is_canonical_partition(m, blocks):
+            assert rank == list(_iter_partitions(m)).index(blocks)
+        else:
+            assert rank == -1
+
+
+@st.composite
+def mutated_families(draw):
+    """A built family on m <= 7 with one to three random edits: a member
+    dropped, repeated, moved between chains or to and from the excluded
+    list, a chain dropped or reversed, or a partition added that is random,
+    outside the lattice, or out of canonical order."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    m = n + 1
+    fam = family(n)
+    chains = [list(c) for c in fam.chains]
+    excluded = list(fam.excluded)
+
+    def somewhere():
+        """A list to edit: a chain or the excluded list."""
+        return draw(st.sampled_from(chains + [excluded]))
+
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(["drop", "repeat", "move", "drop_chain", "reverse",
+                                    "random", "outside", "scramble"]))
+        target = somewhere()
+        if how == "drop" and target:
+            target.pop(draw(st.integers(0, len(target) - 1)))
+        elif how == "repeat" and target:
+            somewhere().append(draw(st.sampled_from(target)))
+        elif how == "move" and target:
+            p = target.pop(draw(st.integers(0, len(target) - 1)))
+            dest = somewhere()
+            dest.insert(draw(st.integers(0, len(dest))), p)
+        elif how == "drop_chain" and chains:
+            chains.pop(draw(st.integers(0, len(chains) - 1)))
+        elif how == "reverse" and chains:
+            draw(st.sampled_from(chains)).reverse()
+        elif how == "random":
+            target.append(draw_partition(draw, m))
+        elif how == "outside":
+            target.append(_trusted(m, ((1,), (m + 1,))))
+        elif how == "scramble" and target:
+            p = draw(st.sampled_from(target))
+            if p.block_count > 1:
+                target.append(_trusted(m, tuple(reversed(p.blocks))))
+    return PartitionChainFamily(m, tuple(tuple(c) for c in chains if c), tuple(excluded))
+
+
+class TestVerifierAgainstReference:
+    def test_built_families(self):
+        for n in range(9):
+            rep = checked_verify(family(n))
+            assert rep.ok, n
+
+    @settings(max_examples=300)
+    @given(mutated_families())
+    def test_mutants(self, fam):
+        checked_verify(fam)
+
+
+class TestBuiltFamilyViews:
+    """A built family holds its chains as starts; its views behave as the
+    tuples of a hand-built family."""
+
+    def test_len_expands_nothing(self, monkeypatch):
+        fam = build_partition_chains(6)
+
+        def refuse(*args):
+            raise AssertionError("len expanded a partition")
+
+        for name in ("_merge", "_partitions", "_unkey", "_expand"):
+            monkeypatch.setattr(partitions, name, refuse)
+        assert sum(len(chain) for chain in fam.chains) + len(fam.excluded) == bell_oracle(7)
+        assert len(fam.chains) == 350
+
+    def test_lengths_match_the_members(self):
+        for n in range(8):
+            fam = family(n)
+            assert [len(c) for c in fam.chains] == [len(tuple(c)) for c in fam.chains]
+            assert len(fam.excluded) == len(tuple(fam.excluded))
+            assert list(fam.excluded) == sorted(fam.excluded, key=lambda p: p.blocks)
+
+    def test_views_act_as_tuples(self):
+        fam = build_partition_chains(3)
+        chains = tuple(tuple(c) for c in fam.chains)
+        excluded = tuple(fam.excluded)
+        assert fam.chains == chains and chains == fam.chains
+        assert fam.excluded == excluded and hash(fam.excluded) == hash(excluded)
+        assert fam.chains[0] == chains[0] and hash(fam.chains[0]) == hash(chains[0])
+        assert fam.chains[1:] == chains[1:] and type(fam.chains[1:]) is tuple
+        assert fam.chains[0][:-1] == chains[0][:-1] and type(fam.chains[0][:-1]) is tuple
+        assert fam.excluded + fam.chains[0] == excluded + chains[0]
+        assert () + fam.excluded == excluded
+        assert fam.chains[0] != chains[1] and fam.excluded != ()
+        assert repr(fam.excluded) == repr(excluded)
+        assert PartitionChainFamily(4, chains, excluded) == fam

@@ -6,6 +6,7 @@ object its verifier can report on.  Ground sizes in the generated payloads
 stay small: a verifier lists every subset or partition a payload misses.
 """
 
+import inspect
 import time
 
 import pytest
@@ -156,3 +157,31 @@ class TestLoaderCeilings:
         assert decomposition_from_json({"n": DEFAULT_ENUM_CEILING, "chains": []}).n == DEFAULT_ENUM_CEILING
         fam = family_from_json({"m": DEFAULT_PARTITION_CEILING, "chains": [], "excluded": []})
         assert fam.m == DEFAULT_PARTITION_CEILING
+
+    def test_loaders_default_to_the_construction_ceilings(self):
+        for load, default in ((decomposition_from_json, DEFAULT_ENUM_CEILING),
+                              (family_from_json, DEFAULT_PARTITION_CEILING)):
+            assert inspect.signature(load).parameters["ceiling"].default == default
+
+    @pytest.mark.parametrize("load, payload", [
+        (decomposition_from_json, {"n": 9, "chains": [[["not a subset"]]]}),
+        (family_from_json, {"m": 9, "chains": [[["not a partition"]]], "excluded": []}),
+    ])
+    def test_caller_ceiling_refuses_before_any_chain_is_parsed(self, load, payload):
+        # A malformed chain would raise ValueError; the ceiling comes first.
+        with pytest.raises(CeilingExceeded):
+            load(payload, ceiling=8)
+        with pytest.raises(ValueError):
+            load(payload, ceiling=9)
+
+    def test_caller_ceiling_admits_its_own_size(self):
+        d = gk_decomposition(9)
+        payload = decomposition_to_json(d)
+        with pytest.raises(CeilingExceeded):
+            decomposition_from_json(payload, ceiling=8)
+        assert decomposition_from_json(payload, ceiling=9) == d
+        fam = build_partition_chains(8)
+        payload = family_to_json(fam)
+        with pytest.raises(CeilingExceeded):
+            family_from_json(payload, ceiling=8)
+        assert family_from_json(payload, ceiling=9) == fam
