@@ -14,13 +14,12 @@ import itertools
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
-from math import comb
 from operator import mul
 from typing import Optional
 
 from .boolean import _literal as _literal_mask, gk_decomposition
 from .coding import _link_added, code_from_nonzeros, encode
-from .identities import stirling_table
+from .identities import bell_oracle, stirling_table
 from .reports import _WITNESS_CAP, VerificationReport
 from .subsets import Subset, _check_ceiling, _json_int, _unchecked
 
@@ -230,16 +229,6 @@ def _type_of_code(entries: Sequence[int]) -> tuple[int, ...]:
     return tuple(e for e in reversed(entries) if e)
 
 
-def _class_size(sizes: Sequence[int]) -> int:
-    """The number of partitions of this type: each block holds the least
-    element left and sizes[j] - 1 of the others."""
-    count, left = 1, sum(sizes)
-    for size in sizes:
-        count *= comb(left - 1, size - 1)
-        left -= size
-    return count
-
-
 def _merge_index(entries: Sequence[int], i: int) -> int:
     """Index j of the block the link adding ``i`` merges or splits.
 
@@ -368,17 +357,19 @@ def _expand(p: Blocks, js: Sequence[int], canon: dict[Block, Block]) -> list[Blo
 class _Chains(_TupleView):
     """The chains of a built family, held as their starts.
 
-    ``starts`` holds the key of each chain's bottom, sorted.  ``ups`` maps
-    a class's type to the merge indices of the links from that class to
-    the top of its subset chain.  A chain starting with b blocks keeps
-    2b - m partitions, so its length is read off the key's 0 bytes, and
-    its members are the start merged along the first 2b - m - 1 indices.
+    ``starts`` holds the key of each chain's bottom, sorted.  ``places``
+    maps a class's type to its place t in its subset chain and that chain's
+    merge indices js: js[t] is the link arriving at the class (-1 at the
+    bottom), and js[t + 1:] lead from it to the top.  A chain starting with
+    b blocks keeps 2b - m partitions, so its length is read off the key's 0
+    bytes, and its members are the start merged along the next 2b - m - 1
+    indices.
     """
 
-    __slots__ = ("m", "starts", "ups")
+    __slots__ = ("m", "starts", "places")
 
-    def __init__(self, m: int, starts: list[bytes], ups: dict[tuple[int, ...], tuple[int, ...]]):
-        self.m, self.starts, self.ups = m, starts, ups
+    def __init__(self, m: int, starts: list[bytes], places: dict[tuple[int, ...], tuple[int, tuple[int, ...]]]):
+        self.m, self.starts, self.places = m, starts, places
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -393,7 +384,8 @@ class _Chains(_TupleView):
 
     def kept(self, key: bytes, canon: dict[Block, Block]) -> list[Blocks]:
         p = _unkey(key)
-        return _expand(p, self.ups[tuple(map(len, p))][:2 * len(p) - self.m - 1], canon)
+        t, js = self.places[tuple(map(len, p))]
+        return _expand(p, js[t + 1:t + 2 * len(p) - self.m], canon)
 
     def blocks(self) -> Iterator[list[Blocks]]:
         """Each chain's block tuples, in chain order."""
@@ -419,18 +411,17 @@ class _Chain(_TupleView):
 
 class _Excluded(_TupleView):
     """The partitions a built family leaves out, in ascending block order:
-    each kept chain's run past its kept part, and the whole run of every
-    chain born above the middle.  Nothing of them is stored but the classes
-    whose births have excluded runs, each with the merge index of the link
-    arriving there (-1 at the bottom of a subset chain) and the number of
-    each run's partitions that are kept.  Those classes are walked again
-    for their births (``_births``).  The length is counted when built; the
-    members are expanded, and sorted, on access."""
+    the run of each chain up its subset chain past the 2b - m partitions
+    it keeps, so the whole run of a chain born above the middle.  Nothing
+    of them is stored: the classes whose births have such runs are read
+    off the chain table and walked again for their births (``_births``).
+    The length, Bell(m) less the kept partitions, is counted when built;
+    the members are expanded, and sorted, on access."""
 
-    __slots__ = ("_chains", "_classes", "_count")
+    __slots__ = ("_chains", "_count")
 
-    def __init__(self, chains: _Chains, classes: list[tuple[tuple[int, ...], int, int]], count: int):
-        self._chains, self._classes, self._count = chains, classes, count
+    def __init__(self, chains: _Chains, count: int):
+        self._chains, self._count = chains, count
 
     def __len__(self) -> int:
         return self._count
@@ -441,11 +432,12 @@ class _Excluded(_TupleView):
 
     def blocks(self) -> Iterator[Blocks]:
         """The excluded block tuples, in no particular order."""
-        m, ups, canon = self._chains.m, self._chains.ups, {}
-        for sizes, j, kept in self._classes:
-            js = ups[sizes]
-            for p in _births(m, sizes, j, canon):
-                yield from _expand(p, js, canon)[kept:]
+        m, canon = self._chains.m, {}
+        for sizes, (t, js) in self._chains.places.items():
+            keep = max(0, 2 * len(sizes) - m)
+            if len(js) - t > keep:
+                for p in _births(m, sizes, js[t], canon):
+                    yield from _expand(p, js[t + 1:], canon)[keep:]
 
 
 def _chain_blocks(chains: Sequence[Sequence[SetPartition]]) -> Iterable[list[Blocks]]:
@@ -504,22 +496,21 @@ def build_partition_chains(n: int, ceiling: int = DEFAULT_PARTITION_CEILING) -> 
     keeps ranks r..n-r; the rest of it is excluded, and a chain born above
     the middle is excluded whole.
 
-    Only the starts are kept, as keys (``_key``), with the merge indices of
-    each class's links up its subset chain; the family's views expand the
-    chains from them.  A class at or below the middle is enumerated by the
-    capped walk at its type, read off the chain's code, which is rewritten
-    link by link.  A class above it starts no kept chain, so it is not
-    walked: its births are counted from the class sizes, and the excluded
-    view walks it when read.
+    Only the starts are kept, as keys (``_key``), with each class's place
+    in its subset chain and that chain's merge indices; the family's views
+    expand the chains from them.  A class at or below the middle is
+    enumerated by the capped walk at its type, read off the chain's code,
+    which is rewritten link by link.  A class above it starts no kept
+    chain, so it is not walked: the excluded count is Bell(m) less the
+    kept partitions, and the excluded view walks those classes when read.
     """
     m = n + 1
     _check_ceiling(m, ceiling, f"Bell({m}) partitions")
     boolean = gk_decomposition(n, ceiling)
     canon: dict[Block, Block] = {}
-    ups: dict[tuple[int, ...], tuple[int, ...]] = {}
+    places: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
     starts: list[bytes] = []
-    tailed: list[tuple[tuple[int, ...], int, int]] = []
-    excluded = 0
+    kept = 0
     for bchain in boolean.chains:
         code = list(encode(bchain.bottom).entries)
         # Class t of the chain has type types[t]; the link arriving there
@@ -535,23 +526,17 @@ def build_partition_chains(n: int, ceiling: int = DEFAULT_PARTITION_CEILING) -> 
             js.append(_merge_index(code, added))
             code[added - 1], code[added] = 0, k + 1
             types.append(_type_of_code(code))
-        for t, (sizes, j) in enumerate(zip(types, js)):
-            ups[sizes] = tuple(js[t + 1:])
-            run, keep = len(types) - t, max(0, 2 * len(sizes) - m)
-            if keep:
-                born = _births(m, sizes, j, canon)
+        chain_js = tuple(js)
+        for t, sizes in enumerate(types):
+            places[sizes] = (t, chain_js)
+            keep = 2 * len(sizes) - m
+            if keep > 0:
+                born = _births(m, sizes, js[t], canon)
                 starts += map(_key, born)
-                count = len(born)
-            else:
-                # inject is one-to-one, so a class outnumbers the one below
-                # it by its births.
-                count = _class_size(sizes) - (_class_size(types[t - 1]) if t else 0)
-            if count and run > keep:
-                tailed.append((sizes, j, keep))
-                excluded += count * (run - keep)
+                kept += keep * len(born)
     starts.sort()
-    chains = _Chains(m, starts, ups)
-    return PartitionChainFamily(m, chains, _Excluded(chains, tailed, excluded))
+    chains = _Chains(m, starts, places)
+    return PartitionChainFamily(m, chains, _Excluded(chains, bell_oracle(m) - kept))
 
 
 def _is_singleton_merge(lo: Blocks, hi: Blocks) -> bool:
@@ -798,8 +783,7 @@ def _dot_lines(fam: PartitionChainFamily) -> Iterator[str]:
     nodes = sorted({p for chain in chains for p in chain} | excluded)
     index = {blocks: i for i, blocks in enumerate(nodes)}
     literals = [_literal(blocks) for blocks in nodes]
-    # Chains are disjoint, so a partition has at most one chain successor.
-    succ = {index[lo]: index[hi] for chain in chains for lo, hi in zip(chain, chain[1:])}
+    links = {(index[lo], index[hi]) for chain in chains for lo, hi in zip(chain, chain[1:])}
     del chains  # not held while the lines are written
     yield from ("digraph partition_chains {", "  rankdir=BT;", "  node [shape=box];")
     for blocks, lo in zip(nodes, literals):
@@ -811,7 +795,7 @@ def _dot_lines(fam: PartitionChainFamily) -> Iterator[str]:
             j = index.get(blocks[:a] + (merged,) + blocks[a + 1:b] + blocks[b + 1:])
             if j is not None:
                 ups.append(j)
-        lo, nxt = literals[i], succ.get(i)
+        lo = literals[i]
         for j in sorted(ups):
-            yield f'  "{lo}" -> "{literals[j]}" [style={"solid" if j == nxt else "dotted"}];'
+            yield f'  "{lo}" -> "{literals[j]}" [style={"solid" if (i, j) in links else "dotted"}];'
     yield "}"

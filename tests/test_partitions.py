@@ -11,10 +11,10 @@ import itertools
 import json
 from collections import Counter
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from symchains import (
     CeilingExceeded,
@@ -25,6 +25,7 @@ from symchains import (
     all_subsets,
     bell_oracle,
     build_partition_chains,
+    chain_of,
     class_of,
     code_from_nonzeros,
     decode,
@@ -189,6 +190,29 @@ def reference_family(n):
     grown.sort(key=lambda chain: chain[0].blocks)
     excluded.sort(key=lambda p: p.blocks)
     return PartitionChainFamily(n + 1, tuple(grown), tuple(excluded))
+
+
+def reference_excluded_by_rule(n):
+    """The excluded partitions of the family on {1..n+1}, by the rule that
+    fixes them: a partition of rank r lies in a kept chain exactly when it
+    splits back 2r - n times down the subset chain through its class, or
+    reaches that chain's bottom first.  Sorted in block order."""
+    m = n + 1
+    excluded = []
+    for blocks in reference_iter_partitions(m):
+        p = q = SetPartition(m, blocks)
+        s = reference_class_of(p)
+        sets = chain_of(s).sets
+        t = sets.index(s)
+        splits = 0
+        while splits < 2 * p.rank - n and t > 0:
+            (added,) = set(sets[t].elements) - set(sets[t - 1].elements)
+            q = reference_inject_inverse(q, added)
+            if q is None:
+                excluded.append(p)
+                break
+            t, splits = t - 1, splits + 1
+    return tuple(sorted(excluded, key=lambda p: p.blocks))
 
 
 def reference_verify_partition_chains(fam):
@@ -909,6 +933,16 @@ class TestFamilySerialization:
         dot = family_to_dot(build_partition_chains(7))
         assert hashlib.sha256(dot.encode()).hexdigest() == FAMILY_DOT_7_SHA256
 
+    def test_dot_draws_every_chain_link(self):
+        # 1/2/3/4 lies in two chains, so both its links are solid.
+        fam = build_partition_chains(3)
+        chains = tuple(tuple(c) for c in fam.chains) + ((P4(4, "1/2/3/4"), P4(4, "1,2/3/4")),)
+        hand = PartitionChainFamily(4, chains, tuple(fam.excluded))
+        dot = family_to_dot(hand)
+        assert dot == reference_family_to_dot(hand)
+        assert '"1/2/3/4" -> "1/2/3,4" [style=solid]' in dot
+        assert '"1/2/3/4" -> "1,2/3/4" [style=solid]' in dot
+
     def test_dot_output(self):
         dot = family_to_dot(build_partition_chains(3))
         assert dot.startswith("digraph")
@@ -1039,6 +1073,16 @@ class TestVerifierAgainstReference:
         checked_verify(fam)
 
 
+class TestDotOfMutants:
+    # The reference is slow at m = 7, hence no deadline.
+    @settings(deadline=None)
+    @given(mutated_families())
+    def test_equals_the_object_reference(self, fam):
+        members = itertools.chain(itertools.chain.from_iterable(fam.chains), fam.excluded)
+        assume(all(is_canonical_partition(fam.m, p.blocks) for p in members))
+        assert family_to_dot(fam) == reference_family_to_dot(fam)
+
+
 class TestBuiltFamilyViews:
     """A built family holds its chains as starts; its views behave as the
     tuples of a hand-built family."""
@@ -1049,17 +1093,61 @@ class TestBuiltFamilyViews:
         def refuse(*args):
             raise AssertionError("len expanded a partition")
 
-        for name in ("_merge", "_partitions", "_unkey", "_expand"):
+        for name in ("_merge", "_partitions", "_unkey", "_expand", "_births"):
             monkeypatch.setattr(partitions, name, refuse)
         assert sum(len(chain) for chain in fam.chains) + len(fam.excluded) == bell_oracle(7)
         assert len(fam.chains) == 350
 
     def test_lengths_match_the_members(self):
-        for n in range(8):
+        for n in range(9):
             fam = family(n)
             assert [len(c) for c in fam.chains] == [len(tuple(c)) for c in fam.chains]
             assert len(fam.excluded) == len(tuple(fam.excluded))
             assert list(fam.excluded) == sorted(fam.excluded, key=lambda p: p.blocks)
+
+    def test_excluded_equals_the_split_back_rule(self):
+        for n in range(9):
+            assert tuple(family(n).excluded) == reference_excluded_by_rule(n), n
+
+    @staticmethod
+    def walked(monkeypatch, run):
+        """``run()``'s result and the types ``_partitions`` walked for it."""
+        types = []
+        walk = partitions._partitions
+
+        def spy(m, sizes, canon):
+            types.append(tuple(sizes))
+            return walk(m, sizes, canon)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(partitions, "_partitions", spy)
+            return run(), types
+
+    def test_walks_only_classes_with_work(self, monkeypatch):
+        # The builder walks no class above the middle.  The excluded view
+        # walks, once each, the classes whose births run past what a chain
+        # keeps; the births are counted here from the class sizes (inject
+        # is one-to-one, so a class outnumbers the one below it by them).
+        def size(s):
+            e = encode(s).entries
+            return prod(comb(i - 1, e[i - 1] - 1) for i in range(1, s.n + 2) if e[i - 1])
+
+        counts = []
+        for n in range(10):
+            m = n + 1
+            fam, built = self.walked(monkeypatch, lambda: build_partition_chains(n))
+            assert all(2 * len(sizes) > m for sizes in built), n
+            _, walked = self.walked(monkeypatch, lambda: list(fam.excluded.blocks()))
+            expected = []
+            for bchain in gk_decomposition(n).chains:
+                sizes = [size(s) for s in bchain.sets]
+                for t, s in enumerate(bchain.sets):
+                    births = sizes[t] - (sizes[t - 1] if t else 0)
+                    if births and len(sizes) - t > max(0, 2 * (m - len(s)) - m):
+                        expected.append(tuple(reversed([e for e in encode(s).entries if e])))
+            assert walked == expected, n
+            counts.append(len(walked))
+        assert counts == [0, 0, 0, 1, 3, 9, 21, 50, 108, 238]
 
     def test_views_act_as_tuples(self):
         fam = build_partition_chains(3)
