@@ -28,7 +28,7 @@ from .subsets import Subset, _check_ceiling, _json_int, _unchecked
 # 426 MB RSS and building plus verifying at 471 MB, inside the 1.2 GB that
 # set the subset ceiling.  The writers are not: reading ``fam.excluded``
 # sorts about 17 million keys at m = 13, some 1.1 GB more, and the dot writer
-# indexes every partition (300 MB at m = 11, growing with the lattice).  So
+# indexes every partition (250 MB at m = 11, growing with the lattice).  So
 # past m = 12 needs an explicit ceiling override.
 DEFAULT_PARTITION_CEILING = 12
 
@@ -145,7 +145,7 @@ def enumerate_class(s: Subset, ceiling: int = DEFAULT_PARTITION_CEILING) -> tupl
     m = s.n + 1
     _check_ceiling(m, ceiling, f"Bell({m}) partitions")
     sizes = _type_of_code(encode(s).entries)
-    return tuple(map(partial(_trusted, m), sorted(_partitions(m, sizes, {}))))
+    return tuple(map(partial(_trusted, m), sorted(_partitions(m, sizes))))
 
 
 def enumerate_all_partitions(m: int, ceiling: int = DEFAULT_PARTITION_CEILING) -> Iterator[SetPartition]:
@@ -193,21 +193,21 @@ def _iter_partitions(m: int) -> Iterator[Blocks]:
     return itertools.chain.from_iterable(extend(1))
 
 
-def _partitions(m: int, sizes: Sequence[int], canon: dict[Block, Block]) -> list[Blocks]:
+def _partitions(m: int, sizes: Sequence[int]) -> list[Blocks]:
     """Block tuples of the partitions of {1..m} whose block j holds at most
     ``sizes[j]`` elements, in restricted-growth order.
 
     Built level by level: element e joins each block of a partition of
     {1..e-1} that has room, or opens a new one while there are fewer than
     ``len(sizes)`` blocks.  e exceeds every element placed so far, so each
-    result is canonical as built.  Caps ``(m,) * m`` never bind and give the
-    whole lattice.  Sizes that sum to m give exactly the class of that type:
-    every partial partition can still be completed, so the walk never hits a
-    dead end and no level holds more entries than the class does.  Each new
-    block is taken from ``canon`` when an equal one is there, so the
-    partitions share at most 2^m - 1 block objects.
+    result is canonical as built.  Sizes that sum to m give exactly the
+    class of that type: every partial partition can still be completed, so
+    the walk never hits a dead end and no level holds more entries than the
+    class does.  The class is held whole, so a table kept for the call
+    hands out each new block once, and the partitions share at most
+    2^m - 1 block objects.
     """
-    intern = canon.setdefault
+    intern = {}.setdefault
     count = len(sizes)
     level: list[Blocks] = [()]
     for e in range(1, m + 1):
@@ -240,12 +240,10 @@ def _merge_index(entries: Sequence[int], i: int) -> int:
     return sum(1 for e in entries[i + 1:] if e)
 
 
-def _merge(blocks: Blocks, j: int, canon: dict[Block, Block]) -> Blocks:
+def _merge(blocks: Blocks, j: int) -> Blocks:
     """Merge the singleton at index j into the block after it.  Its element
-    is below that block's minimum, so the result stays canonical.  The
-    merged block is taken from ``canon`` when an equal one is there."""
-    block = blocks[j] + blocks[j + 1]
-    return blocks[:j] + (canon.setdefault(block, block),) + blocks[j + 2:]
+    is below that block's minimum, so the result stays canonical."""
+    return blocks[:j] + (blocks[j] + blocks[j + 1],) + blocks[j + 2:]
 
 
 def _is_image(blocks: Blocks, j: int) -> bool:
@@ -255,7 +253,7 @@ def _is_image(blocks: Blocks, j: int) -> bool:
     return not (j + 1 < len(blocks) and blocks[j][1] > blocks[j + 1][0])
 
 
-def _births(m: int, sizes: tuple[int, ...], j: int, canon: dict[Block, Block]) -> list[Blocks]:
+def _births(m: int, sizes: tuple[int, ...], j: int) -> list[Blocks]:
     """The members of the class of this type that start chains: all of them
     at the bottom of a subset chain (``j`` < 0), otherwise those that are
     no image (``_is_image``) across the arriving link, whose merge index is
@@ -263,7 +261,7 @@ def _births(m: int, sizes: tuple[int, ...], j: int, canon: dict[Block, Block]) -
     class is not walked."""
     if j + 1 == len(sizes):
         return []
-    members = _partitions(m, sizes, canon)
+    members = _partitions(m, sizes)
     if j < 0:
         return members
     return [p for p in members if not _is_image(p, j)]
@@ -276,7 +274,7 @@ def inject(p: SetPartition, i: int) -> SetPartition:
     entries = code_from_nonzeros(tuple(reversed(type_of(p)))).entries
     if _link_added(entries, i) == 0:
         raise ValueError(f"no chain link adds {i} to class {class_of(p).literal()}")
-    return _trusted(p.m, _merge(p.blocks, _merge_index(entries, i), {}))
+    return _trusted(p.m, _merge(p.blocks, _merge_index(entries, i)))
 
 
 def inject_inverse(q: SetPartition, i: int) -> Optional[SetPartition]:
@@ -345,11 +343,11 @@ def _unkey(key: bytes) -> Blocks:
     return tuple(map(tuple, key.split(b"\0")))
 
 
-def _expand(p: Blocks, js: Sequence[int], canon: dict[Block, Block]) -> list[Blocks]:
+def _expand(p: Blocks, js: Sequence[int]) -> list[Blocks]:
     """``p`` and its merges at the indices ``js`` in turn."""
     run = [p]
     for j in js:
-        p = _merge(p, j, canon)
+        p = _merge(p, j)
         run.append(p)
     return run
 
@@ -382,15 +380,14 @@ class _Chains(_TupleView):
     def __iter__(self) -> Iterator["_Chain"]:
         return map(partial(_Chain, self), self.starts)
 
-    def kept(self, key: bytes, canon: dict[Block, Block]) -> list[Blocks]:
+    def kept(self, key: bytes) -> list[Blocks]:
         p = _unkey(key)
         t, js = self.places[tuple(map(len, p))]
-        return _expand(p, js[t + 1:t + 2 * len(p) - self.m], canon)
+        return _expand(p, js[t + 1:t + 2 * len(p) - self.m])
 
     def blocks(self) -> Iterator[list[Blocks]]:
         """Each chain's block tuples, in chain order."""
-        canon: dict[Block, Block] = {}
-        return (self.kept(key, canon) for key in self.starts)
+        return map(self.kept, self.starts)
 
 
 class _Chain(_TupleView):
@@ -406,7 +403,7 @@ class _Chain(_TupleView):
         return 2 * self._key.count(0) + 2 - self._chains.m
 
     def __iter__(self) -> Iterator[SetPartition]:
-        return map(partial(_trusted, self._chains.m), self._chains.kept(self._key, {}))
+        return map(partial(_trusted, self._chains.m), self._chains.kept(self._key))
 
 
 class _Excluded(_TupleView):
@@ -432,12 +429,12 @@ class _Excluded(_TupleView):
 
     def blocks(self) -> Iterator[Blocks]:
         """The excluded block tuples, in no particular order."""
-        m, canon = self._chains.m, {}
+        m = self._chains.m
         for sizes, (t, js) in self._chains.places.items():
             keep = max(0, 2 * len(sizes) - m)
             if len(js) - t > keep:
-                for p in _births(m, sizes, js[t], canon):
-                    yield from _expand(p, js[t + 1:], canon)[keep:]
+                for p in _births(m, sizes, js[t]):
+                    yield from _expand(p, js[t + 1:])[keep:]
 
 
 def _chain_blocks(chains: Sequence[Sequence[SetPartition]]) -> Iterable[list[Blocks]]:
@@ -507,7 +504,6 @@ def build_partition_chains(n: int, ceiling: int = DEFAULT_PARTITION_CEILING) -> 
     m = n + 1
     _check_ceiling(m, ceiling, f"Bell({m}) partitions")
     boolean = gk_decomposition(n, ceiling)
-    canon: dict[Block, Block] = {}
     places: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
     starts: list[bytes] = []
     kept = 0
@@ -531,7 +527,7 @@ def build_partition_chains(n: int, ceiling: int = DEFAULT_PARTITION_CEILING) -> 
             places[sizes] = (t, chain_js)
             keep = 2 * len(sizes) - m
             if keep > 0:
-                born = _births(m, sizes, js[t], canon)
+                born = _births(m, sizes, js[t])
                 starts += map(_key, born)
                 kept += keep * len(born)
     starts.sort()
@@ -777,9 +773,11 @@ def _dot_lines(fam: PartitionChainFamily) -> Iterator[str]:
     Works on block tuples: a cover merges blocks a < b, and the merged
     block keeps block a's minimum and place, so the result is canonical.
     Nodes are numbered in block order, so sorting a node's covers by number
-    puts the edges in order without holding them all."""
-    chains = list(_chain_blocks(fam.chains))
-    excluded = set(_excluded_blocks(fam.excluded))
+    puts the edges in order without holding them all.  Every node is held
+    at once, so equal blocks are shared as the nodes are collected."""
+    share = {}.setdefault
+    chains = [[tuple(share(b, b) for b in p) for p in chain] for chain in _chain_blocks(fam.chains)]
+    excluded = {tuple(share(b, b) for b in p) for p in _excluded_blocks(fam.excluded)}
     nodes = sorted({p for chain in chains for p in chain} | excluded)
     index = {blocks: i for i, blocks in enumerate(nodes)}
     literals = [_literal(blocks) for blocks in nodes]

@@ -160,16 +160,6 @@ def word_of(s: Subset) -> str:
     return "".join(symbols)
 
 
-def parse_word(word: str) -> Subset:
-    members = []
-    for pos, ch in enumerate(word, start=1):
-        if ch == RIGHT:
-            members.append(pos)
-        elif ch != LEFT:
-            raise ValueError(f"unexpected symbol {ch!r} at position {pos}")
-    return Subset(len(word), tuple(members))
-
-
 def match_parens(word: str) -> MatchStructure:
     """Match LEFT symbols to the nearest following unmatched RIGHT."""
     pairs: list[tuple[int, int]] = []

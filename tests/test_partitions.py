@@ -50,8 +50,10 @@ from symchains.partitions import (
     _iter_partitions,
     _literal,
     _merge_index,
+    _partitions,
     _rank_index,
     _trusted,
+    _type_of_code,
 )
 from symchains.reports import _WITNESS_CAP
 
@@ -478,6 +480,13 @@ class TestEnumeration:
             got = list(enumerate_all_partitions(m))
             assert len(got) == b
             assert len(set(got)) == b
+
+    def test_class_walk_shares_equal_blocks(self):
+        # The walk holds a whole class, so it hands out each block once.
+        for m in range(1, 9):
+            for s in all_subsets(m - 1):
+                parts = _partitions(m, _type_of_code(encode(s).entries))
+                assert len({id(b) for p in parts for b in p}) == len({b for p in parts for b in p}), s
 
     def test_ceiling(self):
         with pytest.raises(CeilingExceeded):
@@ -1022,8 +1031,9 @@ class TestRankIndex:
 def mutated_families(draw):
     """A built family on m <= 7 with one to three random edits: a member
     dropped, repeated, moved between chains or to and from the excluded
-    list, a chain dropped or reversed, or a partition added that is random,
-    outside the lattice, or out of canonical order."""
+    list, a chain dropped or reversed, a chain forked off a member, or a
+    partition added that is random, outside the lattice, or out of
+    canonical order."""
     n = draw(st.integers(min_value=0, max_value=6))
     m = n + 1
     fam = family(n)
@@ -1036,7 +1046,7 @@ def mutated_families(draw):
 
     for _ in range(draw(st.integers(1, 3))):
         how = draw(st.sampled_from(["drop", "repeat", "move", "drop_chain", "reverse",
-                                    "random", "outside", "scramble"]))
+                                    "fork", "random", "outside", "scramble"]))
         target = somewhere()
         if how == "drop" and target:
             target.pop(draw(st.integers(0, len(target) - 1)))
@@ -1050,6 +1060,16 @@ def mutated_families(draw):
             chains.pop(draw(st.integers(0, len(chains) - 1)))
         elif how == "reverse" and chains:
             draw(st.sampled_from(chains)).reverse()
+        elif how == "fork":
+            # A new chain from lo to a cover other than hi, so that lo has a
+            # successor in two chains.
+            links = [(lo, hi) for c in chains for lo, hi in zip(c, c[1:]) if lo.block_count >= 3]
+            if links:
+                lo, hi = draw(st.sampled_from(links))
+                ups = [SetPartition.of(m, lo.blocks[:a] + lo.blocks[a + 1:b] + lo.blocks[b + 1:]
+                                       + (lo.blocks[a] + lo.blocks[b],))
+                       for a, b in itertools.combinations(range(lo.block_count), 2)]
+                chains.append([lo, draw(st.sampled_from([up for up in ups if up != hi]))])
         elif how == "random":
             target.append(draw_partition(draw, m))
         elif how == "outside":
@@ -1115,9 +1135,9 @@ class TestBuiltFamilyViews:
         types = []
         walk = partitions._partitions
 
-        def spy(m, sizes, canon):
+        def spy(m, sizes):
             types.append(tuple(sizes))
-            return walk(m, sizes, canon)
+            return walk(m, sizes)
 
         with monkeypatch.context() as patch:
             patch.setattr(partitions, "_partitions", spy)

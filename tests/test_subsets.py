@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from symchains import CeilingExceeded, MatchStructure, Subset, all_subsets, match_parens, parse_word, word_of
+from symchains import CeilingExceeded, MatchStructure, Subset, all_subsets, match_parens, word_of
 from symchains.subsets import LEFT, RIGHT, _members, check_ground_size
 
 
@@ -85,18 +85,10 @@ class TestWords:
         s = Subset.of(10, [1, 3, 4, 8, 9])
         assert word_of(s) == ")())((())("
 
-    def test_parse_roundtrip_golden(self):
-        assert parse_word(")())((())(") == Subset.of(10, [1, 3, 4, 8, 9])
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_word("(x)")
-
     @given(subset_strategy())
     def test_word_roundtrip(self, s):
         w = word_of(s)
         assert len(w) == s.n
-        assert parse_word(w) == s
         # RIGHT marks membership
         for i in range(1, s.n + 1):
             assert (w[i - 1] == RIGHT) == (i in s)
