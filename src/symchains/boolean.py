@@ -9,16 +9,18 @@ order; tests establish that rather than assume it.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import or_
-from typing import Callable, Iterable, Iterator
+from itertools import accumulate, compress, islice, pairwise, repeat
+from operator import add, or_, sub
 
 from .reports import _WITNESS_CAP, VerificationReport
 from .subsets import (
     DEFAULT_ENUM_CEILING,
     MAX_GROUND_SIZE,
     Subset,
+    _TupleView,
     _check_ceiling,
     _json_int,
     _members,
@@ -33,11 +35,12 @@ from .subsets import (
 
 @dataclass(frozen=True, slots=True, init=False)
 class BooleanChain:
-    """A chain of subsets, bottom first, stored as integer masks (bit i-1
-    for element i).  Structure beyond consistent ground sizes is the
-    verifier's business, so malformed chains can be built and then reported
-    on.  ``sets``, ``bottom`` and ``top`` build their ``Subset``s on each
-    access; nothing holds them, so a decomposition costs one int per set."""
+    """A chain of subsets, bottom first, as integer masks (bit i-1 for
+    element i).  Structure beyond consistent ground sizes is the verifier's
+    business, so malformed chains can be built and then reported on.  A
+    decomposition holds no BooleanChain: it packs every chain's masks into
+    one array and builds a chain when one is read.  ``sets``, ``bottom`` and
+    ``top`` build their ``Subset``s on each access and keep none."""
 
     n: int
     masks: tuple[int, ...]
@@ -75,16 +78,76 @@ def _literal(mask: int) -> str:
     return _set_literal(_members(mask))
 
 
+class _Packed(_TupleView):
+    """The chains of a decomposition, packed: one array holds every chain's
+    masks, bottom first, chain after chain, and another the offsets where
+    the chains begin.  A chain is built as a ``BooleanChain`` only when it
+    is read; the verifier reads ``flat`` and ``sizes``, the writers
+    ``runs``, and they build none.  The arrays are private and the view
+    refuses assignment, so decompositions may share one view."""
+
+    __slots__ = ("n", "_masks", "_offsets")
+
+    def __init__(self, n: int, masks: array, offsets: array):
+        for name, value in (("n", n), ("_masks", masks), ("_offsets", offsets)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"packed chains are read-only: cannot set {name!r}")
+
+    def __len__(self) -> int:
+        return len(self._offsets) - 1
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        i = range(len(self))[i]
+        return _chain(self.n, tuple(self._masks[self._offsets[i]:self._offsets[i + 1]]))
+
+    def __iter__(self) -> Iterator[BooleanChain]:
+        return map(_chain, repeat(self.n), self.runs())
+
+    def flat(self) -> Iterator[int]:
+        """Every chain's masks, bottom first, chain after chain."""
+        return iter(self._masks)
+
+    def sizes(self) -> Iterator[int]:
+        """The number of sets in each chain, in chain order."""
+        return map(sub, islice(self._offsets, 1, None), self._offsets)
+
+    def runs(self) -> Iterator[tuple[int, ...]]:
+        """Each chain's masks, bottom first, in chain order: one iterator
+        over the masks, cut at the chain sizes."""
+        return map(tuple, map(islice, repeat(self.flat()), self.sizes()))
+
+
+def _pack(n: int, chains: Iterable[BooleanChain]) -> _Packed:
+    """``chains`` packed; a packed view over the same ground size is kept
+    and shared, which its read-only arrays allow."""
+    if isinstance(chains, _Packed) and chains.n == n:
+        return chains
+    masks, offsets = array("Q"), array("Q", [0])
+    for chain in chains:
+        if chain.n != n:
+            raise ValueError("ground size mismatch between decomposition and chain")
+        masks.extend(chain.masks)
+        offsets.append(len(masks))
+    return _Packed(n, masks, offsets)
+
+
 @dataclass(frozen=True)
 class BooleanDecomposition:
+    """Chains of subsets of {1..n}.  The chains given are packed into one
+    array of masks (``_Packed``); ``chains`` is a read-only view of them
+    that compares, hashes and prints as the tuple of ``BooleanChain``s it
+    stands for."""
+
     n: int
-    chains: tuple[BooleanChain, ...]
+    chains: Sequence[BooleanChain]
 
     def __post_init__(self) -> None:
         check_ground_size(self.n)
-        for chain in self.chains:
-            if chain.n != self.n:
-                raise ValueError("ground size mismatch between decomposition and chain")
+        object.__setattr__(self, "chains", _pack(self.n, self.chains))
 
 
 def chain_of(s: Subset) -> BooleanChain:
@@ -106,38 +169,57 @@ def gk_decomposition(n: int, ceiling: int = DEFAULT_ENUM_CEILING) -> BooleanDeco
 
     A bottom is a subset whose parenthesis word has every RIGHT matched; there
     are C(n, n//2) of them.  One pass over the positions grows every such word
-    with its stack of open LEFTs: a LEFT is pushed, a RIGHT pops the stack and
-    may only be placed on a nonempty one.  The LEFTs still open at the end are
-    the unmatched ones, u_1 < ... < u_k, and the chain is bottom plus
-    {u_1..u_t} for t = 0..k: the bottom's mask, then cumulative ORs of the
-    unmatched bits.
+    with its stack of open LEFTs, held as a mask: a LEFT sets its bit, a RIGHT
+    clears the highest set bit, the latest LEFT, and may only be placed on a
+    nonzero mask.  The LEFTs still open at the end are the unmatched ones,
+    u_1 < ... < u_k, and the chain is bottom plus {u_1..u_t} for t = 0..k:
+    the bottom's mask, then cumulative ORs of the unmatched bits.
     """
     check_ground_size(n)
     _check_ceiling(n, ceiling, f"2^{n} subsets")
-    masks: list[int] = [0]
-    stacks: list[tuple[int, ...]] = [()]
+    bottoms, opens = array("Q", [0]), array("Q", [0])
     for i in range(n):
         bit = 1 << i
         # Words that place a RIGHT here gain the new highest bit, so they
         # follow all the others and the bottoms stay in ascending mask order.
-        masks += [m | bit for m, stack in zip(masks, stacks) if stack]
-        stacks = [stack + (bit,) for stack in stacks] + [stack[:-1] for stack in stacks if stack]
-    return BooleanDecomposition(n, tuple([_chain(n, tuple(accumulate(stack, or_, initial=m)))
-                                          for m, stack in zip(masks, stacks)]))
+        bottoms += array("Q", map(or_, compress(bottoms, opens), repeat(bit)))
+        opens = (array("Q", map(or_, opens, repeat(bit)))
+                 + array("Q", [o ^ 1 << o.bit_length() - 1 for o in opens if o]))
+    masks, offsets = array("Q"), array("Q", [0])
+    for m, unmatched in zip(bottoms, opens):
+        masks.append(m)
+        while unmatched:
+            low = unmatched & -unmatched
+            m |= low
+            unmatched ^= low
+            masks.append(m)
+        offsets.append(len(masks))
+    return BooleanDecomposition(n, _Packed(n, masks, offsets))
 
 
 def _grow(n: int, ceiling: int, extend: Callable, lift: Callable) -> BooleanDecomposition:
     """Chains grown from [0] one element at a time: each ``extend(chain, bit)``
     keeps its bottom and precedes every ``lift(chain, bit)`` of a chain past
-    one set, whose bottom gains ``bit``, the highest so far, so bottoms ascend."""
+    one set, whose bottom gains ``bit``, the highest so far, so bottoms ascend.
+    A step reads the packed chains as tuples of masks and packs the extended
+    and the lifted chains into two fresh buffers, the lifted ones then
+    appended to the extended ones."""
     check_ground_size(n)
     _check_ceiling(n, ceiling, f"2^{n} subsets")
-    chains: list[list[int]] = [[0]]
+    chains = _Packed(n, array("Q", [0]), array("Q", [0, 1]))
     for bit in (1 << k for k in range(n)):
-        step = [extend(chain, bit) for chain in chains]
-        step += (lift(chain, bit) for chain in chains if len(chain) > 1)
-        chains = step
-    return BooleanDecomposition(n, tuple([_chain(n, tuple(chain)) for chain in chains]))
+        masks, offsets = array("Q"), array("Q", [0])
+        lifted, lifted_ends = array("Q"), array("Q")
+        for chain in chains.runs():
+            masks.extend(extend(chain, bit))
+            offsets.append(len(masks))
+            if len(chain) > 1:
+                lifted.extend(lift(chain, bit))
+                lifted_ends.append(len(lifted))
+        offsets.extend(map(add, lifted_ends, repeat(len(masks))))
+        masks += lifted
+        chains = _Packed(n, masks, offsets)
+    return BooleanDecomposition(n, chains)
 
 
 def debruijn_decomposition(n: int, ceiling: int = DEFAULT_ENUM_CEILING) -> BooleanDecomposition:
@@ -148,7 +230,7 @@ def debruijn_decomposition(n: int, ceiling: int = DEFAULT_ENUM_CEILING) -> Boole
     adding m+1 to every set with its top dropped (dropping keeps the lifted
     chain disjoint from the extended one; a one-set chain yields nothing).
     """
-    return _grow(n, ceiling, lambda chain, bit: chain + [chain[-1] | bit],
+    return _grow(n, ceiling, lambda chain, bit: chain + (chain[-1] | bit,),
                  lambda chain, bit: [x | bit for x in chain[:-1]])
 
 
@@ -201,41 +283,50 @@ def verify_scd(d: BooleanDecomposition, ceiling: int = DEFAULT_ENUM_CEILING) -> 
     added in increasing order, n sits in every chain's top, and a link
     adding i requires i+1 absent and (i = 1 or i-1 present).
 
-    Every test is arithmetic on the chains' masks (bit i-1 for element i),
-    coverage is one byte per subset, and a set is spelled out only in the
-    witness of a failure, and at most ``_WITNESS_CAP`` missing sets are
-    spelled out before one ``("missing", "<N> more")``.  Coverage grows as
-    2^n however few chains there are, so n past ``ceiling`` is refused
-    first."""
+    Every test is arithmetic on the packed masks (bit i-1 for element i),
+    read in one pass: each set is covered and each link checked as the set
+    is read.  A chain's failures keep the element-set verifier's order, its
+    overlaps, then its symmetry and top, then its links, so link failures
+    wait in ``links`` until the chain's top is known.  As the added sets are
+    single bits, their order is that of the bits themselves.  Coverage is
+    one byte per subset, a set is spelled out only in the witness of a
+    failure, and at most ``_WITNESS_CAP`` missing sets are spelled out
+    before one ``("missing", "<N> more")``.  Coverage grows as 2^n however
+    few chains there are, so n past ``ceiling`` is refused first."""
     n = d.n
     _check_ceiling(n, ceiling, f"2^{n} subsets")
     failures: list[tuple[str, str]] = []
+    links: list[tuple[str, str]] = []
     covered = bytearray(1 << n)
-    for chain in d.chains:
-        masks = chain.masks
-        for m in masks:
-            if covered[m]:
-                failures.append(("overlap", _literal(m)))
-            covered[m] = 1
-        bottom, top = masks[0], masks[-1]
-        if bottom.bit_count() + top.bit_count() != n:
-            failures.append(("not_symmetric", f"{_literal(bottom)} .. {_literal(top)}"))
-        if n >= 1 and not top >> (n - 1):
-            failures.append(("link_rule", f"top {_literal(top)} lacks {n}"))
-        prev_added = 0
-        for j in range(1, len(masks)):
-            lo, hi = masks[j - 1], masks[j]
+    sets = d.chains.flat()
+    for size in d.chains.sizes():
+        bottom = lo = next(sets)
+        if covered[lo]:
+            failures.append(("overlap", _literal(lo)))
+        covered[lo] = 1
+        prev = 0
+        for hi in islice(sets, size - 1):
+            if covered[hi]:
+                failures.append(("overlap", _literal(hi)))
+            covered[hi] = 1
             added = hi ^ lo
-            if hi & lo != lo or not added or added & (added - 1):
-                failures.append(("not_saturated", f"{_literal(lo)} -> {_literal(hi)}"))
-                continue
-            i = added.bit_length()
-            if i <= prev_added:
-                failures.append(("link_rule",
-                                 f"added {i} after {prev_added} in chain from {_literal(bottom)}"))
-            if lo & added << 1 or (added > 1 and not lo & added >> 1):
-                failures.append(("link_rule", f"link {_literal(lo)} -> add {i}"))
-            prev_added = i
+            if added & lo or not added or added & (added - 1):
+                links.append(("not_saturated", f"{_literal(lo)} -> {_literal(hi)}"))
+            else:
+                if added <= prev:
+                    links.append(("link_rule", f"added {added.bit_length()} after "
+                                  f"{prev.bit_length()} in chain from {_literal(bottom)}"))
+                if lo & added << 1 or (added > 1 and not lo & added >> 1):
+                    links.append(("link_rule", f"link {_literal(lo)} -> add {added.bit_length()}"))
+                prev = added
+            lo = hi
+        if bottom.bit_count() + lo.bit_count() != n:
+            failures.append(("not_symmetric", f"{_literal(bottom)} .. {_literal(lo)}"))
+        if n >= 1 and not lo >> (n - 1):
+            failures.append(("link_rule", f"top {_literal(lo)} lacks {n}"))
+        if links:
+            failures += links
+            links.clear()
     seen = covered.count(1)
     missing = len(covered) - seen
     mask = -1
@@ -257,7 +348,7 @@ def _json_view(d: BooleanDecomposition) -> dict:
     """The document of ``decomposition_to_json`` with its chain list an
     iterator, for a writer that streams it chain by chain."""
     return {"n": d.n,
-            "chains": ([list(_members(m)) for m in chain.masks] for chain in d.chains)}
+            "chains": ([list(_members(m)) for m in chain] for chain in d.chains.runs())}
 
 
 def decomposition_from_json(obj: dict, ceiling: int = DEFAULT_ENUM_CEILING) -> BooleanDecomposition:
@@ -280,8 +371,8 @@ def decomposition_to_dot(d: BooleanDecomposition) -> str:
 
 def _dot_lines(d: BooleanDecomposition) -> Iterator[str]:
     """The lines of ``decomposition_to_dot``, one at a time."""
-    literals = {m: _literal(m) for chain in d.chains for m in chain.masks}
-    links = {(lo, hi) for chain in d.chains for lo, hi in zip(chain.masks, chain.masks[1:])}
+    literals = {m: _literal(m) for m in d.chains.flat()}
+    links = {(lo, hi) for chain in d.chains.runs() for lo, hi in pairwise(chain)}
     masks = sorted(literals)
     yield from ("digraph scd {", "  rankdir=BT;", "  node [shape=box];")
     for mask in masks:

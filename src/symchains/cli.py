@@ -135,7 +135,7 @@ def _cmd_chain(args: argparse.Namespace) -> int:
 def _cmd_decompose_boolean(args: argparse.Namespace) -> int:
     d = _BOOLEAN_METHODS[args.method](args.n, ceiling=args.ceiling)
     _emit(args, json=lambda: boolean._json_view(d), dot=lambda: boolean._dot_lines(d),
-          text=lambda: (" < ".join(map(boolean._literal, chain.masks)) for chain in d.chains))
+          text=lambda: (" < ".join(map(boolean._literal, chain)) for chain in d.chains.runs()))
     return 0
 
 

@@ -21,7 +21,7 @@ from .boolean import _literal as _literal_mask, gk_decomposition
 from .coding import _link_added, code_from_nonzeros, encode
 from .identities import bell_oracle, stirling_table
 from .reports import _WITNESS_CAP, VerificationReport
-from .subsets import Subset, _check_ceiling, _json_int, _unchecked
+from .subsets import Subset, _TupleView, _check_ceiling, _json_int, _unchecked
 
 # Set by memory.  The family holds only its chain starts and the verifier a
 # byte per partition: for m = 13 (27.6 million partitions) building peaks at
@@ -297,38 +297,6 @@ def inject_inverse(q: SetPartition, i: int) -> Optional[SetPartition]:
         return None
     merged = blocks[j]
     return _trusted(q.m, blocks[:j] + ((merged[0],), merged[1:]) + blocks[j + 1:])
-
-
-class _TupleView(Sequence):
-    """A read-only sequence that compares, hashes, concatenates and prints
-    as the tuple of its items, so the views of a built family stand in for
-    the tuples a hand-built one holds."""
-
-    __slots__ = ()
-
-    def __getitem__(self, i):
-        return tuple(self)[i]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (tuple, _TupleView)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __add__(self, other: object) -> tuple:
-        if isinstance(other, (tuple, _TupleView)):
-            return tuple(self) + tuple(other)
-        return NotImplemented
-
-    def __radd__(self, other: object) -> tuple:
-        if isinstance(other, tuple):
-            return other + tuple(self)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
 
 
 def _key(blocks: Blocks) -> bytes:

@@ -8,20 +8,21 @@ rest of the package.  Positions are 1-based throughout.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from functools import cache
 from typing import Any, Callable, Iterable, Iterator
 
 LEFT = "("
 RIGHT = ")"
 
 # Whole-lattice enumerations refuse to run past this many ground elements
-# unless the caller raises the ceiling explicitly.  Set by memory:
-# gk_decomposition plus verify_scd at n = 24 (16.8 million subsets, one int
-# each) peaks at about 1.2 GB RSS and takes about 20 s, the other two
-# constructions at about 1.4 GB, and memory grows fourfold per two elements,
-# so n = 26 would need about 5 GB, too close to what an 8 GB machine has to
-# admit by default.
+# unless the caller raises the ceiling explicitly.  Set by memory when every
+# chain was an object: gk_decomposition plus verify_scd at n = 24 then
+# peaked at about 1.2 GB.  With the chains packed into one array of masks,
+# 8 bytes a set, n = 24 peaks at about 230 MB in about 9 s (the other two
+# constructions at about 330 MB) and n = 26 at about 800 MB in about 44 s
+# (Python 3.11, 2 cores).  The ceiling stays 24 until it is set again from
+# such measurements.
 DEFAULT_ENUM_CEILING = 24
 
 # Per-set operations stay cheap far beyond enumeration range.
@@ -64,6 +65,40 @@ def _unchecked(cls: type) -> Callable[[Any, Any], Any]:
         return obj
 
     return make
+
+
+class _TupleView(Sequence):
+    """A read-only sequence that compares, hashes, concatenates and prints
+    as the tuple of its items, so a view over packed or derived data stands
+    in for the tuple a hand-built value holds: the chains of a subset
+    decomposition, and the chains and excluded partitions of a built
+    partition family."""
+
+    __slots__ = ()
+
+    def __getitem__(self, i):
+        return tuple(self)[i]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (tuple, _TupleView)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __add__(self, other: object) -> tuple:
+        if isinstance(other, (tuple, _TupleView)):
+            return tuple(self) + tuple(other)
+        return NotImplemented
+
+    def __radd__(self, other: object) -> tuple:
+        if isinstance(other, tuple):
+            return other + tuple(self)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 def check_ground_size(n: int) -> None:
@@ -205,23 +240,23 @@ def _member_table(first: int, last: int) -> list[tuple[int, ...]]:
     return table
 
 
-@cache
-def _byte_table(k: int) -> tuple[tuple[int, ...], ...]:
-    """Member tuples of every value of byte k of a mask, which holds the
-    elements 8k+1..8k+8; built on first use, at most eight of them."""
-    return tuple(_member_table(8 * k + 1, 8 * k + 8))
+# Table k holds the member tuples of every value of byte k of a mask, the
+# elements 8k+1..8k+8; the eight tables cover MAX_GROUND_SIZE.  They are
+# built at import, in about half a millisecond, so that ``_members`` reads
+# each byte without a call.
+_BYTE_TABLES = tuple(tuple(_member_table(8 * k + 1, 8 * k + 8)) for k in range(MAX_GROUND_SIZE // 8))
 
 
 def _members(mask: int) -> tuple[int, ...]:
     """The members of ``mask`` (bit i-1 for element i), ascending: one table
     lookup per byte, so masks of any ground size up to MAX_GROUND_SIZE are
     served by tables of 256 entries."""
-    out = _byte_table(0)[mask & 255]
+    out = _BYTE_TABLES[0][mask & 255]
     k = 0
     while mask > 255:
         mask >>= 8
         k += 1
-        out += _byte_table(k)[mask & 255]
+        out += _BYTE_TABLES[k][mask & 255]
     return out
 
 

@@ -9,7 +9,9 @@ import hashlib
 import inspect
 import json
 import math
+from array import array
 from dataclasses import FrozenInstanceError
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -212,6 +214,62 @@ class TestConstructions:
             debruijn_decomposition(11, ceiling=10)
 
 
+class TestPackedChains:
+    """A decomposition holds its chains as one array of masks and one of
+    offsets; tuples of kernel-built ``BooleanChain``s are the oracle."""
+
+    def test_repacking_the_chains_gives_an_equal_value(self):
+        for n in range(13):
+            for method in METHODS:
+                d = method(n)
+                again = BooleanDecomposition(n, tuple(d.chains))
+                assert again == d and hash(again) == hash(d), (method.__name__, n)
+                assert (again.chains._masks, again.chains._offsets) == (d.chains._masks, d.chains._offsets)
+
+    def test_chains_stand_for_their_tuple(self):
+        d = gk_decomposition(4)
+        t = tuple(d.chains)
+        assert d.chains == t and t == d.chains and hash(d.chains) == hash(t)
+        assert repr(d.chains) == repr(t)
+        assert d.chains + t[:1] == t + t[:1] and t[:1] + d.chains == t[:1] + t
+        assert d.chains + d.chains == t + t
+        assert (d.chains[0], d.chains[-1]) == (t[0], t[-1])
+        assert d.chains[1:4] == t[1:4] and d.chains[::-2] == t[::-2]
+        with pytest.raises(IndexError):
+            d.chains[len(t)]
+        assert list(d.chains.runs()) == [c.masks for c in t]
+
+    def test_one_array_of_masks(self):
+        for method in METHODS:
+            d = method(10)
+            masks, offsets = d.chains._masks, d.chains._offsets
+            assert (type(masks), masks.typecode) == (type(offsets), offsets.typecode) == (array, "Q")
+            assert sorted(masks) == list(range(1 << 10))
+            assert len(offsets) == len(d.chains) + 1 and offsets[0] == 0 and offsets[-1] == len(masks)
+
+    def test_packed_chains_are_kept(self):
+        d = gk_decomposition(5)
+        assert BooleanDecomposition(5, d.chains).chains is d.chains
+
+    def test_packed_chains_are_read_only(self):
+        chains = gk_decomposition(5).chains
+        for name, value in (("n", 4), ("_masks", array("Q")), ("_offsets", array("Q", [0])), ("masks", ())):
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(chains, name, value)
+        assert list(chains.flat()) == [m for c in chains for m in c.masks]
+
+    def test_ground_size_mismatch_is_refused(self):
+        with pytest.raises(ValueError, match="ground size mismatch"):
+            BooleanDecomposition(3, (BooleanChain(4, (Subset.of(4, [4]),)),))
+        with pytest.raises(ValueError, match="ground size mismatch"):
+            BooleanDecomposition(3, gk_decomposition(4).chains)
+
+    def test_one_sequence_class_for_every_view(self):
+        assert partitions._TupleView is subsets._TupleView
+        for view in (boolean._Packed, partitions._Chains, partitions._Chain, partitions._Excluded):
+            assert issubclass(view, subsets._TupleView)
+
+
 class TestProductGrid:
     def test_hooks_3x2(self):
         assert product_scd(3, 2) == (
@@ -405,6 +463,72 @@ class TestVerifierOracle:
         chains = mutate([c.sets for c in d.chains], ops, data)
         mutant = BooleanDecomposition(n, tuple(BooleanChain(n, tuple(c)) for c in chains))
         assert verify_scd(mutant) == reference_verify_scd(mutant)
+
+
+def hand_built(n, chains):
+    """A decomposition of ``BooleanChain``s made by the public constructor
+    from chains given as lists of masks."""
+    return BooleanDecomposition(n, tuple(BooleanChain(n, [Subset.from_mask(n, m) for m in c])
+                                         for c in chains))
+
+
+def corrupt(d, how, data):
+    """Edit a copy of ``d``'s packed arrays, and the same edit on its chains
+    as lists of masks: a mask copied over one in another chain, two masks
+    swapped across chains, a chain dropped with its offset, or a middle
+    set dropped from a chain of three or more."""
+    n, masks, offsets = d.n, array("Q", d.chains.flat()), array("Q", d.chains._offsets)
+    chains = [list(c) for c in d.chains.runs()]
+    index = lambda lo, hi: data.draw(st.integers(lo, hi - 1))
+    if how in ("duplicate", "swap"):
+        a, b = data.draw(st.lists(st.integers(0, len(chains) - 1), min_size=2, max_size=2, unique=True))
+        j, k = index(offsets[a], offsets[a + 1]), index(offsets[b], offsets[b + 1])
+        ja, kb = j - offsets[a], k - offsets[b]
+        if how == "duplicate":
+            masks[k] = masks[j]
+            chains[b][kb] = chains[a][ja]
+        else:
+            masks[j], masks[k] = masks[k], masks[j]
+            chains[a][ja], chains[b][kb] = chains[b][kb], chains[a][ja]
+    elif how == "drop_chain":
+        a = index(0, len(chains))
+        size = offsets[a + 1] - offsets[a]
+        del masks[offsets[a]:offsets[a + 1]]
+        offsets = offsets[:a + 1] + array("Q", [o - size for o in offsets[a + 2:]])
+        del chains[a]
+    else:
+        a = data.draw(st.sampled_from([i for i, c in enumerate(chains) if len(c) >= 3]))
+        j = index(offsets[a] + 1, offsets[a + 1] - 1)
+        del masks[j]
+        offsets = offsets[:a + 1] + array("Q", [o - 1 for o in offsets[a + 1:]])
+        del chains[a][j - offsets[a]]
+    return BooleanDecomposition(n, boolean._Packed(n, masks, offsets)), hand_built(n, chains)
+
+
+class TestPackedMutants:
+    def test_hand_built_and_packed_give_one_report(self):
+        for n in range(9):
+            for method in METHODS:
+                d = method(n)
+                hand = hand_built(n, d.chains.runs())
+                assert hand == d and verify_scd(hand) == verify_scd(d)
+
+    @settings(max_examples=200)
+    @given(st.integers(4, 7), st.sampled_from(METHODS),
+           st.sampled_from(("duplicate", "swap", "drop_chain", "unsaturate")), st.data())
+    def test_corrupted_arrays_report_as_hand_built(self, n, method, how, data):
+        mutant, hand = corrupt(method(n), how, data)
+        assert mutant == hand
+        rep = verify_scd(mutant)
+        assert rep.failures == verify_scd(hand).failures == reference_verify_scd(hand).failures
+        assert rep == reference_verify_scd(hand)
+        kinds = {kind for kind, _ in rep.failures}
+        if how == "drop_chain":
+            assert kinds == {"missing"}
+        elif how == "unsaturate":
+            assert {"not_saturated", "missing"} <= kinds
+        elif how == "duplicate":
+            assert {"overlap", "missing"} <= kinds
 
 
 class TestSlots:
