@@ -13,7 +13,7 @@ from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, compress, islice, pairwise, repeat
-from operator import add, or_, sub
+from operator import or_, sub
 
 from .reports import _WITNESS_CAP, VerificationReport
 from .subsets import (
@@ -201,23 +201,21 @@ def _grow(n: int, ceiling: int, extend: Callable, lift: Callable) -> BooleanDeco
     """Chains grown from [0] one element at a time: each ``extend(chain, bit)``
     keeps its bottom and precedes every ``lift(chain, bit)`` of a chain past
     one set, whose bottom gains ``bit``, the highest so far, so bottoms ascend.
-    A step reads the packed chains as tuples of masks and packs the extended
-    and the lifted chains into two fresh buffers, the lifted ones then
-    appended to the extended ones."""
+    A step makes two passes over the packed chains, read as tuples of masks,
+    into one fresh pair of arrays: the extended chains, then the lifted
+    ones, so no step holds more than the old chains and the new."""
     check_ground_size(n)
     _check_ceiling(n, ceiling, f"2^{n} subsets")
     chains = _Packed(n, array("Q", [0]), array("Q", [0, 1]))
     for bit in (1 << k for k in range(n)):
         masks, offsets = array("Q"), array("Q", [0])
-        lifted, lifted_ends = array("Q"), array("Q")
         for chain in chains.runs():
             masks.extend(extend(chain, bit))
             offsets.append(len(masks))
+        for chain in chains.runs():
             if len(chain) > 1:
-                lifted.extend(lift(chain, bit))
-                lifted_ends.append(len(lifted))
-        offsets.extend(map(add, lifted_ends, repeat(len(masks))))
-        masks += lifted
+                masks.extend(lift(chain, bit))
+                offsets.append(len(masks))
         chains = _Packed(n, masks, offsets)
     return BooleanDecomposition(n, chains)
 
@@ -356,11 +354,11 @@ def decomposition_from_json(obj: dict, ceiling: int = DEFAULT_ENUM_CEILING) -> B
         n = _json_int(obj["n"])
         # verify_scd allocates 2^n bytes of coverage, however few sets are listed.
         _check_ceiling(n, ceiling, f"2^{n} subsets")
-        chains = [BooleanChain(n, tuple(Subset(n, tuple(map(_json_int, els))) for els in chain))
-                  for chain in obj["chains"]]
+        # Each chain is checked and packed as it is read; none is kept.
+        return BooleanDecomposition(n, (BooleanChain(n, (Subset(n, tuple(els)) for els in chain))
+                                        for chain in obj["chains"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed decomposition payload: {exc}") from exc
-    return BooleanDecomposition(n, tuple(chains))
 
 
 def decomposition_to_dot(d: BooleanDecomposition) -> str:

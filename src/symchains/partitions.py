@@ -54,14 +54,14 @@ class SetPartition:
         for block in self.blocks:
             if not block:
                 raise ValueError("empty block")
-            if block[0] <= prev_min:
+            if _json_int(block[0]) <= prev_min:
                 if block[0] < 1:
                     raise ValueError(f"element {block[0]} outside ground set 1..{self.m}")
                 raise ValueError("blocks must be ordered by ascending minimum")
             prev_min = block[0]
             prev = 0
             for e in block:
-                if e <= prev:
+                if _json_int(e) <= prev:
                     raise ValueError(f"block {block} is not strictly increasing")
                 if not 1 <= e <= self.m:
                     raise ValueError(f"element {e} outside ground set 1..{self.m}")
@@ -720,7 +720,7 @@ def family_from_json(obj: dict, ceiling: int = DEFAULT_PARTITION_CEILING) -> Par
         _check_ceiling(m, ceiling, f"Bell({m}) partitions")
 
         def partition(p: list) -> SetPartition:
-            return SetPartition(m, tuple(tuple(map(_json_int, block)) for block in p))
+            return SetPartition(m, tuple(map(tuple, p)))
 
         chains = tuple(tuple(map(partition, chain)) for chain in obj["chains"])
         excluded = tuple(map(partition, obj["excluded"]))

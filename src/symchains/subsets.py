@@ -19,10 +19,11 @@ RIGHT = ")"
 # unless the caller raises the ceiling explicitly.  Set by memory when every
 # chain was an object: gk_decomposition plus verify_scd at n = 24 then
 # peaked at about 1.2 GB.  With the chains packed into one array of masks,
-# 8 bytes a set, n = 24 peaks at about 230 MB in about 9 s (the other two
-# constructions at about 330 MB) and n = 26 at about 800 MB in about 44 s
-# (Python 3.11, 2 cores).  The ceiling stays 24 until it is set again from
-# such measurements.
+# 8 bytes a set, build plus verify_scd at n = 24 peaks at about 230 MB in
+# about 9 s for gk and 276 MB in 14-17 s for the other two constructions,
+# and at n = 26 at 802 MB in 38 s for gk and 935 MB in 51-54 s for the
+# other two (Python 3.11, 2 cores).  The ceiling stays 24 until it is set
+# again from such measurements.
 DEFAULT_ENUM_CEILING = 24
 
 # Per-set operations stay cheap far beyond enumeration range.
@@ -42,9 +43,10 @@ def _check_ceiling(n: int, ceiling: int, work: str) -> None:
 
 
 def _json_int(value: object) -> int:
-    """An integer read from a JSON payload.  Floats and booleans are refused
-    here, at the boundary: ``1.5`` would reach the verifiers as an element
-    and ``true`` would pass for 1."""
+    """An integer from outside the program: a ground size in a JSON payload,
+    or an element given to a public constructor.  Floats and booleans are
+    refused here, at the boundary: ``1.5`` would reach the verifiers as an
+    element and ``true`` would pass for 1."""
     if type(value) is not int:
         raise ValueError(f"expected an integer, got {value!r}")
     return value
@@ -117,7 +119,7 @@ class Subset:
         check_ground_size(self.n)
         prev = 0
         for e in self.elements:
-            if e <= prev:
+            if _json_int(e) <= prev:
                 if e < 1:
                     raise ValueError(f"element {e} outside ground set 1..{self.n}")
                 raise ValueError(f"elements must be strictly increasing, got {self.elements}")

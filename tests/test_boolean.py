@@ -9,6 +9,7 @@ import hashlib
 import inspect
 import json
 import math
+import tracemalloc
 from array import array
 from dataclasses import FrozenInstanceError
 from itertools import accumulate
@@ -96,6 +97,25 @@ def reference_verify_scd(d):
 
 
 METHODS = (gk_decomposition, debruijn_decomposition, iterated_product_scd)
+
+
+def reference_decomposition_to_dot(d):
+    """decomposition_to_dot by objects: every covered set in mask order,
+    then every cover between covered sets, by the lower set's mask and then
+    the added element, solid exactly when the pair is consecutive in some
+    chain."""
+    covered = {s.mask(): s for chain in d.chains for s in chain.sets}
+    links = {pair for chain in d.chains for pair in zip(chain.sets, chain.sets[1:])}
+    nodes = [covered[mask] for mask in sorted(covered)]
+    lines = ["digraph scd {", "  rankdir=BT;", "  node [shape=box];"]
+    lines += [f'  "{s.literal()}";' for s in nodes]
+    for s in nodes:
+        for up in (s.with_element(e) for e in range(1, d.n + 1) if e not in s):
+            if up.mask() in covered:
+                style = "solid" if (s, up) in links else "dotted"
+                lines.append(f'  "{s.literal()}" -> "{up.literal()}" [style={style}];')
+    lines.append("}")
+    return "\n".join(lines)
 
 
 def chains_as_sets(d):
@@ -268,6 +288,40 @@ class TestPackedChains:
         assert partitions._TupleView is subsets._TupleView
         for view in (boolean._Packed, partitions._Chains, partitions._Chain, partitions._Excluded):
             assert issubclass(view, subsets._TupleView)
+
+
+def traced_peak_ratio(build):
+    """The traced peak of ``build()`` over the final arrays of the
+    decomposition it returns, 8 bytes a mask plus 8 bytes an offset.  A
+    first, untraced call fills the interpreter's tuple free lists, which
+    keep their memory from one call to the next."""
+    build()
+    tracemalloc.start()
+    try:
+        d = build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * (len(d.chains._masks) + len(d.chains._offsets)))
+
+
+class TestPeakMemory:
+    """The chains are held once: a growth step holds the previous step's
+    arrays and the new step's, and the loader packs each chain as it reads
+    it.  A second buffer for the lifted chains would take 2.1 times the
+    final arrays at n = 18, and a list of the loaded chains 7."""
+
+    BOUND = 1.85
+
+    @pytest.mark.parametrize("method", [debruijn_decomposition, iterated_product_scd])
+    def test_growth_peak(self, method):
+        ratio = traced_peak_ratio(lambda: method(18))
+        assert ratio <= self.BOUND, ratio
+
+    def test_loader_peak(self):
+        doc = decomposition_to_json(gk_decomposition(12))
+        ratio = traced_peak_ratio(lambda: decomposition_from_json(doc))
+        assert ratio <= self.BOUND, ratio
 
 
 class TestProductGrid:
@@ -596,6 +650,21 @@ class TestSerialization:
     def test_json_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             decomposition_from_json({"n": 2})
+
+    def test_dot_equals_object_reference(self):
+        for n in range(7):
+            for method in METHODS:
+                d = method(n)
+                assert decomposition_to_dot(d) == reference_decomposition_to_dot(d), (method.__name__, n)
+
+    def test_dot_draws_every_chain_link(self):
+        # {2} lies in two chains, so both its links are solid.
+        d = gk_decomposition(3)
+        hand = BooleanDecomposition(3, tuple(d.chains) + (BooleanChain(3, (Subset.of(3, [2]), Subset.of(3, [1, 2]))),))
+        dot = decomposition_to_dot(hand)
+        assert dot == reference_decomposition_to_dot(hand)
+        assert '"2" -> "2,3" [style=solid]' in dot
+        assert '"2" -> "1,2" [style=solid]' in dot
 
     def test_dot_output(self):
         dot = decomposition_to_dot(gk_decomposition(2))

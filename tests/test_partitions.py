@@ -358,6 +358,11 @@ class TestSetPartition:
         with pytest.raises(ValueError, match=f"^element {e} outside ground set 1..3$"):
             SetPartition.of(3, blocks)
 
+    @pytest.mark.parametrize("blocks, e", [(((1.0, 2),), 1.0), (((1, 2.0),), 2.0), (((True,), (2,)), True)])
+    def test_refuses_non_integer_elements(self, blocks, e):
+        with pytest.raises(ValueError, match=f"^expected an integer, got {e!r}$"):
+            SetPartition(2, blocks)
+
     def test_literal_roundtrip(self):
         for m in range(1, 7):
             for p in enumerate_all_partitions(m):

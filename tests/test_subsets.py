@@ -43,6 +43,11 @@ class TestSubset:
         with pytest.raises(ValueError, match=f"^element {e} outside ground set 1..3$"):
             Subset.of(3, elements)
 
+    @pytest.mark.parametrize("elements", [(1.5,), (True, 2), (1.0, 2)])
+    def test_refuses_non_integer_elements(self, elements):
+        with pytest.raises(ValueError, match=f"^expected an integer, got {elements[0]!r}$"):
+            Subset(3, elements)
+
     def test_ground_size_bounds(self):
         check_ground_size(0)
         check_ground_size(64)
