@@ -14,7 +14,7 @@ import itertools
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
-from operator import mul
+from operator import getitem
 from typing import Optional
 
 from .boolean import _literal as _literal_mask, gk_decomposition
@@ -47,7 +47,7 @@ class SetPartition:
 
     def __post_init__(self) -> None:
         # Checked first, so a wrong m fails before the table below is sized by it.
-        if sum(map(len, self.blocks)) != self.m:
+        if sum(map(len, self.blocks)) != _json_int(self.m):
             raise ValueError("blocks must cover the ground set exactly")
         seen = [False] * (self.m + 1)
         prev_min = 0
@@ -155,7 +155,7 @@ def enumerate_all_partitions(m: int, ceiling: int = DEFAULT_PARTITION_CEILING) -
     which is restricted-growth order: the single-block partition comes
     first, all singletons last.
     """
-    if m < 0:
+    if _json_int(m) < 0:
         raise ValueError(f"ground size must be nonnegative, got {m}")
     _check_ceiling(m, ceiling, f"Bell({m}) partitions")
     return map(partial(_trusted, m), _iter_partitions(m))
@@ -193,9 +193,10 @@ def _iter_partitions(m: int) -> Iterator[Blocks]:
     return itertools.chain.from_iterable(extend(1))
 
 
-def _partitions(m: int, sizes: Sequence[int]) -> list[Blocks]:
-    """Block tuples of the partitions of {1..m} whose block j holds at most
-    ``sizes[j]`` elements, in restricted-growth order.
+def _partitions(m: int, sizes: Sequence[int], j: int = -1) -> list[Blocks]:
+    """Block tuples of the partitions of {1..m} whose block i holds at most
+    ``sizes[i]`` elements, in restricted-growth order; with a merge index
+    ``j`` >= 0, only those that are no image across it (``_is_image``).
 
     Built level by level: element e joins each block of a partition of
     {1..e-1} that has room, or opens a new one while there are fewer than
@@ -206,18 +207,32 @@ def _partitions(m: int, sizes: Sequence[int]) -> list[Blocks]:
     class does.  The class is held whole, so a table kept for the call
     hands out each new block once, and the partitions share at most
     2^m - 1 block objects.
+
+    A partition is no image across j when block j+1 exists and opened
+    while block j was a singleton: block j's second element lies above
+    block j+1's minimum.  The walk keeps that rule from the other side, so
+    no branch dies: while a partition holds just j+1 blocks, block j is
+    capped at one element (``caps``, indexed by the number of blocks
+    open).  Block j+1 can always still open, so the births are a class's
+    worth of complete branches and no image is ever built.  With j the
+    last block every member is an image and the walk yields nothing, so
+    callers skip that case.
     """
     intern = {}.setdefault
     count = len(sizes)
+    caps = [sizes] * (count + 1)
+    if j >= 0:
+        caps[j + 1] = [*sizes[:j], 1, *sizes[j + 1:]]
     level: list[Blocks] = [()]
     for e in range(1, m + 1):
         new = (e,)
         nxt: list[Blocks] = []
         for p in level:
-            for j, block in enumerate(p):
-                if len(block) < sizes[j]:
+            cap = caps[len(p)]
+            for i, block in enumerate(p):
+                if len(block) < cap[i]:
                     block += new
-                    nxt.append(p[:j] + (intern(block, block),) + p[j + 1:])
+                    nxt.append(p[:i] + (intern(block, block),) + p[i + 1:])
             if len(p) < count:
                 nxt.append(p + (new,))
         level = nxt
@@ -257,14 +272,12 @@ def _births(m: int, sizes: tuple[int, ...], j: int) -> list[Blocks]:
     """The members of the class of this type that start chains: all of them
     at the bottom of a subset chain (``j`` < 0), otherwise those that are
     no image (``_is_image``) across the arriving link, whose merge index is
-    ``j``.  When block j is the last, every member is an image, and the
-    class is not walked."""
+    ``j``.  The walk prunes the images as it goes (``_partitions`` with
+    ``j``), so it builds only the births.  When block j is the last, every
+    member is an image, and the class is not walked."""
     if j + 1 == len(sizes):
         return []
-    members = _partitions(m, sizes)
-    if j < 0:
-        return members
-    return [p for p in members if not _is_image(p, j)]
+    return _partitions(m, sizes, j)
 
 
 def inject(p: SetPartition, i: int) -> SetPartition:
@@ -435,7 +448,7 @@ class PartitionChainFamily:
     excluded: Sequence[SetPartition]
 
     def __post_init__(self) -> None:
-        if self.m < 0:
+        if _json_int(self.m) < 0:
             raise ValueError(f"ground size must be nonnegative, got {self.m}")
         # The views of a built family hold partitions of {1..m} by construction.
         if not (isinstance(self.chains, _Chains) and self.chains.m == self.m):
@@ -543,13 +556,18 @@ def _rank_index(m: int) -> Callable[[Blocks], int]:
     counts, plus the indicator itself.  No count reaches ``1 << bits`` with
     at most m blocks, so the counts never carry, and they read one for
     every element exactly when the blocks cover {1..m} once; then each
-    digit is a block index and nothing carries either.  The first h
-    elements' digits are looked up for their part of the rank and the
-    blocks they open; the rest's digits, with the counts, are looked up by
-    that number of blocks.  So a rank costs two dictionary lookups, and
-    the tables hold only restricted-growth digits over counts of one, so
-    anything else misses them.  h minimises the two tables' sizes: 2,284
-    entries for m = 10, 49,035 for m = 13.
+    digit is a block index and nothing carries either.  That term is read
+    whole from one table per block position j, ``placed[j]``, which maps
+    each block whose minimum is above j (none lower can sit there in a
+    canonical partition) to its indicator times ``(j << width) + 1``:
+    2^(m+1) - m - 2 entries in all, 16,369 for m = 13.  So the packing
+    costs one table read per block, and a block out of place misses its
+    table.  The first h elements' digits are looked up for their part of
+    the rank and the blocks they open; the rest's digits, with the counts,
+    are looked up by that number of blocks.  So a rank costs two more
+    dictionary lookups, and these two tables hold only restricted-growth
+    digits over counts of one, so anything else misses them.  h minimises
+    their sizes: 2,284 entries for m = 10, 49,035 for m = 13.
     """
     bits = max(1, m.bit_length())
     completions = [[1] * (m + 2)]
@@ -578,7 +596,8 @@ def _rank_index(m: int) -> Callable[[Blocks], int]:
               for block in itertools.combinations(range(1, m + 1), size)}
     width = bits * m
     ones = sum(1 << bits * (m - e) for e in range(1, m + 1))
-    factors = [(j << width) + 1 for j in range(m)]
+    placed = [{block: w * ((j << width) + 1) for block, w in weight.items() if block[0] > j}
+              for j in range(m)]
     split = width + bits * (m - h)
     rest_mask = (1 << split) - 1
     tails = [{x << width | ones: r for x, r, _ in strings(h + 1, m, k)} for k in range(h + 1)]
@@ -588,7 +607,7 @@ def _rank_index(m: int) -> Callable[[Blocks], int]:
         if len(blocks) > m:
             return -1
         try:
-            y = sum(map(mul, map(weight.__getitem__, blocks), factors))
+            y = sum(map(getitem, placed, blocks))
         except KeyError:
             return -1
         part = head.get(y >> split)

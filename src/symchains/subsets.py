@@ -43,10 +43,10 @@ def _check_ceiling(n: int, ceiling: int, work: str) -> None:
 
 
 def _json_int(value: object) -> int:
-    """An integer from outside the program: a ground size in a JSON payload,
-    or an element given to a public constructor.  Floats and booleans are
-    refused here, at the boundary: ``1.5`` would reach the verifiers as an
-    element and ``true`` would pass for 1."""
+    """An integer from outside the program: a ground size or an element,
+    in a JSON payload or given to a public constructor.  Floats and
+    booleans are refused here, at the boundary: ``1.5`` would reach the
+    verifiers as an element and ``true`` would pass for 1."""
     if type(value) is not int:
         raise ValueError(f"expected an integer, got {value!r}")
     return value
@@ -104,7 +104,7 @@ class _TupleView(Sequence):
 
 
 def check_ground_size(n: int) -> None:
-    if not 0 <= n <= MAX_GROUND_SIZE:
+    if not 0 <= _json_int(n) <= MAX_GROUND_SIZE:
         raise ValueError(f"ground size must be in 0..{MAX_GROUND_SIZE}, got {n}")
 
 

@@ -284,6 +284,12 @@ class TestPackedChains:
         with pytest.raises(ValueError, match="ground size mismatch"):
             BooleanDecomposition(3, gk_decomposition(4).chains)
 
+    @pytest.mark.parametrize("n", [2.0, True])
+    def test_refuses_a_non_integer_ground_size(self, n):
+        # verify_scd would size its tables by it
+        with pytest.raises(ValueError, match=f"^expected an integer, got {n!r}$"):
+            BooleanDecomposition(n, ())
+
     def test_one_sequence_class_for_every_view(self):
         assert partitions._TupleView is subsets._TupleView
         for view in (boolean._Packed, partitions._Chains, partitions._Chain, partitions._Excluded):

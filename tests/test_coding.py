@@ -88,6 +88,11 @@ class TestValidity:
         with pytest.raises(ValueError):
             Code(3, (1, 1, 1))  # wrong length
 
+    @pytest.mark.parametrize("n, entries", [(2.0, (0, 2, 1)), (True, (1, 1))])
+    def test_code_refuses_a_non_integer_ground_size(self, n, entries):
+        with pytest.raises(ValueError, match=f"^expected an integer, got {n!r}$"):
+            Code(n, entries)
+
 
 class TestEncodeDecode:
     def test_n3_table(self):

@@ -363,6 +363,12 @@ class TestSetPartition:
         with pytest.raises(ValueError, match=f"^expected an integer, got {e!r}$"):
             SetPartition(2, blocks)
 
+    @pytest.mark.parametrize("m", [2.0, True])
+    def test_refuses_a_non_integer_ground_size(self, m):
+        blocks = ((1,), (2,)) if m == 2 else ((1,),)
+        with pytest.raises(ValueError, match=f"^expected an integer, got {m!r}$"):
+            SetPartition(m, blocks)
+
     def test_literal_roundtrip(self):
         for m in range(1, 7):
             for p in enumerate_all_partitions(m):
@@ -487,11 +493,25 @@ class TestEnumeration:
             assert len(set(got)) == b
 
     def test_class_walk_shares_equal_blocks(self):
-        # The walk holds a whole class, so it hands out each block once.
+        # The walk holds a whole class, or its births, so it hands out each
+        # block once.
         for m in range(1, 9):
             for s in all_subsets(m - 1):
-                parts = _partitions(m, _type_of_code(encode(s).entries))
-                assert len({id(b) for p in parts for b in p}) == len({b for p in parts for b in p}), s
+                sizes = _type_of_code(encode(s).entries)
+                for j in range(-1, len(sizes) - 1):
+                    parts = _partitions(m, sizes, j)
+                    assert len({id(b) for p in parts for b in p}) == len({b for p in parts for b in p}), (s, j)
+
+    def test_births_walk_equals_the_filtered_class(self):
+        # Pruned as it walks, the class across each arriving link keeps
+        # exactly the members that are no image, in the same order.
+        for m in range(1, 10):
+            for s in all_subsets(m - 1):
+                for i in links_of(s):
+                    entries = encode(s.with_element(i)).entries
+                    sizes, j = _type_of_code(entries), _merge_index(entries, i)
+                    whole = _partitions(m, sizes)
+                    assert _partitions(m, sizes, j) == [p for p in whole if not _is_image(p, j)], (s, i)
 
     def test_ceiling(self):
         with pytest.raises(CeilingExceeded):
@@ -524,6 +544,18 @@ class TestEnumeration:
         for m in (-1, -5):
             with pytest.raises(ValueError, match="nonnegative"):
                 enumerate_all_partitions(m)
+
+    @pytest.mark.parametrize("m", [2.0, True])
+    def test_family_refuses_a_non_integer_ground_size(self, m):
+        # verify_partition_chains would size its tables by it
+        with pytest.raises(ValueError, match=f"^expected an integer, got {m!r}$"):
+            PartitionChainFamily(m, (), ())
+
+    @pytest.mark.parametrize("m", [2.0, True])
+    def test_enumeration_refuses_a_non_integer_ground_size(self, m):
+        # its partitions skip SetPartition's checks, so 2.0 would be an element
+        with pytest.raises(ValueError, match=f"^expected an integer, got {m!r}$"):
+            enumerate_all_partitions(m)
 
 
 class TestWalkAndLinkRules:
@@ -1021,6 +1053,18 @@ class TestRankIndex:
                        ((1, 2), (4, 3)), ((1,), (2,), (3,), (4,), (5,)), ((0, 1, 2, 3, 4),)]:
             assert index(blocks) == -1, blocks
 
+    def test_refuses_misplaced_overlong_and_repeated_blocks(self):
+        for m in range(2, 10):
+            index = _rank_index(m)
+            rest = tuple((e,) for e in range(3, m + 1))
+            # a block whose minimum lies below its position
+            assert index(((2,), (1,)) + rest) == -1, m
+            # m + 1 blocks
+            assert index(((1,),) + tuple((e,) for e in range(1, m + 1))) == -1, m
+            # an element twice
+            assert index(((1, 2), (2,)) + rest) == -1, m
+            assert index(((1,), (2,)) + rest) >= 0, m
+
     @settings(max_examples=400)
     @given(block_tuples())
     def test_rank_refuses_exactly_the_non_partitions(self, case):
@@ -1140,9 +1184,9 @@ class TestBuiltFamilyViews:
         types = []
         walk = partitions._partitions
 
-        def spy(m, sizes):
+        def spy(m, sizes, j=-1):
             types.append(tuple(sizes))
-            return walk(m, sizes)
+            return walk(m, sizes, j)
 
         with monkeypatch.context() as patch:
             patch.setattr(partitions, "_partitions", spy)

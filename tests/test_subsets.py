@@ -56,6 +56,13 @@ class TestSubset:
         with pytest.raises(ValueError):
             check_ground_size(65)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True])
+    def test_refuses_a_non_integer_ground_size(self, n):
+        with pytest.raises(ValueError, match=f"^expected an integer, got {n!r}$"):
+            Subset(n, (1,))
+        with pytest.raises(ValueError, match=f"^expected an integer, got {n!r}$"):
+            check_ground_size(n)
+
     def test_from_mask_checks_its_range(self):
         for mask in (-1, 16):
             with pytest.raises(ValueError, match="out of range"):
