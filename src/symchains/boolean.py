@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from itertools import accumulate, compress, islice, pairwise, repeat
 from operator import or_, sub
 
@@ -27,14 +26,14 @@ from .subsets import (
     _set_literal,
     _trusted as _subset,
     _unchecked,
+    _Value,
     check_ground_size,
     match_parens,
     word_of,
 )
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class BooleanChain:
+class BooleanChain(_Value):
     """A chain of subsets, bottom first, as integer masks (bit i-1 for
     element i).  Structure beyond consistent ground sizes is the verifier's
     business, so malformed chains can be built and then reported on.  A
@@ -42,6 +41,7 @@ class BooleanChain:
     one array and builds a chain when one is read.  ``sets``, ``bottom`` and
     ``top`` build their ``Subset``s on each access and keep none."""
 
+    __slots__ = ("n", "masks")
     n: int
     masks: tuple[int, ...]
 
@@ -95,6 +95,11 @@ class _Packed(_TupleView):
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"packed chains are read-only: cannot set {name!r}")
 
+    def __reduce__(self):
+        # Pickle and ``copy`` rebuild the view from its arrays, as the
+        # read-only ``__setattr__`` refuses the slot state they would restore.
+        return _Packed, (self.n, self._masks, self._offsets)
+
     def __len__(self) -> int:
         return len(self._offsets) - 1
 
@@ -135,13 +140,13 @@ def _pack(n: int, chains: Iterable[BooleanChain]) -> _Packed:
     return _Packed(n, masks, offsets)
 
 
-@dataclass(frozen=True)
-class BooleanDecomposition:
+class BooleanDecomposition(_Value):
     """Chains of subsets of {1..n}.  The chains given are packed into one
     array of masks (``_Packed``); ``chains`` is a read-only view of them
     that compares, hashes and prints as the tuple of ``BooleanChain``s it
     stands for."""
 
+    __slots__ = ("n", "chains")
     n: int
     chains: Sequence[BooleanChain]
 

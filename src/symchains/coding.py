@@ -8,10 +8,9 @@ determine the code back, which is what links subsets to partition types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .subsets import Subset, _unchecked, check_ground_size
+from .subsets import Subset, _unchecked, _Value, check_ground_size
 
 
 def is_valid_code(entries: Sequence[int]) -> bool:
@@ -30,10 +29,10 @@ def is_valid_code(entries: Sequence[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
-class Code:
+class Code(_Value):
     """A valid code of length n+1; construction rejects invalid entries."""
 
+    __slots__ = ("n", "entries")
     n: int
     entries: tuple[int, ...]
 

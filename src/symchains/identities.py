@@ -8,7 +8,6 @@ power series).  All arithmetic is exact; floats never appear.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
 from operator import getitem
@@ -16,7 +15,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .coding import encode
 from .reports import VerificationReport
-from .subsets import _check_ceiling, all_subsets
+from .subsets import _check_ceiling, _json_int, _Value, all_subsets
 
 # 2^(n-1) terms per sum; past this the closed forms are refused by default.
 DEFAULT_CODE_SUM_CEILING = 25
@@ -31,10 +30,10 @@ DEFAULT_STIRLING_CEILING = 2000
 SERIES_SEEDS = (1101, 1202, 1303, 1404, 1505)
 
 
-@dataclass(frozen=True)
-class StirlingTable:
+class StirlingTable(_Value):
     """Rows 0..n_max of the Stirling set-number triangle."""
 
+    __slots__ = ("n_max", "rows")
     n_max: int
     rows: tuple[tuple[int, ...], ...]
 
@@ -53,7 +52,7 @@ class StirlingTable:
 
 def stirling_table(n_max: int, ceiling: int = DEFAULT_STIRLING_CEILING) -> StirlingTable:
     """Build the triangle from S(n,k) = S(n-1,k-1) + k*S(n-1,k), S(0,0) = 1."""
-    if n_max < 0:
+    if _json_int(n_max) < 0:
         raise ValueError("n_max must be nonnegative")
     _check_ceiling(n_max, ceiling, f"rows 0..{n_max} of the Stirling triangle")
     rows = [(1,)]
@@ -68,7 +67,7 @@ def stirling_table(n_max: int, ceiling: int = DEFAULT_STIRLING_CEILING) -> Stirl
 
 def bell_oracle(n: int, ceiling: int = DEFAULT_STIRLING_CEILING) -> int:
     """Bell number as the row sum of the Stirling triangle."""
-    if n < 0:
+    if _json_int(n) < 0:
         raise ValueError("n must be nonnegative")
     return sum(stirling_table(n, ceiling).row(n))
 
@@ -102,7 +101,7 @@ def bell_via_codes(n: int, ceiling: int = DEFAULT_CODE_SUM_CEILING) -> int:
     """Bell number as the code sum over subsets of {1..n-1}: each subset
     contributes the product of C(i-1, e_i - 1) over the nonzero code
     entries, which counts the partitions in its class.  B(0) is 1."""
-    if n < 0:
+    if _json_int(n) < 0:
         raise ValueError("n must be nonnegative")
     return _weighted_code_sum(n, ceiling, lambda e: 1).numerator if n else 1
 
@@ -125,8 +124,7 @@ def _monotone_report(table: StirlingTable, n: int) -> VerificationReport:
     return VerificationReport(checked, 1, tuple(failures))
 
 
-@dataclass(frozen=True)
-class SymmetryAudit:
+class SymmetryAudit(_Value):
     """Two reflection inequalities on a Stirling row, judged separately.
 
     The plain reflection compares S(n,k) with S(n,n-k) for 1 <= k <= n/2;
@@ -134,6 +132,8 @@ class SymmetryAudit:
     1 <= k <= ceil(n/2).  Counterexamples are (k, lhs, rhs) triples.
     """
 
+    __slots__ = ("n", "reflection_ok", "reflection_counterexamples", "shifted_ok",
+                 "shifted_counterexamples")
     n: int
     reflection_ok: bool
     reflection_counterexamples: tuple[tuple[int, int, int], ...]
@@ -270,7 +270,7 @@ def complete_from_elementary(n: int, ceiling: int = DEFAULT_CODE_SUM_CEILING) ->
     """The degree-n complete homogeneous symmetric function written in the
     elementary ones, summed over codes: subset S of {1..n-1} contributes
     sign (-1)^|S| and one generator factor per nonzero code entry."""
-    if n < 1:
+    if _json_int(n) < 1:
         raise ValueError("n must be positive")
     acc: dict[tuple[int, ...], int] = {}
     for entries in _codes(n, ceiling):
@@ -284,7 +284,7 @@ def complete_from_elementary(n: int, ceiling: int = DEFAULT_CODE_SUM_CEILING) ->
 def complete_from_elementary_oracle(n: int) -> GeneratorPolynomial:
     """Same polynomial by the alternating recurrence
     h_m = a1*h_{m-1} - a2*h_{m-2} + ... +- am*h_0, h_0 = 1."""
-    if n < 1:
+    if _json_int(n) < 1:
         raise ValueError("n must be positive")
     h = [GeneratorPolynomial.one()]
     for m in range(1, n + 1):
@@ -296,11 +296,11 @@ def complete_from_elementary_oracle(n: int) -> GeneratorPolynomial:
     return h[n]
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(_Value):
     """A power series around a fixed point, kept to finite order with exact
     rational coefficients: coefficient k is the k-th derivative over k!."""
 
+    __slots__ = ("coefficients",)
     coefficients: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
@@ -358,14 +358,14 @@ class TruncatedSeries:
 def exp_minus_one_series(order: int) -> TruncatedSeries:
     """e^x - 1 around 0, truncated: the generator whose exp collects Bell
     numbers."""
-    return TruncatedSeries.of([0] + [Fraction(1, factorial(k)) for k in range(1, order + 1)])
+    return TruncatedSeries.of([0] + [Fraction(1, factorial(k)) for k in range(1, _json_int(order) + 1)])
 
 
 def seeded_rational_series(seed: int, order: int) -> TruncatedSeries:
     """A reproducible random series with small rational coefficients."""
     rng = random.Random(seed)
     return TruncatedSeries.of([Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                               for _ in range(order + 1)])
+                               for _ in range(_json_int(order) + 1)])
 
 
 def derivative_oracle(g: TruncatedSeries, n: int) -> Fraction:
@@ -373,7 +373,7 @@ def derivative_oracle(g: TruncatedSeries, n: int) -> Fraction:
     series exponentiation followed by n termwise differentiations.  The
     constant term of g cancels in the ratio, so it is dropped before
     exponentiating."""
-    if n < 0:
+    if _json_int(n) < 0:
         raise ValueError("n must be nonnegative")
     if n > g.order:
         raise ValueError(f"series order {g.order} too small for derivative {n}")
@@ -391,7 +391,7 @@ def derivative_formula(g: TruncatedSeries, n: int,
     """F^(n)/F at the expansion point for F = exp(g) as a code sum: subset S
     of {1..n-1} contributes the product over nonzero code entries e_i of
     C(i-1, e_i - 1) times the derivative of g of order e_i."""
-    if n < 0:
+    if _json_int(n) < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return Fraction(1)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from functools import partial
 from operator import getitem
 from typing import Optional
@@ -21,7 +20,7 @@ from .boolean import _literal as _literal_mask, gk_decomposition
 from .coding import _link_added, code_from_nonzeros, encode
 from .identities import bell_oracle, stirling_table
 from .reports import _WITNESS_CAP, VerificationReport
-from .subsets import Subset, _TupleView, _check_ceiling, _json_int, _unchecked
+from .subsets import Subset, _TupleView, _Value, _check_ceiling, _json_int, _unchecked
 
 # Set by memory.  The family holds only its chain starts and the verifier a
 # byte per partition: for m = 13 (27.6 million partitions) building peaks at
@@ -38,10 +37,10 @@ Block = tuple[int, ...]
 Blocks = tuple[Block, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class SetPartition:
+class SetPartition(_Value):
     """A partition of {1..m} in canonical block order."""
 
+    __slots__ = ("m", "blocks")
     m: int
     blocks: tuple[tuple[int, ...], ...]
 
@@ -434,8 +433,7 @@ def _excluded_blocks(excluded: Sequence[SetPartition]) -> Iterable[Blocks]:
     return (p.blocks for p in excluded)
 
 
-@dataclass(frozen=True)
-class PartitionChainFamily:
+class PartitionChainFamily(_Value):
     """Disjoint chains in the partition lattice of {1..m}, plus the
     partitions left out by pruning.
 
@@ -443,6 +441,7 @@ class PartitionChainFamily:
     hand-built or loaded family holds tuples; ``build_partition_chains``
     gives views that hold only the chain starts and expand on access."""
 
+    __slots__ = ("m", "chains", "excluded")
     m: int
     chains: Sequence[Sequence[SetPartition]]
     excluded: Sequence[SetPartition]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .subsets import _Value
 
 # A per-element scan spells out at most this many failures of a kind and
 # then one ``(kind, "<N> more")``, so an empty payload cannot make a report
@@ -10,19 +10,20 @@ from dataclasses import dataclass
 _WITNESS_CAP = 1000
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Value):
     """Outcome of a structural check.
 
-    ``failures`` holds (kind, witness) pairs and the report is ok exactly
-    when that list is empty.  ``element_count`` and ``chain_count`` record
+    ``failures`` holds (kind, witness) pairs, none unless given, and the
+    report is ok exactly when it is empty.  ``element_count`` and ``chain_count`` record
     how much was examined, so callers can audit coverage claims instead of
     trusting a bare boolean.
     """
 
+    __slots__ = ("element_count", "chain_count", "failures")
+    _defaults = {"failures": ()}
     element_count: int
     chain_count: int
-    failures: tuple[tuple[str, str], ...] = ()
+    failures: tuple[tuple[str, str], ...]
 
     @property
     def ok(self) -> bool:

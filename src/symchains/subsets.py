@@ -9,7 +9,7 @@ rest of the package.  Positions are 1-based throughout.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from operator import attrgetter, ge, gt, le, lt
 from typing import Any, Callable, Iterable, Iterator
 
 LEFT = "("
@@ -44,20 +44,131 @@ def _check_ceiling(n: int, ceiling: int, work: str) -> None:
 
 def _json_int(value: object) -> int:
     """An integer from outside the program: a ground size or an element,
-    in a JSON payload or given to a public constructor.  Floats and
-    booleans are refused here, at the boundary: ``1.5`` would reach the
-    verifiers as an element and ``true`` would pass for 1."""
+    in a JSON payload or given to a public constructor, or a size given to
+    a public function.  Floats and booleans are refused here, at the
+    boundary: ``1.5`` would reach the verifiers as an element and ``true``
+    would pass for 1."""
     if type(value) is not int:
         raise ValueError(f"expected an integer, got {value!r}")
     return value
 
 
+class _Value:
+    """The base of the package's value classes, which are frozen and slotted.
+
+    A subclass names its fields in ``__slots__`` and may give defaults for
+    its last fields in ``_defaults``.  The constructor takes the fields by
+    position or keyword, then runs ``__post_init__``.  Equality holds only
+    between values of one class with equal field tuples, and the hash is
+    the hash of that tuple.  The repr spells out every field.  A field
+    cannot be set or deleted, though pickle and ``copy`` still restore
+    one.  These methods are written once here, not generated per class by
+    ``dataclasses``, which with the ``inspect`` it imports would take about
+    half of the package's import time in every process.
+    """
+
+    __slots__ = ()
+    _defaults: dict[str, Any] = {}
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls.__match_args__ = names = cls.__slots__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in names)
+        # The field tuple, which equality, hash, ordering and pickle use;
+        # attrgetter of a single name gives the bare value.
+        get = attrgetter(*names)
+        cls._astuple = (lambda self: get(self)) if len(names) > 1 else (lambda self: (get(self),))
+        if len(names) == 2 and "__init__" not in vars(cls):
+            cls.__init__ = _two_field_init(*cls._setters)
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            args = self._bind(args, kwargs)
+        for set_field, value in zip(setters, args):
+            set_field(self, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict[str, Any]) -> tuple:
+        """The field values of a call that does not give every field by
+        position, defaults filled."""
+        names = cls.__slots__
+        given = {**cls._defaults, **dict(zip(names, args)), **kwargs}
+        if len(args) > len(names) or not kwargs.keys() <= set(names[len(args):]) or given.keys() != set(names):
+            raise TypeError(f"{cls.__name__}() takes each of its fields {names} once, by position or "
+                            f"keyword; got {len(args)} by position and {sorted(kwargs)} by keyword")
+        return tuple([given[name] for name in names])
+
+    def __post_init__(self) -> None:
+        """Check the fields; a subclass that validates its input overrides this."""
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    # Pickle and ``copy`` restore the fields through these, not through the
+    # frozen ``__setattr__``.
+    def __getstate__(self) -> tuple:
+        return self._astuple()
+
+    def __setstate__(self, state: tuple) -> None:
+        for set_field, value in zip(self._setters, state):
+            set_field(self, value)
+
+
+# A default no caller passes: the field was not given by position.
+_UNSET = object()
+
+
+def _two_field_init(first: Callable, second: Callable) -> Callable[..., None]:
+    """``_Value.__init__`` for a class of two fields, which are the ones the
+    loaders and ``class_of`` build in bulk: it takes the fields as named
+    parameters, not packed into a tuple and set in a loop, which makes the
+    constructor about 0.3 us faster, on a par with the dataclass one
+    (Python 3.11, 2 cores)."""
+    def __init__(self: _Value, a: Any = _UNSET, b: Any = _UNSET, /, **kwargs: Any) -> None:
+        if kwargs or b is _UNSET:
+            a, b = self._bind(tuple(v for v in (a, b) if v is not _UNSET), kwargs)
+        first(self, a)
+        second(self, b)
+        self.__post_init__()
+
+    return __init__
+
+
+def _compare(op: Callable[[tuple, tuple], bool]) -> Callable[[_Value, object], bool]:
+    """An ordering of the values of one class by their field tuples."""
+    def compare(self: _Value, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return op(self._astuple(), other._astuple())
+        return NotImplemented
+
+    return compare
+
+
 def _unchecked(cls: type) -> Callable[[Any, Any], Any]:
-    """A constructor for ``cls``, a frozen, slotted dataclass of two fields,
-    that sets them through their slot descriptors and runs no checks.  Only
-    kernels call it, on values they built valid; input from callers and
-    payloads goes through the public constructor and keeps every check."""
-    first, second = (getattr(cls, f.name).__set__ for f in fields(cls))
+    """A constructor for ``cls``, a value class of two fields, that sets
+    them through their slot descriptors and runs no checks.  Only kernels
+    call it, on values they built valid; input from callers and payloads
+    goes through the public constructor and keeps every check."""
+    first, second = cls._setters
     new = object.__new__
 
     def make(a: Any, b: Any) -> Any:
@@ -108,9 +219,12 @@ def check_ground_size(n: int) -> None:
         raise ValueError(f"ground size must be in 0..{MAX_GROUND_SIZE}, got {n}")
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Subset:
-    """A subset of {1..n} with elements stored strictly ascending."""
+class Subset(_Value):
+    """A subset of {1..n} with elements stored strictly ascending.  Subsets
+    are ordered by ground size, then by their element tuples."""
+
+    __slots__ = ("n", "elements")
+    __lt__, __le__, __gt__, __ge__ = map(_compare, (lt, le, gt, ge))
 
     n: int
     elements: tuple[int, ...]
@@ -175,8 +289,7 @@ class Subset:
         return iter(self.elements)
 
 
-@dataclass(frozen=True, slots=True)
-class MatchStructure:
+class MatchStructure(_Value):
     """Result of stack-matching a parenthesis word.
 
     ``matched_pairs`` lists (open, close) positions sorted by the opener;
@@ -184,6 +297,7 @@ class MatchStructure:
     to the left of every unmatched left.
     """
 
+    __slots__ = ("matched_pairs", "unmatched_rights", "unmatched_lefts")
     matched_pairs: tuple[tuple[int, int], ...]
     unmatched_rights: tuple[int, ...]
     unmatched_lefts: tuple[int, ...]

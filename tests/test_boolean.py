@@ -5,10 +5,12 @@ decompositions; the three construction methods are cross-checked
 against each other, which is the point of keeping all three.
 """
 
+import copy
 import hashlib
 import inspect
 import json
 import math
+import pickle
 import tracemalloc
 from array import array
 from dataclasses import FrozenInstanceError
@@ -26,16 +28,20 @@ from symchains import (
     SetPartition,
     Subset,
     all_subsets,
+    build_partition_chains,
     chain_of,
+    check_stirling_symmetry,
     debruijn_decomposition,
     decomposition_from_json,
     decomposition_to_dot,
     decomposition_to_json,
     encode,
+    exp_minus_one_series,
     gk_decomposition,
     iterated_product_scd,
     match_parens,
     product_scd,
+    stirling_table,
     verify_scd,
     word_of,
 )
@@ -277,6 +283,22 @@ class TestPackedChains:
             with pytest.raises(AttributeError, match="read-only"):
                 setattr(chains, name, value)
         assert list(chains.flat()) == [m for c in chains for m in c.masks]
+
+    def test_pickle_and_copy_rebuild_the_packed_chains(self):
+        # The read-only view refuses the slot state pickle would restore, so
+        # it is rebuilt from its arrays.
+        built = [(method.__name__, n, method(n)) for n in range(7) for method in METHODS]
+        loaded = decomposition_from_json(decomposition_to_json(gk_decomposition(6)))
+        for label, n, d in built + [("loaded", 6, loaded)]:
+            for again in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d), copy.copy(d)):
+                assert again == d and hash(again) == hash(d), (label, n)
+                assert list(again.chains.flat()) == list(d.chains.flat()), (label, n)
+                assert verify_scd(again).ok, (label, n)
+            chains = copy.copy(d.chains)
+            assert type(chains) is boolean._Packed and chains == d.chains, (label, n)
+            assert (chains._masks, chains._offsets) == (d.chains._masks, d.chains._offsets), (label, n)
+            deep = copy.deepcopy(d.chains)
+            assert deep == d.chains and deep._masks is not d.chains._masks, (label, n)
 
     def test_ground_size_mismatch_is_refused(self):
         with pytest.raises(ValueError, match="ground size mismatch"):
@@ -595,8 +617,10 @@ class TestSlots:
     def test_value_classes_have_no_dict(self):
         s = Subset.of(3, [1, 3])
         for obj in (s, match_parens("(()"), BooleanChain(3, (s,)), encode(s),
-                    SetPartition.of(3, [[1, 3], [2]])):
-            assert not hasattr(obj, "__dict__")
+                    SetPartition.of(3, [[1, 3], [2]]), gk_decomposition(3), verify_scd(gk_decomposition(3)),
+                    build_partition_chains(3), stirling_table(3), check_stirling_symmetry(3),
+                    exp_minus_one_series(3)):
+            assert not hasattr(obj, "__dict__"), type(obj).__name__
         # The kernels' constructors, all made by subsets._unchecked, build
         # the same values as the public ones: equal, equally hashed, slotted
         # and frozen.

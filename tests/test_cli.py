@@ -455,13 +455,37 @@ class TestExitCodes:
             assert captured.err.startswith("error: ")
 
 
+# Imports the stdlib modules the package itself needs, notes which of the
+# heavy modules they loaded, then imports the package and the CLI and prints
+# the heavy modules that only the package loaded.
+IMPORT_PROBE = """
+import sys
+import argparse, array, fractions, json, random
+heavy = ("dataclasses", "inspect")
+before = {name for name in heavy if name in sys.modules}
+import symchains, symchains.cli
+print(sorted(name for name in heavy if name in sys.modules and name not in before))
+"""
+
+
 class TestModuleEntry:
-    def run_module(self, *argv):
+    def run_python(self, *argv):
         src = str(Path(symchains.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        return subprocess.run([sys.executable, "-m", "symchains.cli", *argv],
+        return subprocess.run([sys.executable, *argv],
                               env={**os.environ, "PYTHONPATH": path},
                               capture_output=True, text=True, timeout=60)
+
+    def run_module(self, *argv):
+        return self.run_python("-m", "symchains.cli", *argv)
+
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # Every CLI command is a fresh process, so the package's import is
+        # paid on each; dataclasses with inspect was about half of it.  A
+        # Python whose stdlib loads them already passes trivially.
+        proc = self.run_python("-c", IMPORT_PROBE)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_python_dash_m_runs_the_cli(self):
         proc = self.run_module("bell", "5")

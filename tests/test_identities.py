@@ -56,6 +56,31 @@ def series_strategy(min_order=1, max_order=6, zero_constant=False):
     )
 
 
+# Every identity entry point that takes a size, as a call on the size alone.
+SIZED = [
+    ("bell_oracle", bell_oracle),
+    ("stirling_table", stirling_table),
+    ("bell_via_codes", bell_via_codes),
+    ("complete_from_elementary", complete_from_elementary),
+    ("complete_from_elementary_oracle", complete_from_elementary_oracle),
+    ("exp_minus_one_series", exp_minus_one_series),
+    ("derivative_formula", lambda n: derivative_formula(exp_minus_one_series(4), n)),
+    ("derivative_oracle", lambda n: derivative_oracle(exp_minus_one_series(4), n)),
+    ("check_stirling_monotone", check_stirling_monotone),
+    ("check_stirling_symmetry", check_stirling_symmetry),
+    ("seeded_rational_series", lambda n: seeded_rational_series(7, n)),
+]
+
+
+@pytest.mark.parametrize("size", [True, 2.0])
+@pytest.mark.parametrize("call", [call for _, call in SIZED], ids=[name for name, _ in SIZED])
+def test_sizes_must_be_integers(call, size):
+    # True would pass for 1, and 2.0 would fail later with TypeError.
+    with pytest.raises(ValueError, match=f"^expected an integer, got {size!r}$"):
+        call(size)
+    call(2)
+
+
 class TestStirlingTable:
     def test_goldens(self):
         t = stirling_table(5)
