@@ -355,17 +355,24 @@ class TruncatedSeries(_Value):
         return TruncatedSeries(tuple(out))
 
 
+def _series_order(order: object) -> int:
+    """``order`` as the truncation order of a series: an integer, at least 0."""
+    if _json_int(order) < 0:
+        raise ValueError(f"series order must be nonnegative, got {order}")
+    return order
+
+
 def exp_minus_one_series(order: int) -> TruncatedSeries:
     """e^x - 1 around 0, truncated: the generator whose exp collects Bell
     numbers."""
-    return TruncatedSeries.of([0] + [Fraction(1, factorial(k)) for k in range(1, _json_int(order) + 1)])
+    return TruncatedSeries.of([0] + [Fraction(1, factorial(k)) for k in range(1, _series_order(order) + 1)])
 
 
 def seeded_rational_series(seed: int, order: int) -> TruncatedSeries:
     """A reproducible random series with small rational coefficients."""
     rng = random.Random(seed)
     return TruncatedSeries.of([Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                               for _ in range(_json_int(order) + 1)])
+                               for _ in range(_series_order(order) + 1)])
 
 
 def derivative_oracle(g: TruncatedSeries, n: int) -> Fraction:

@@ -138,13 +138,13 @@ def enumerate_class(s: Subset, ceiling: int = DEFAULT_PARTITION_CEILING) -> tupl
     """All partitions of {1..n+1} in the class of ``s``, in ascending block
     order.
 
-    The target type is read off the code of ``s``, and the restricted-growth
-    walk capped at that type (``_partitions``) builds exactly the class.
+    The target type is read off the code of ``s``, and the block walk at
+    that type (``_partitions``) builds exactly the class, already sorted.
     """
     m = s.n + 1
     _check_ceiling(m, ceiling, f"Bell({m}) partitions")
     sizes = _type_of_code(encode(s).entries)
-    return tuple(map(partial(_trusted, m), sorted(_partitions(m, sizes))))
+    return tuple(map(partial(_trusted, m), _partitions(m, sizes)))
 
 
 def enumerate_all_partitions(m: int, ceiling: int = DEFAULT_PARTITION_CEILING) -> Iterator[SetPartition]:
@@ -193,49 +193,81 @@ def _iter_partitions(m: int) -> Iterator[Blocks]:
 
 
 def _partitions(m: int, sizes: Sequence[int], j: int = -1) -> list[Blocks]:
-    """Block tuples of the partitions of {1..m} whose block i holds at most
-    ``sizes[i]`` elements, in restricted-growth order; with a merge index
-    ``j`` >= 0, only those that are no image across it (``_is_image``).
+    """Block tuples of the partitions of {1..m} of type ``sizes``, in
+    ascending block order; with a merge index ``j`` >= 0, only those that
+    are no image across it (``_is_image``).
 
-    Built level by level: element e joins each block of a partition of
-    {1..e-1} that has room, or opens a new one while there are fewer than
-    ``len(sizes)`` blocks.  e exceeds every element placed so far, so each
-    result is canonical as built.  Sizes that sum to m give exactly the
-    class of that type: every partial partition can still be completed, so
-    the walk never hits a dead end and no level holds more entries than the
-    class does.  The class is held whole, so a table kept for the call
-    hands out each new block once, and the partitions share at most
-    2^m - 1 block objects.
+    The walk goes a block at a time, in block order (Knuth, TAOCP 4A,
+    7.2.1.5): block i is the least free element and an (s_i - 1)-subset of
+    the other free ones, and the last block is whatever is left, so each
+    result is canonical as built and the class is listed sorted.  The
+    blocks still to come depend only on the free set, not on how it was
+    reached.  So a first pass collects the free sets each block meets and
+    how each one splits, and a second pass, from the last block back,
+    lists each free set's completions once and puts each split's block in
+    front of the completions of its rest, a tuple concatenation in C for
+    each.  The subsets come from ``combinations`` of the free elements,
+    and their complements, in the same order, from the reversed
+    ``combinations`` of the complement's size.  A run of singleton blocks
+    takes the least free elements in one step.  Nothing is held beyond
+    the class: the completions of two consecutive steps and the splits
+    not yet used.  Equal blocks are one object within a call, so the
+    partitions share at most 2^m - 1 blocks.
 
-    A partition is no image across j when block j+1 exists and opened
-    while block j was a singleton: block j's second element lies above
-    block j+1's minimum.  The walk keeps that rule from the other side, so
-    no branch dies: while a partition holds just j+1 blocks, block j is
-    capped at one element (``caps``, indexed by the number of blocks
-    open).  Block j+1 can always still open, so the births are a class's
-    worth of complete branches and no image is ever built.  With j the
-    last block every member is an image and the walk yields nothing, so
-    callers skip that case.
+    A partition is no image across j when block j+1 exists and block j
+    leaves out the second-least element free when it is taken: then block
+    j's second element lies above block j+1's minimum.  So block j is
+    chosen without that element, and no image is built.  With j the last
+    block every member is an image, and the walk yields nothing.
     """
+    if not sizes:
+        return [] if m else [()]
+    last = len(sizes) - 1
+    if j == last:
+        return []
     intern = {}.setdefault
-    count = len(sizes)
-    caps = [sizes] * (count + 1)
-    if j >= 0:
-        caps[j + 1] = [*sizes[:j], 1, *sizes[j + 1:]]
-    level: list[Blocks] = [()]
-    for e in range(1, m + 1):
-        new = (e,)
-        nxt: list[Blocks] = []
-        for p in level:
-            cap = caps[len(p)]
-            for i, block in enumerate(p):
-                if len(block) < cap[i]:
-                    block += new
-                    nxt.append(p[:i] + (intern(block, block),) + p[i + 1:])
-            if len(p) < count:
-                nxt.append(p + (new,))
-        level = nxt
-    return level
+    # Each step before the last block is (size, blocks taken, births rule):
+    # one block, or a run of singletons.
+    steps = []
+    i = 0
+    while i < last:
+        start, size = i, sizes[i]
+        i += 1
+        while size == 1 and i < last and sizes[i] == 1:
+            i += 1
+        steps.append((size, i - start, start == j))
+    frees: Iterable[Block] = [tuple(range(1, m + 1))]
+    # Forward: the free sets each step meets, each with the blocks it can
+    # take (as tuples to put in front) and the rest each leaves.
+    tables = []
+    for size, count, births in steps:
+        table = {}
+        for free in frees:
+            if size == 1:
+                heads = [tuple([intern((e,), (e,)) for e in free[:count]])]
+                rests = [free[count:]]
+            else:
+                pool = free[2:] if births else free[1:]
+                blocks = list(map((free[0],).__add__, itertools.combinations(pool, size - 1)))
+                heads = list(zip(map(intern, blocks, blocks)))
+                rests = list(itertools.combinations(pool, len(pool) + 1 - size))
+                rests.reverse()
+                if births:
+                    rests = list(map((free[1],).__add__, rests))
+            table[free] = heads, rests
+        tables.append(table)
+        frees = dict.fromkeys(itertools.chain.from_iterable([rests for _, rests in table.values()]))
+    # Backward: each free set's completions, from the last block up; a
+    # step's table is dropped once it is used.
+    tails = {free: [(intern(free, free),)] for free in frees}
+    while tables:
+        done = {}
+        for free, (heads, rests) in tables.pop().items():
+            run = done[free] = []
+            for head, rest in zip(heads, rests):
+                run += map(head.__add__, tails[rest])
+        tails = done
+    return tails.popitem()[1]
 
 
 def _type_of_code(entries: Sequence[int]) -> tuple[int, ...]:
@@ -268,12 +300,13 @@ def _is_image(blocks: Blocks, j: int) -> bool:
 
 
 def _births(m: int, sizes: tuple[int, ...], j: int) -> list[Blocks]:
-    """The members of the class of this type that start chains: all of them
-    at the bottom of a subset chain (``j`` < 0), otherwise those that are
-    no image (``_is_image``) across the arriving link, whose merge index is
-    ``j``.  The walk prunes the images as it goes (``_partitions`` with
-    ``j``), so it builds only the births.  When block j is the last, every
-    member is an image, and the class is not walked."""
+    """The members of the class of this type that start chains, in
+    ascending block order: all of them at the bottom of a subset chain
+    (``j`` < 0), otherwise those that are no image (``_is_image``) across
+    the arriving link, whose merge index is ``j``.  The block walk
+    (``_partitions`` with ``j``) takes block j without the second-least
+    free element, so it builds only the births.  When block j is the last,
+    every member is an image, and the class is not walked."""
     if j + 1 == len(sizes):
         return []
     return _partitions(m, sizes, j)
@@ -349,6 +382,11 @@ class _Chains(_TupleView):
     def __init__(self, m: int, starts: list[bytes], places: dict[tuple[int, ...], tuple[int, tuple[int, ...]]]):
         self.m, self.starts, self.places = m, starts, places
 
+    def __reduce__(self):
+        # Pickle and ``copy`` rebuild the view from what it holds; the slots
+        # alone do not pickle at protocols 0 and 1.
+        return _Chains, (self.m, self.starts, self.places)
+
     def __len__(self) -> int:
         return len(self.starts)
 
@@ -379,6 +417,9 @@ class _Chain(_TupleView):
     def __init__(self, chains: _Chains, key: bytes):
         self._chains, self._key = chains, key
 
+    def __reduce__(self):
+        return _Chain, (self._chains, self._key)
+
     def __len__(self) -> int:
         return 2 * self._key.count(0) + 2 - self._chains.m
 
@@ -393,12 +434,18 @@ class _Excluded(_TupleView):
     of them is stored: the classes whose births have such runs are read
     off the chain table and walked again for their births (``_births``).
     The length, Bell(m) less the kept partitions, is counted when built;
-    the members are expanded, and sorted, on access."""
+    the members are expanded, and sorted, on access.  ``blocks`` streams
+    them unsorted: a class at the top of its subset chain gives its births
+    as walked, and any other class merges each birth up the chain's
+    remaining indices, sliced once per class, dropping the kept ones."""
 
     __slots__ = ("_chains", "_count")
 
     def __init__(self, chains: _Chains, count: int):
         self._chains, self._count = chains, count
+
+    def __reduce__(self):
+        return _Excluded, (self._chains, self._count)
 
     def __len__(self) -> int:
         return self._count
@@ -412,9 +459,18 @@ class _Excluded(_TupleView):
         m = self._chains.m
         for sizes, (t, js) in self._chains.places.items():
             keep = max(0, 2 * len(sizes) - m)
-            if len(js) - t > keep:
-                for p in _births(m, sizes, js[t]):
-                    yield from _expand(p, js[t + 1:])[keep:]
+            up = js[t + 1:]
+            if len(up) < keep:
+                continue
+            born = _births(m, sizes, js[t])
+            if not up:
+                yield from born
+            elif keep:
+                for p in born:
+                    yield from _expand(p, up)[keep:]
+            else:
+                for p in born:
+                    yield from _expand(p, up)
 
 
 def _chain_blocks(chains: Sequence[Sequence[SetPartition]]) -> Iterable[list[Blocks]]:
@@ -476,7 +532,7 @@ def build_partition_chains(n: int, ceiling: int = DEFAULT_PARTITION_CEILING) -> 
     Only the starts are kept, as keys (``_key``), with each class's place
     in its subset chain and that chain's merge indices; the family's views
     expand the chains from them.  A class at or below the middle is
-    enumerated by the capped walk at its type, read off the chain's code,
+    enumerated by the block walk at its type, read off the chain's code,
     which is rewritten link by link.  A class above it starts no kept
     chain, so it is not walked: the excluded count is Bell(m) less the
     kept partitions, and the excluded view walks those classes when read.
@@ -647,24 +703,28 @@ def verify_partition_chains(fam: PartitionChainFamily,
     status = bytearray(sum(stirling.row(m)))
     outside: dict[Blocks, int] = {}
 
-    def mark(p: Blocks, state: int) -> int:
-        """Set ``p``'s state unless it has one; return the state it had."""
-        i = index(p)
-        if i < 0:
-            was = outside.get(p, 0)
-            if not was:
-                outside[p] = state
-            return was
-        was = status[i]
+    def mark_outside(p: Blocks, state: int) -> int:
+        """Set the state of ``p``, which the rank refused, unless it has
+        one; return the state it had."""
+        was = outside.get(p, 0)
         if not was:
-            status[i] = state
+            outside[p] = state
         return was
 
+    # Partitions in the lattice are ranked and marked inline, as this loop
+    # and the next run once per partition.
     failures: list[tuple[str, str]] = []
     members = 0
     for chain in _chain_blocks(fam.chains):
         for p in chain:
-            if mark(p, 1):
+            i = index(p)
+            if i >= 0:
+                was = status[i]
+                if not was:
+                    status[i] = 1
+            else:
+                was = mark_outside(p, 1)
+            if was:
                 failures.append(("overlap", _literal(p)))
             else:
                 members += 1
@@ -676,7 +736,13 @@ def verify_partition_chains(fam: PartitionChainFamily,
     fresh = 0
     uncovered_excluded = False
     for p in _excluded_blocks(fam.excluded):
-        was = mark(p, 2)
+        i = index(p)
+        if i >= 0:
+            was = status[i]
+            if not was:
+                status[i] = 2
+        else:
+            was = mark_outside(p, 2)
         if was == 1:
             failures.append(("overlap", f"excluded {_literal(p)}"))
         elif not was:

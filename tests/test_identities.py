@@ -81,6 +81,17 @@ def test_sizes_must_be_integers(call, size):
     call(2)
 
 
+@pytest.mark.parametrize("order", [-1, -3])
+@pytest.mark.parametrize("call", [exp_minus_one_series, lambda order: seeded_rational_series(7, order)],
+                         ids=["exp_minus_one_series", "seeded_rational_series"])
+def test_series_order_must_be_nonnegative(call, order):
+    # exp_minus_one_series(-3) gave the order-0 series, and
+    # seeded_rational_series(7, -1) failed on an empty coefficient list.
+    with pytest.raises(ValueError, match=f"^series order must be nonnegative, got {order}$"):
+        call(order)
+    assert call(0).order == 0
+
+
 class TestStirlingTable:
     def test_goldens(self):
         t = stirling_table(5)

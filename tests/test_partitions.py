@@ -5,10 +5,12 @@ restricted-growth choices and never consults codes or classes; the class
 and chain machinery is checked against it.
 """
 
+import copy
 import hashlib
 import inspect
 import itertools
 import json
+import pickle
 from collections import Counter
 from functools import lru_cache
 from math import comb, prod
@@ -56,6 +58,8 @@ from symchains.partitions import (
     _type_of_code,
 )
 from symchains.reports import _WITNESS_CAP
+
+from capped_walk import check_block_walk
 
 P4 = SetPartition.from_literal
 
@@ -501,6 +505,13 @@ class TestEnumeration:
                 for j in range(-1, len(sizes) - 1):
                     parts = _partitions(m, sizes, j)
                     assert len({id(b) for p in parts for b in p}) == len({b for p in parts for b in p}), (s, j)
+
+    def test_block_walk_equals_the_sorted_capped_walk(self):
+        # The element-by-element walk the package ran before is the oracle:
+        # for every class and every j below its last block, the block walk
+        # lists its partitions sorted, and enumerate_class gives the tuple
+        # it gave.  The counts are the (class, j) pairs checked per m.
+        assert [check_block_walk(m) for m in range(1, 10)] == [1, 3, 8, 20, 48, 112, 256, 576, 1280]
 
     def test_births_walk_equals_the_filtered_class(self):
         # Pruned as it walks, the class across each arriving link keeps
@@ -1217,6 +1228,22 @@ class TestBuiltFamilyViews:
             assert walked == expected, n
             counts.append(len(walked))
         assert counts == [0, 0, 0, 1, 3, 9, 21, 50, 108, 238]
+
+    @pytest.mark.parametrize("how", [f"pickle-{p}" for p in range(6)] + ["copy", "deepcopy"])
+    def test_pickle_and_copy_keep_the_views(self, how):
+        # Protocols 0 and 1 refused the slotted views before they had a
+        # __reduce__; every way must give back views over one chain table.
+        again = {"copy": copy.copy, "deepcopy": copy.deepcopy}.get(how) or (
+            lambda v: pickle.loads(pickle.dumps(v, protocol=int(how[-1]))))
+        for n in range(6):
+            fam = family(n)
+            got = again(fam)
+            assert got == fam and verify_partition_chains(got).ok, (how, n)
+            assert type(got.chains) is partitions._Chains and type(got.excluded) is partitions._Excluded
+            assert got.excluded._chains is got.chains, (how, n)
+            for chain in (fam.chains[0], fam.chains[-1]):
+                assert again(chain) == chain and type(again(chain)) is partitions._Chain, (how, n)
+            assert again(fam.excluded) == fam.excluded and len(again(fam.excluded)) == len(fam.excluded)
 
     def test_views_act_as_tuples(self):
         fam = build_partition_chains(3)
