@@ -95,11 +95,6 @@ class _Packed(_TupleView):
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"packed chains are read-only: cannot set {name!r}")
 
-    def __reduce__(self):
-        # Pickle and ``copy`` rebuild the view from its arrays, as the
-        # read-only ``__setattr__`` refuses the slot state they would restore.
-        return _Packed, (self.n, self._masks, self._offsets)
-
     def __len__(self) -> int:
         return len(self._offsets) - 1
 

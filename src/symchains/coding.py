@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .subsets import Subset, _unchecked, _Value, check_ground_size
+from .subsets import Subset, _json_int, _unchecked, _Value, check_ground_size
 
 
 def is_valid_code(entries: Sequence[int]) -> bool:
@@ -112,7 +112,7 @@ def link_rewrite(c: Code, i: int) -> Code:
     This is how adding element i to the decoded subset acts on its code
     when position i+1 holds a 1.
     """
-    if not 1 <= i <= c.n:
+    if not 1 <= _json_int(i) <= c.n:
         raise ValueError(f"position {i} out of range 1..{c.n}")
     k = _link_added(c.entries, i)
     if k == 0:

@@ -317,7 +317,7 @@ def inject(p: SetPartition, i: int) -> SetPartition:
     holds (k, 1) at positions (i, i+1), and the singleton block j (see
     ``_merge_index``) merges into the size-k block right after it."""
     entries = code_from_nonzeros(tuple(reversed(type_of(p)))).entries
-    if _link_added(entries, i) == 0:
+    if _link_added(entries, _json_int(i)) == 0:
         raise ValueError(f"no chain link adds {i} to class {class_of(p).literal()}")
     return _trusted(p.m, _merge(p.blocks, _merge_index(entries, i)))
 
@@ -334,7 +334,7 @@ def inject_inverse(q: SetPartition, i: int) -> Optional[SetPartition]:
     entries = code_from_nonzeros(tuple(reversed(type_of(q)))).entries
     # Range first: position i+1 is read.  Position i reads 0, so block j
     # (size entries[i]) has at least two elements.
-    if not 1 <= i < len(entries) or entries[i - 1] != 0 or entries[i] == 0:
+    if not 1 <= _json_int(i) < len(entries) or entries[i - 1] != 0 or entries[i] == 0:
         raise ValueError(f"class {class_of(q).literal()} has no link arriving by adding {i}")
     j = _merge_index(entries, i)
     blocks = q.blocks
@@ -382,11 +382,6 @@ class _Chains(_TupleView):
     def __init__(self, m: int, starts: list[bytes], places: dict[tuple[int, ...], tuple[int, tuple[int, ...]]]):
         self.m, self.starts, self.places = m, starts, places
 
-    def __reduce__(self):
-        # Pickle and ``copy`` rebuild the view from what it holds; the slots
-        # alone do not pickle at protocols 0 and 1.
-        return _Chains, (self.m, self.starts, self.places)
-
     def __len__(self) -> int:
         return len(self.starts)
 
@@ -417,9 +412,6 @@ class _Chain(_TupleView):
     def __init__(self, chains: _Chains, key: bytes):
         self._chains, self._key = chains, key
 
-    def __reduce__(self):
-        return _Chain, (self._chains, self._key)
-
     def __len__(self) -> int:
         return 2 * self._key.count(0) + 2 - self._chains.m
 
@@ -443,9 +435,6 @@ class _Excluded(_TupleView):
 
     def __init__(self, chains: _Chains, count: int):
         self._chains, self._count = chains, count
-
-    def __reduce__(self):
-        return _Excluded, (self._chains, self._count)
 
     def __len__(self) -> int:
         return self._count

@@ -57,14 +57,15 @@ class _Value:
     """The base of the package's value classes, which are frozen and slotted.
 
     A subclass names its fields in ``__slots__`` and may give defaults for
-    its last fields in ``_defaults``.  The constructor takes the fields by
-    position or keyword, then runs ``__post_init__``.  Equality holds only
-    between values of one class with equal field tuples, and the hash is
-    the hash of that tuple.  The repr spells out every field.  A field
-    cannot be set or deleted, though pickle and ``copy`` still restore
-    one.  These methods are written once here, not generated per class by
-    ``dataclasses``, which with the ``inspect`` it imports would take about
-    half of the package's import time in every process.
+    its last fields in ``_defaults``.  Unless it defines its own, its
+    constructor is compiled from its slots (``_field_init``): it takes the
+    fields by position or keyword, then runs ``__post_init__``.  Equality
+    holds only between values of one class with equal field tuples, and
+    the hash is the hash of that tuple.  The repr spells out every field.
+    A field cannot be set or deleted, though pickle and ``copy`` still
+    restore one.  The other methods are written once here.  Nothing is
+    generated by ``dataclasses``, which with the ``inspect`` it imports
+    would take about half of the package's import time in every process.
     """
 
     __slots__ = ()
@@ -78,27 +79,8 @@ class _Value:
         # attrgetter of a single name gives the bare value.
         get = attrgetter(*names)
         cls._astuple = (lambda self: get(self)) if len(names) > 1 else (lambda self: (get(self),))
-        if len(names) in (2, 3) and "__init__" not in vars(cls):
-            cls.__init__ = (_two_field_init if len(names) == 2 else _three_field_init)(*cls._setters)
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        setters = self._setters
-        if kwargs or len(args) != len(setters):
-            args = self._bind(args, kwargs)
-        for set_field, value in zip(setters, args):
-            set_field(self, value)
-        self.__post_init__()
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict[str, Any]) -> tuple:
-        """The field values of a call that does not give every field by
-        position, defaults filled."""
-        names = cls.__slots__
-        given = {**cls._defaults, **dict(zip(names, args)), **kwargs}
-        if len(args) > len(names) or not kwargs.keys() <= set(names[len(args):]) or given.keys() != set(names):
-            raise TypeError(f"{cls.__name__}() takes each of its fields {names} once, by position or "
-                            f"keyword; got {len(args)} by position and {sorted(kwargs)} by keyword")
-        return tuple([given[name] for name in names])
+        if "__init__" not in vars(cls):
+            cls.__init__ = _field_init(cls)
 
     def __post_init__(self) -> None:
         """Check the fields; a subclass that validates its input overrides this."""
@@ -133,39 +115,21 @@ class _Value:
             set_field(self, value)
 
 
-# A default no caller passes: the field was not given by position.
-_UNSET = object()
-
-
-def _two_field_init(first: Callable, second: Callable) -> Callable[..., None]:
-    """``_Value.__init__`` for a class of two fields, which are the ones the
-    loaders and ``class_of`` build in bulk: it takes the fields as named
-    parameters, not packed into a tuple and set in a loop, which makes the
-    constructor about 0.3 us faster, on a par with the dataclass one
-    (Python 3.11, 2 cores)."""
-    def __init__(self: _Value, a: Any = _UNSET, b: Any = _UNSET, /, **kwargs: Any) -> None:
-        if kwargs or b is _UNSET:
-            a, b = self._bind(tuple(v for v in (a, b) if v is not _UNSET), kwargs)
-        first(self, a)
-        second(self, b)
-        self.__post_init__()
-
-    return __init__
-
-
-def _three_field_init(first: Callable, second: Callable, third: Callable) -> Callable[..., None]:
-    """``_two_field_init`` for a class of three fields, among them the
-    ``MatchStructure`` that ``match_parens`` makes on every call, which
-    this makes about 15% faster (Python 3.11, 2 cores)."""
-    def __init__(self: _Value, a: Any = _UNSET, b: Any = _UNSET, c: Any = _UNSET, /, **kwargs: Any) -> None:
-        if kwargs or c is _UNSET:
-            a, b, c = self._bind(tuple(v for v in (a, b, c) if v is not _UNSET), kwargs)
-        first(self, a)
-        second(self, b)
-        third(self, c)
-        self.__post_init__()
-
-    return __init__
+def _field_init(cls: type) -> Callable[..., None]:
+    """The ``__init__`` of a value class: one parameter per field, in slot
+    order, with the defaults of ``_defaults``.  It sets each field through
+    its slot descriptor and runs ``__post_init__``.  Compiled once per
+    class, so the interpreter binds the arguments by position and keyword
+    and raises the ``TypeError`` for a missing, repeated or unknown field."""
+    names = cls.__slots__
+    namespace = {f"_set_{name}": set_field for name, set_field in zip(names, cls._setters)}
+    namespace.update((f"_default_{name}", value) for name, value in cls._defaults.items())
+    params = ", ".join(f"{name}=_default_{name}" if name in cls._defaults else name for name in names)
+    body = "".join(f"\n    _set_{name}(self, {name})" for name in names)
+    exec(f"def __init__(self, {params}):{body}\n    self.__post_init__()", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
 
 
 def _compare(op: Callable[[tuple, tuple], bool]) -> Callable[[_Value, object], bool]:
@@ -228,6 +192,13 @@ class _TupleView(Sequence):
     def __repr__(self) -> str:
         return repr(tuple(self))
 
+    def __reduce__(self):
+        # Pickle and ``copy`` rebuild a view through its constructor, which
+        # in every view takes the slots in slot order: the slots alone do not
+        # pickle at protocols 0 and 1, and a read-only view refuses the slot
+        # state they would restore.
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+
 
 def check_ground_size(n: int) -> None:
     if not 0 <= _json_int(n) <= MAX_GROUND_SIZE:
@@ -262,7 +233,8 @@ class Subset(_Value):
 
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "Subset":
-        if not 0 <= mask < (1 << n):
+        check_ground_size(n)
+        if not 0 <= _json_int(mask) < (1 << n):
             raise ValueError(f"mask {mask} out of range for ground size {n}")
         return cls(n, _members(mask))
 

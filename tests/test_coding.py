@@ -195,6 +195,11 @@ class TestLinkRewrite:
         with pytest.raises(ValueError):
             link_rewrite(Code(3, (1, 1, 1, 1)), 4)  # no position n+2
 
+    @pytest.mark.parametrize("i", [1.0, True])
+    def test_refuses_a_non_integer_position(self, i):
+        with pytest.raises(ValueError, match=f"^expected an integer, got {i!r}$"):
+            link_rewrite(Code(3, (1, 1, 1, 1)), i)
+
     def test_every_gk_link_is_one_rewrite(self):
         # chain steps and code rewrites are the same move, n <= 9 here
         # (the acceptance suite pushes this to 12)

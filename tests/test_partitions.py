@@ -643,6 +643,13 @@ class TestInjection:
         with pytest.raises(ValueError):
             inject_inverse(P4(4, "1/2/3/4"), 1)  # 1 not in the class at all
 
+    @pytest.mark.parametrize("i", [1.0, True])
+    def test_refuses_a_non_integer_position(self, i):
+        with pytest.raises(ValueError, match=f"^expected an integer, got {i!r}$"):
+            inject(P4(4, "1/2/3/4"), i)
+        with pytest.raises(ValueError, match=f"^expected an integer, got {i!r}$"):
+            inject_inverse(P4(4, "1/2/34"), i)
+
     @settings(max_examples=200)
     @given(set_partitions(), st.data())
     def test_random_links_match_reference_and_invert(self, p, data):

@@ -68,6 +68,11 @@ class TestSubset:
             with pytest.raises(ValueError, match="out of range"):
                 Subset.from_mask(4, mask)
 
+    @pytest.mark.parametrize("n, mask, bad", [(3, True, True), (3, 1.0, 1.0), (2.0, 1, 2.0)])
+    def test_from_mask_refuses_non_integers(self, n, mask, bad):
+        with pytest.raises(ValueError, match=f"^expected an integer, got {bad!r}$"):
+            Subset.from_mask(n, mask)
+
     def test_literal_empty_set(self):
         assert Subset.of(4, []).literal() == "-"
         assert Subset.from_literal(4, "-").elements == ()

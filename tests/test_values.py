@@ -8,6 +8,7 @@ class whose fields are equal must not compare equal; ``TWINS`` makes one.
 """
 
 import copy
+import inspect
 import pickle
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -208,16 +209,42 @@ def test_only_subsets_are_ordered(name):
         make() >= make()
 
 
+# Each case calls the class that opens ``args`` with the rest of them.
 @pytest.mark.parametrize("args, kwargs", [
-    ((3,), {}),
-    ((3, (1,), ()), {}),
-    ((3, (1,)), {"n": 3}),
-    ((), {"n": 3, "elements": (1,), "k": 2}),
-    ((), {"elements": (1,)}),
+    ((Subset, 3), {}),
+    ((Subset, 3, (1,), ()), {}),
+    ((Subset, 3, (1,)), {"n": 3}),
+    ((Subset,), {"n": 3, "elements": (1,), "k": 2}),
+    ((Subset,), {"elements": (1,)}),
+    ((TruncatedSeries,), {}),
+    ((TruncatedSeries, (1,), (1,)), {}),
+    ((TruncatedSeries, (1,)), {"coefficients": (1,)}),
+    ((TruncatedSeries,), {"coefficients": (1,), "order": 1}),
+    ((VerificationReport, 4), {}),
+    ((VerificationReport, 4, 2, (), ()), {}),
+    ((VerificationReport, 4, 2), {"element_count": 4}),
+    ((VerificationReport,), {"element_count": 4, "chain_count": 2, "ok": True}),
+    ((VerificationReport,), {"chain_count": 2, "failures": ()}),
+    ((SymmetryAudit, 4, True, (), True), {}),
+    ((SymmetryAudit, 4, True, (), True, (), ()), {}),
+    ((SymmetryAudit, 4, True, (), True, ()), {"n": 4}),
+    ((SymmetryAudit, 4, True, (), True), {"shifted_counterexamples": (), "k": 1}),
 ])
 def test_constructor_takes_each_field_once(args, kwargs):
+    cls, *fields = args
     with pytest.raises(TypeError):
-        Subset(*args, **kwargs)
+        cls(*fields, **kwargs)
+
+
+# BooleanChain's constructor takes sets, not its fields.
+@pytest.mark.parametrize("name", [name for name in NAMES if name != "BooleanChain"])
+def test_signature_lists_the_fields(name):
+    cls = CLASSES[name]
+    params = inspect.signature(cls).parameters
+    assert tuple(params) == cls.__match_args__
+    assert {p.kind for p in params.values()} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+    defaults = {p.name: p.default for p in params.values() if p.default is not inspect.Parameter.empty}
+    assert defaults == ({"failures": ()} if cls is VerificationReport else {})
 
 
 def test_report_failures_default_to_empty():
