@@ -15,33 +15,32 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import re
 import sys
-from typing import Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
-from . import boolean, identities, partitions
-from .boolean import (
-    chain_of,
-    debruijn_decomposition,
-    gk_decomposition,
-    iterated_product_scd,
-    verify_scd,
-)
-from .coding import encode
-from .partitions import (
+from .subsets import (
+    DEFAULT_CODE_SUM_CEILING,
+    DEFAULT_ENUM_CEILING,
     DEFAULT_PARTITION_CEILING,
-    build_partition_chains,
-    enumerate_class,
-    verify_partition_chains,
+    DEFAULT_STIRLING_CEILING,
+    Subset,
+    match_parens,
+    word_of,
 )
-from .reports import VerificationReport
-from .subsets import DEFAULT_ENUM_CEILING, Subset, match_parens, word_of
 
+if TYPE_CHECKING:
+    from .boolean import BooleanDecomposition
+    from .reports import VerificationReport
+
+# Every command is a fresh process, so each handler imports the layer it
+# runs, and the parser is built from the ceilings in ``subsets`` alone:
+# ``word`` loads no other module of the package.  A --method names its
+# function, looked up in its layer when the command runs.
 _BOOLEAN_METHODS = {
-    "gk": gk_decomposition,
-    "debruijn": debruijn_decomposition,
-    "product": iterated_product_scd,
+    "gk": "gk_decomposition",
+    "debruijn": "debruijn_decomposition",
+    "product": "iterated_product_scd",
 }
 
 
@@ -69,6 +68,8 @@ def _json_chunks(doc: dict) -> Iterator[str]:
     elements at a time, so a document whose long lists are iterators (a
     decomposition's chains, say) is never held whole, as objects or as one
     string."""
+    import json
+
     encode = json.JSONEncoder(indent=2).encode
     last = len(doc) - 1
     yield "{"
@@ -125,6 +126,8 @@ def _cmd_word(args: argparse.Namespace) -> int:
 
 
 def _cmd_chain(args: argparse.Namespace) -> int:
+    from .boolean import chain_of
+
     s = Subset.from_literal(args.n, args.set)
     chain = chain_of(s)
     _emit(args, json=lambda: {"n": s.n, "chain": [list(t.elements) for t in chain.sets]},
@@ -132,14 +135,24 @@ def _cmd_chain(args: argparse.Namespace) -> int:
     return 0
 
 
+def _decompose_boolean(args: argparse.Namespace) -> BooleanDecomposition:
+    from . import boolean
+
+    return getattr(boolean, _BOOLEAN_METHODS[args.method])(args.n, ceiling=args.ceiling)
+
+
 def _cmd_decompose_boolean(args: argparse.Namespace) -> int:
-    d = _BOOLEAN_METHODS[args.method](args.n, ceiling=args.ceiling)
+    from . import boolean
+
+    d = _decompose_boolean(args)
     _emit(args, json=lambda: boolean._json_view(d), dot=lambda: boolean._dot_lines(d),
           text=lambda: (" < ".join(map(boolean._literal, chain)) for chain in d.chains.runs()))
     return 0
 
 
 def _cmd_code(args: argparse.Namespace) -> int:
+    from .coding import encode
+
     s = Subset.from_literal(args.n, args.set)
     code = encode(s)
     # Built before any view, so --compact on a code with no compact form is
@@ -157,6 +170,9 @@ def _cmd_code(args: argparse.Namespace) -> int:
 
 
 def _cmd_class(args: argparse.Namespace) -> int:
+    from .coding import encode
+    from .partitions import enumerate_class
+
     s = Subset.from_literal(args.n, args.set)
     members = enumerate_class(s, ceiling=args.ceiling)
     _emit(args, json=lambda: {
@@ -170,7 +186,9 @@ def _cmd_class(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose_partition(args: argparse.Namespace) -> int:
-    fam = build_partition_chains(args.n, ceiling=args.ceiling)
+    from . import partitions
+
+    fam = partitions.build_partition_chains(args.n, ceiling=args.ceiling)
 
     def text() -> Iterator[str]:
         for chain in fam.chains:
@@ -183,32 +201,39 @@ def _cmd_decompose_partition(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_boolean(args: argparse.Namespace) -> int:
-    d = _BOOLEAN_METHODS[args.method](args.n, ceiling=args.ceiling)
-    rep = verify_scd(d, ceiling=args.ceiling)
+    from . import boolean
+
+    rep = boolean.verify_scd(_decompose_boolean(args), ceiling=args.ceiling)
     return _report_out(args, rep, {"n": args.n, "method": args.method})
 
 
 def _cmd_verify_partition(args: argparse.Namespace) -> int:
-    fam = build_partition_chains(args.n, ceiling=args.ceiling)
-    rep = verify_partition_chains(fam, ceiling=args.ceiling)
+    from . import partitions
+
+    fam = partitions.build_partition_chains(args.n, ceiling=args.ceiling)
+    rep = partitions.verify_partition_chains(fam, ceiling=args.ceiling)
     return _report_out(args, rep, {"n": args.n, "excluded": len(fam.excluded)})
 
 
 _BELL_METHODS = {
-    "codes": (identities.bell_via_codes, identities.DEFAULT_CODE_SUM_CEILING),
-    "oracle": (identities.bell_oracle, identities.DEFAULT_STIRLING_CEILING),
+    "codes": ("bell_via_codes", DEFAULT_CODE_SUM_CEILING),
+    "oracle": ("bell_oracle", DEFAULT_STIRLING_CEILING),
 }
 
 
 def _cmd_bell(args: argparse.Namespace) -> int:
-    method, default = _BELL_METHODS[args.method]
-    value = method(args.n, ceiling=default if args.ceiling is None else args.ceiling)
+    from . import identities
+
+    name, default = _BELL_METHODS[args.method]
+    value = getattr(identities, name)(args.n, ceiling=default if args.ceiling is None else args.ceiling)
     _emit(args, json=lambda: {"n": args.n, "method": args.method, "value": value},
           text=lambda: [str(value)])
     return 0
 
 
 def _cmd_stirling(args: argparse.Namespace) -> int:
+    from . import identities
+
     row = identities.stirling_table(args.n, ceiling=args.ceiling).row(args.n)
     _emit(args, json=lambda: {"n": args.n, "row": list(row)},
           text=lambda: [" ".join(str(v) for v in row)])
@@ -216,6 +241,8 @@ def _cmd_stirling(args: argparse.Namespace) -> int:
 
 
 def _cmd_stirling_check(args: argparse.Namespace) -> int:
+    from . import identities
+
     if args.n < 0:
         raise ValueError("n must be nonnegative")
     table = identities.stirling_table(args.n, ceiling=args.ceiling)
@@ -252,6 +279,8 @@ def _cmd_stirling_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_symfun(args: argparse.Namespace) -> int:
+    from . import identities
+
     poly = identities.complete_from_elementary(args.n, ceiling=args.ceiling)
     agreement = None
     if args.check:
@@ -278,6 +307,8 @@ def _cmd_symfun(args: argparse.Namespace) -> int:
 
 
 def _cmd_derivative_check(args: argparse.Namespace) -> int:
+    from . import identities
+
     if args.n < 0:
         raise ValueError("n must be nonnegative")
     order = args.n
@@ -369,23 +400,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("bell", _cmd_bell, "Bell number")
     p.add_argument("--method", choices=sorted(_BELL_METHODS), default="codes")
     p.add_argument("--ceiling", type=int, metavar="K",
-                   help=f"enumeration size ceiling (default {identities.DEFAULT_CODE_SUM_CEILING} "
-                        f"for codes, {identities.DEFAULT_STIRLING_CEILING} for oracle)")
+                   help=f"enumeration size ceiling (default {DEFAULT_CODE_SUM_CEILING} "
+                        f"for codes, {DEFAULT_STIRLING_CEILING} for oracle)")
 
     add("stirling", _cmd_stirling, "row n of the Stirling set-number triangle",
-        ceiling=identities.DEFAULT_STIRLING_CEILING)
+        ceiling=DEFAULT_STIRLING_CEILING)
 
     add("stirling-check", _cmd_stirling_check,
         "audit the Stirling inequalities for all rows up to n",
-        ceiling=identities.DEFAULT_STIRLING_CEILING)
+        ceiling=DEFAULT_STIRLING_CEILING)
 
     p = add("symfun", _cmd_symfun, "complete homogeneous function in the elementary ones",
-            ceiling=identities.DEFAULT_CODE_SUM_CEILING)
+            ceiling=DEFAULT_CODE_SUM_CEILING)
     p.add_argument("--check", action="store_true", help="compare against the recurrence oracle")
 
     add("derivative-check", _cmd_derivative_check,
         "compare the derivative code sum with the series oracle up to order n",
-        ceiling=identities.DEFAULT_CODE_SUM_CEILING)
+        ceiling=DEFAULT_CODE_SUM_CEILING)
 
     return parser
 

@@ -15,16 +15,14 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .coding import encode
 from .reports import VerificationReport
-from .subsets import _check_ceiling, _json_int, _Value, all_subsets
-
-# 2^(n-1) terms per sum; past this the closed forms are refused by default.
-DEFAULT_CODE_SUM_CEILING = 25
-
-# Set by memory: the triangle through row n holds about n^2/2 integers of up
-# to about n log2(n) bits each, so its peak RSS grows as n^3.  Measured peaks
-# were 115 MB at n = 800 and 357 MB at n = 1200, so n = 2000 peaks near
-# 1.6 GB, about what the partition ceiling admits.
-DEFAULT_STIRLING_CEILING = 2000
+from .subsets import (
+    DEFAULT_CODE_SUM_CEILING,
+    DEFAULT_STIRLING_CEILING,
+    _check_ceiling,
+    _json_int,
+    _Value,
+    all_subsets,
+)
 
 # Seeds for the reproducible random series used by the derivative check.
 SERIES_SEEDS = (1101, 1202, 1303, 1404, 1505)

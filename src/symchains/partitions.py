@@ -20,16 +20,15 @@ from .boolean import _literal as _literal_mask, gk_decomposition
 from .coding import _link_added, code_from_nonzeros, encode
 from .identities import bell_oracle, stirling_table
 from .reports import _WITNESS_CAP, VerificationReport
-from .subsets import Subset, _TupleView, _Value, _check_ceiling, _json_int, _unchecked
-
-# Set by memory.  The family holds only its chain starts and the verifier a
-# byte per partition: for m = 13 (27.6 million partitions) building peaks at
-# 426 MB RSS and building plus verifying at 471 MB, inside the 1.2 GB that
-# set the subset ceiling.  The writers are not: reading ``fam.excluded``
-# sorts about 17 million keys at m = 13, some 1.1 GB more, and the dot writer
-# indexes every partition (250 MB at m = 11, growing with the lattice).  So
-# past m = 12 needs an explicit ceiling override.
-DEFAULT_PARTITION_CEILING = 12
+from .subsets import (
+    DEFAULT_PARTITION_CEILING,
+    Subset,
+    _TupleView,
+    _Value,
+    _check_ceiling,
+    _json_int,
+    _unchecked,
+)
 
 # A partition's canonical blocks, as SetPartition.blocks holds them; the
 # build and verify kernels work on these and key everything on them.

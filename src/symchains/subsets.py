@@ -15,6 +15,10 @@ from typing import Any, Callable, Iterable, Iterator
 LEFT = "("
 RIGHT = ")"
 
+# The default ceilings of the four enumerations, all enforced by
+# ``_check_ceiling``; each layer's signatures take theirs from here, so the
+# CLI's parser reads them without loading a layer.
+#
 # Whole-lattice enumerations refuse to run past this many ground elements
 # unless the caller raises the ceiling explicitly.  Set by memory when every
 # chain was an object: gk_decomposition plus verify_scd at n = 24 then
@@ -25,6 +29,24 @@ RIGHT = ")"
 # other two (Python 3.11, 2 cores).  The ceiling stays 24 until it is set
 # again from such measurements.
 DEFAULT_ENUM_CEILING = 24
+
+# Set by memory.  The family holds only its chain starts and the verifier a
+# byte per partition: for m = 13 (27.6 million partitions) building peaks at
+# 426 MB RSS and building plus verifying at 471 MB, inside the 1.2 GB that
+# set the subset ceiling.  The writers are not: reading ``fam.excluded``
+# sorts about 17 million keys at m = 13, some 1.1 GB more, and the dot writer
+# indexes every partition (250 MB at m = 11, growing with the lattice).  So
+# past m = 12 needs an explicit ceiling override.
+DEFAULT_PARTITION_CEILING = 12
+
+# 2^(n-1) terms per sum; past this the closed forms are refused by default.
+DEFAULT_CODE_SUM_CEILING = 25
+
+# Set by memory: the triangle through row n holds about n^2/2 integers of up
+# to about n log2(n) bits each, so its peak RSS grows as n^3.  Measured peaks
+# were 115 MB at n = 800 and 357 MB at n = 1200, so n = 2000 peaks near
+# 1.6 GB, about what the partition ceiling admits.
+DEFAULT_STIRLING_CEILING = 2000
 
 # Per-set operations stay cheap far beyond enumeration range.
 MAX_GROUND_SIZE = 64

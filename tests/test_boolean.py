@@ -6,6 +6,7 @@ against each other, which is the point of keeping all three.
 """
 
 import copy
+import gc
 import hashlib
 import inspect
 import json
@@ -265,6 +266,25 @@ class TestPackedChains:
             d.chains[len(t)]
         assert list(d.chains.runs()) == [c.masks for c in t]
 
+    def test_packed_views_compare_as_their_tuples(self):
+        # Two packed views compare by their arrays, without building chains;
+        # the tuples they stand for are the oracle, and empty views of
+        # different ground sizes are equal.
+        views = [method(n).chains for n in range(9) for method in METHODS]
+        views += [BooleanDecomposition(n, ()).chains for n in (0, 3, 8)]
+        for a in views:
+            for b in views:
+                assert (a == b) is (tuple(a) == tuple(b)), (a.n, b.n)
+                assert (a != b) is (tuple(a) != tuple(b)), (a.n, b.n)
+
+    @given(st.integers(0, 8), st.sampled_from(METHODS), st.integers(1, 4), st.data())
+    def test_packed_mutants_compare_as_their_tuples(self, n, method, ops, data):
+        d = method(n)
+        chains = mutate([c.sets for c in d.chains], ops, data)
+        mutant = BooleanDecomposition(n, tuple(BooleanChain(n, tuple(c)) for c in chains)).chains
+        for a, b in ((mutant, d.chains), (d.chains, mutant), (mutant, mutant)):
+            assert (a == b) is (tuple(a) == tuple(b))
+
     def test_one_array_of_masks(self):
         for method in METHODS:
             d = method(10)
@@ -320,16 +340,29 @@ class TestPackedChains:
 
 def traced_peak_ratio(build):
     """The traced peak of ``build()`` over the final arrays of the
-    decomposition it returns, 8 bytes a mask plus 8 bytes an offset.  A
-    first, untraced call fills the interpreter's tuple free lists, which
-    keep their memory from one call to the next."""
-    build()
-    tracemalloc.start()
+    decomposition it returns, 8 bytes a mask plus 8 bytes an offset.
+
+    A tuple the traced call allocates afresh, rather than taking from the
+    interpreter's free lists, counts towards its peak even once it is freed
+    back to a list, so the ratio would depend on what ran before.  So the
+    lists are filled first: a full collection (which empties them), then
+    2000 freed tuples of each size up to 19 (as many as a list keeps) and
+    one untraced call, with the collector held off from the collection to
+    the end of the traced call."""
+    gc.collect()
+    gc.disable()
     try:
-        d = build()
-        _, peak = tracemalloc.get_traced_memory()
+        filler = [tuple(range(size)) for size in range(1, 20) for _ in range(2000)]
+        del filler
+        build()
+        tracemalloc.start()
+        try:
+            d = build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
     finally:
-        tracemalloc.stop()
+        gc.enable()
     return peak / (8 * (len(d.chains._masks) + len(d.chains._offsets)))
 
 

@@ -22,7 +22,7 @@ from symchains import (
     family_to_json,
     gk_decomposition,
 )
-from symchains import cli
+from symchains import boolean, partitions
 from symchains.cli import _json_chunks, _report_out, build_parser, run
 from symchains.identities import DEFAULT_STIRLING_CEILING
 from symchains.reports import VerificationReport
@@ -376,14 +376,16 @@ class TestExitCodes:
         (["verify-partition", "4", "--ceiling", "7"], "verify_partition_chains"),
     ])
     def test_verifiers_get_the_ceiling_flag(self, capsys, monkeypatch, argv, verifier):
+        # The handlers call the verifier in its layer, read when they run.
+        layer = {"verify_scd": boolean, "verify_partition_chains": partitions}[verifier]
         seen = []
-        real = getattr(cli, verifier)
+        real = getattr(layer, verifier)
 
         def spy(family, ceiling):
             seen.append(ceiling)
             return real(family, ceiling=ceiling)
 
-        monkeypatch.setattr(cli, verifier, spy)
+        monkeypatch.setattr(layer, verifier, spy)
         assert run(argv + ["--quiet"]) == 0
         assert seen == [7]
 

@@ -18,7 +18,9 @@ def test_readme_python_blocks_run(capsys):
 
 
 def test_all_is_the_public_package():
-    public = {name for name, obj in vars(symchains).items()
-              if not name.startswith("_") and not isinstance(obj, types.ModuleType)}
+    # The package binds a name on its first read, so the names come from
+    # dir() and each is resolved here.
+    public = {name for name in dir(symchains)
+              if not name.startswith("_") and not isinstance(getattr(symchains, name), types.ModuleType)}
     assert len(symchains.__all__) == len(set(symchains.__all__))
     assert set(symchains.__all__) == public
