@@ -95,19 +95,6 @@ class _Packed(_TupleView):
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"packed chains are read-only: cannot set {name!r}")
 
-    def __eq__(self, other: object) -> bool:
-        # Two packed views stand for equal chain tuples exactly when their
-        # arrays are equal over one ground size, or when both are empty, so
-        # they compare without building a chain.
-        if isinstance(other, _Packed):
-            return ((self.n == other.n or len(self) == 0)
-                    and self._offsets == other._offsets and self._masks == other._masks)
-        return super().__eq__(other)
-
-    # Defining ``__eq__`` drops the inherited hash; it stays the tuple's, as
-    # for every view.
-    __hash__ = _TupleView.__hash__
-
     def __len__(self) -> int:
         return len(self._offsets) - 1
 

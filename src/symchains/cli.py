@@ -30,7 +30,6 @@ from .subsets import (
 )
 
 if TYPE_CHECKING:
-    from .boolean import BooleanDecomposition
     from .reports import VerificationReport
 
 # Every command is a fresh process, so each handler imports the layer it
@@ -135,16 +134,10 @@ def _cmd_chain(args: argparse.Namespace) -> int:
     return 0
 
 
-def _decompose_boolean(args: argparse.Namespace) -> BooleanDecomposition:
-    from . import boolean
-
-    return getattr(boolean, _BOOLEAN_METHODS[args.method])(args.n, ceiling=args.ceiling)
-
-
 def _cmd_decompose_boolean(args: argparse.Namespace) -> int:
     from . import boolean
 
-    d = _decompose_boolean(args)
+    d = getattr(boolean, _BOOLEAN_METHODS[args.method])(args.n, ceiling=args.ceiling)
     _emit(args, json=lambda: boolean._json_view(d), dot=lambda: boolean._dot_lines(d),
           text=lambda: (" < ".join(map(boolean._literal, chain)) for chain in d.chains.runs()))
     return 0
@@ -203,7 +196,8 @@ def _cmd_decompose_partition(args: argparse.Namespace) -> int:
 def _cmd_verify_boolean(args: argparse.Namespace) -> int:
     from . import boolean
 
-    rep = boolean.verify_scd(_decompose_boolean(args), ceiling=args.ceiling)
+    d = getattr(boolean, _BOOLEAN_METHODS[args.method])(args.n, ceiling=args.ceiling)
+    rep = boolean.verify_scd(d, ceiling=args.ceiling)
     return _report_out(args, rep, {"n": args.n, "method": args.method})
 
 

@@ -266,25 +266,6 @@ class TestPackedChains:
             d.chains[len(t)]
         assert list(d.chains.runs()) == [c.masks for c in t]
 
-    def test_packed_views_compare_as_their_tuples(self):
-        # Two packed views compare by their arrays, without building chains;
-        # the tuples they stand for are the oracle, and empty views of
-        # different ground sizes are equal.
-        views = [method(n).chains for n in range(9) for method in METHODS]
-        views += [BooleanDecomposition(n, ()).chains for n in (0, 3, 8)]
-        for a in views:
-            for b in views:
-                assert (a == b) is (tuple(a) == tuple(b)), (a.n, b.n)
-                assert (a != b) is (tuple(a) != tuple(b)), (a.n, b.n)
-
-    @given(st.integers(0, 8), st.sampled_from(METHODS), st.integers(1, 4), st.data())
-    def test_packed_mutants_compare_as_their_tuples(self, n, method, ops, data):
-        d = method(n)
-        chains = mutate([c.sets for c in d.chains], ops, data)
-        mutant = BooleanDecomposition(n, tuple(BooleanChain(n, tuple(c)) for c in chains)).chains
-        for a, b in ((mutant, d.chains), (d.chains, mutant), (mutant, mutant)):
-            assert (a == b) is (tuple(a) == tuple(b))
-
     def test_one_array_of_masks(self):
         for method in METHODS:
             d = method(10)

@@ -458,14 +458,17 @@ class TestExitCodes:
 
 
 # Imports the stdlib modules the package itself needs, notes which of the
-# heavy modules they loaded, then imports the package and the CLI and prints
-# the heavy modules that only the package loaded.
+# heavy modules they loaded, then imports the package and the CLI, reads
+# every public name (the package loads a module on the first read of one of
+# its names, so this loads them all) and prints the heavy modules that only
+# the package loaded.
 IMPORT_PROBE = """
 import sys
 import argparse, array, fractions, json, random
 heavy = ("dataclasses", "inspect")
 before = {name for name in heavy if name in sys.modules}
 import symchains, symchains.cli
+[getattr(symchains, name) for name in symchains.__all__]
 print(sorted(name for name in heavy if name in sys.modules and name not in before))
 """
 
