@@ -8,7 +8,7 @@ determine the code back, which is what links subsets to partition types.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .subsets import Subset, _json_int, _unchecked, _Value, check_ground_size
 

@@ -11,14 +11,15 @@ every partition with many blocks.
 from __future__ import annotations
 
 import itertools
+import os
+import sys
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
 from operator import getitem
-from typing import Optional
 
 from .boolean import _literal as _literal_mask, gk_decomposition
 from .coding import _link_added, code_from_nonzeros, encode
-from .identities import bell_oracle, stirling_table
 from .reports import _WITNESS_CAP, VerificationReport
 from .subsets import (
     DEFAULT_PARTITION_CEILING,
@@ -321,7 +322,7 @@ def inject(p: SetPartition, i: int) -> SetPartition:
     return _trusted(p.m, _merge(p.blocks, _merge_index(entries, i)))
 
 
-def inject_inverse(q: SetPartition, i: int) -> Optional[SetPartition]:
+def inject_inverse(q: SetPartition, i: int) -> SetPartition | None:
     """Undo ``inject(.., i)`` when possible.
 
     Splits the merged block j back into its minimum and the rest, in place.
@@ -423,29 +424,33 @@ class _Excluded(_TupleView):
     the run of each chain up its subset chain past the 2b - m partitions
     it keeps, so the whole run of a chain born above the middle.  Nothing
     of them is stored: the classes whose births have such runs are read
-    off the chain table and walked again for their births (``_births``).
-    The length, Bell(m) less the kept partitions, is counted when built;
-    the members are expanded, and sorted, on access.  ``blocks`` streams
-    them unsorted: a class at the top of its subset chain gives its births
-    as walked, and any other class merges each birth up the chain's
-    remaining indices, sliced once per class, dropping the kept ones."""
+    off the chain table's ``places``, shared with the chains, and walked
+    again for their births (``_births``).  The length, Bell(m) less the
+    kept partitions, is counted when built; the members are expanded, and
+    sorted, on access.  ``blocks`` streams them unsorted: a class at the
+    top of its subset chain gives its births as walked, and any other
+    class merges each birth up the chain's remaining indices, sliced once
+    per class, dropping the kept ones.  The view holds only what
+    ``blocks`` reads, not the chain starts, so it pickles small for the
+    verifier's worker (``_serve``)."""
 
-    __slots__ = ("_chains", "_count")
+    # Not ``count``, which would hide the Sequence method of that name.
+    __slots__ = ("m", "places", "length")
 
-    def __init__(self, chains: _Chains, count: int):
-        self._chains, self._count = chains, count
+    def __init__(self, m: int, places: dict[tuple[int, ...], tuple[int, tuple[int, ...]]], length: int):
+        self.m, self.places, self.length = m, places, length
 
     def __len__(self) -> int:
-        return self._count
+        return self.length
 
     def __iter__(self) -> Iterator[SetPartition]:
-        make = partial(_trusted, self._chains.m)
+        make = partial(_trusted, self.m)
         return (make(_unkey(key)) for key in sorted(map(_key, self.blocks())))
 
     def blocks(self) -> Iterator[Blocks]:
         """The excluded block tuples, in no particular order."""
-        m = self._chains.m
-        for sizes, (t, js) in self._chains.places.items():
+        m = self.m
+        for sizes, (t, js) in self.places.items():
             keep = max(0, 2 * len(sizes) - m)
             up = js[t + 1:]
             if len(up) < keep:
@@ -501,7 +506,7 @@ class PartitionChainFamily(_Value):
                 for p in chain:
                     if p.m != self.m:
                         raise ValueError("ground size mismatch in chain family")
-        if not (isinstance(self.excluded, _Excluded) and self.excluded._chains.m == self.m):
+        if not (isinstance(self.excluded, _Excluded) and self.excluded.m == self.m):
             for p in self.excluded:
                 if p.m != self.m:
                     raise ValueError("ground size mismatch in excluded list")
@@ -525,6 +530,8 @@ def build_partition_chains(n: int, ceiling: int = DEFAULT_PARTITION_CEILING) -> 
     chain, so it is not walked: the excluded count is Bell(m) less the
     kept partitions, and the excluded view walks those classes when read.
     """
+    from .identities import bell_oracle
+
     m = n + 1
     _check_ceiling(m, ceiling, f"Bell({m}) partitions")
     boolean = gk_decomposition(n, ceiling)
@@ -555,8 +562,7 @@ def build_partition_chains(n: int, ceiling: int = DEFAULT_PARTITION_CEILING) -> 
                 starts += map(_key, born)
                 kept += keep * len(born)
     starts.sort()
-    chains = _Chains(m, starts, places)
-    return PartitionChainFamily(m, chains, _Excluded(chains, bell_oracle(m) - kept))
+    return PartitionChainFamily(m, _Chains(m, starts, places), _Excluded(m, places, bell_oracle(m) - kept))
 
 
 def _is_singleton_merge(lo: Blocks, hi: Blocks) -> bool:
@@ -662,6 +668,130 @@ def _rank_index(m: int) -> Callable[[Blocks], int]:
     return index
 
 
+# From this many partitions on, Bell(10), the verifier marks the excluded
+# stream in a worker process when it may run on a second CPU.  At Bell(9)
+# the worker's start costs more than the split saves.
+_WORKER_FROM = 115_975
+
+# Bytes of each map that the merge reads as one integer.
+_MERGE_SLICE = 1 << 16
+
+# The worker's program: it puts the package's directory, its argument,
+# first on the path and answers the request on its stdin (``_serve``).
+_WORKER = "import sys; sys.path.insert(0, sys.argv[1]); from symchains.partitions import _serve; _serve()"
+
+
+def _mark_excluded(m: int, index: Callable[[Blocks], int], size: int,
+                   excluded: Iterable[Blocks]) -> tuple[bytearray, list[int], dict[Blocks, int], int, bool]:
+    """Mark the excluded stream on a map of its own: byte 2 at the rank
+    (``index``) of each partition's first occurrence.  Returns the map,
+    the rank of each later occurrence, the blocks the rank refused with
+    their number of occurrences, the number of distinct partitions, and
+    whether one of those has more than floor(m/2) blocks, so that a chain
+    had to hold it (the rank bound follows from the block bound).  Knows
+    nothing of the chains, so it runs in the verifier's process or in its
+    worker alike."""
+    wide = m // 2
+    marks = bytearray(size)
+    repeats: list[int] = []
+    outside: dict[Blocks, int] = {}
+    fresh = 0
+    uncovered = False
+    for p in excluded:
+        i = index(p)
+        if i >= 0:
+            if marks[i]:
+                repeats.append(i)
+                continue
+            marks[i] = 2
+        else:
+            seen = outside.get(p, 0)
+            outside[p] = seen + 1
+            if seen:
+                continue
+        fresh += 1
+        if len(p) > wide:
+            uncovered = True
+    return marks, repeats, outside, fresh, uncovered
+
+
+def _serve() -> None:
+    """The worker: read (m, size, excluded) pickled from stdin, mark the
+    excluded stream (a built family's view streams its own blocks), and
+    write the result of ``_mark_excluded`` pickled to stdout."""
+    import pickle
+
+    m, size, excluded = pickle.load(sys.stdin.buffer)
+    blocks = excluded.blocks() if isinstance(excluded, _Excluded) else excluded
+    pickle.dump(_mark_excluded(m, _rank_index(m), size, blocks), sys.stdout.buffer, pickle.HIGHEST_PROTOCOL)
+
+
+class _Worker:
+    """A process marking the excluded stream while the verifier marks the
+    chains.  It starts without ``site`` (``-S``), which keeps its start
+    near a bare interpreter's, and gets the request pickled on stdin.
+    ``reply`` waits for its marks and raises ``RuntimeError`` if it
+    failed; ``stop`` kills and reaps it."""
+
+    def __init__(self, m: int, size: int, excluded: Sequence[SetPartition]):
+        import pickle
+        import subprocess
+
+        if not isinstance(excluded, _Excluded):
+            excluded = [p.blocks for p in excluded]
+        home = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        self._proc = subprocess.Popen([sys.executable, "-S", "-c", _WORKER, home], stdin=subprocess.PIPE,
+                                      stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            self._proc.stdin.write(pickle.dumps((m, size, excluded), pickle.HIGHEST_PROTOCOL))
+            self._proc.stdin.flush()
+        except BrokenPipeError:
+            pass  # it has exited, and ``reply`` reports how
+        except BaseException:
+            self.stop()
+            raise
+
+    def reply(self) -> tuple[bytearray, list[int], dict[Blocks, int], int, bool]:
+        import pickle
+
+        out, err = self._proc.communicate()
+        code = self._proc.returncode
+        if code:
+            tail = err[-2000:].decode(errors="replace").strip()
+            raise RuntimeError(f"the worker marking the excluded partitions exited with {code}: {tail}")
+        return pickle.loads(out)
+
+    def stop(self) -> None:
+        if self._proc.returncode is None:
+            self._proc.kill()
+            self._proc.communicate()
+
+
+def _merge_maps(status: bytearray, marks: bytearray) -> bool:
+    """OR the excluded map ``marks`` into the chain map ``status`` in place,
+    so that each byte holds its partition's state: 0 missing, 1 in a chain,
+    2 excluded, 3 both.  The maps are read as integers (``int.from_bytes``)
+    a slice at a time, so no copy of a whole map is held.  Returns whether
+    their AND is nonzero: some excluded partition is in a chain."""
+    both = False
+    size = len(status)
+    for lo in range(0, size, _MERGE_SLICE):
+        hi = min(lo + _MERGE_SLICE, size)
+        chain_bits = int.from_bytes(status[lo:hi], "big")
+        excluded_bits = int.from_bytes(marks[lo:hi], "big")
+        both = both or (chain_bits << 1) & excluded_bits != 0
+        status[lo:hi] = (chain_bits | excluded_bits).to_bytes(hi - lo, "big")
+    return both
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def verify_partition_chains(fam: PartitionChainFamily,
                             ceiling: int = DEFAULT_PARTITION_CEILING) -> VerificationReport:
     """Check the family against everything claimed of it: disjointness,
@@ -674,75 +804,80 @@ def verify_partition_chains(fam: PartitionChainFamily,
     from it; for even n the block bound is the stronger.
 
     Membership is one byte per partition of the lattice, indexed by its
-    rank (``_rank_index``): 0 missing, 1 in a chain, 2 excluded.  Blocks
-    the rank refuses are partitions outside the lattice and are kept
-    apart.  Walking ``_iter_partitions`` beside the bytes names each
-    missing or uncovered partition; it runs only when a byte is 0 or an
-    excluded partition breaks a coverage bound, so a sound family builds no
-    witness.  The walk spells out at most ``_WITNESS_CAP`` failures of each
-    kind, ``missing`` and ``coverage``, and counts the rest in one
-    ``(kind, "<N> more")``.  The audit takes a byte per Bell(m) partition
-    however small the family is, so m past ``ceiling`` is refused first."""
+    rank (``_rank_index``).  The chains mark 1 on one map and the excluded
+    stream marks 2 on another (``_mark_excluded``); blocks the rank refuses
+    are partitions outside the lattice and are kept apart.  From Bell(10)
+    partitions on, with a second CPU, a worker process marks the excluded
+    stream while this one marks the chains (``_Worker``).  The maps are
+    merged as integers (``_merge_maps``): their AND finds the excluded
+    partitions that a chain holds, and their OR gives each partition's
+    state, 0 missing, 1 or 3 in a chain, 2 excluded.  Walking ``_iter_partitions`` beside the
+    states names each missing or uncovered partition; it runs only when a
+    state is 0 or an excluded partition breaks a coverage bound, so a sound
+    family builds no witness.  The walk spells out at most ``_WITNESS_CAP``
+    failures of each kind, ``missing`` and ``coverage``, and counts the
+    rest in one ``(kind, "<N> more")``.  The audit takes a byte per Bell(m)
+    partition however small the family is, so m past ``ceiling`` is
+    refused first."""
+    from .identities import stirling_table
+
     m = fam.m
     _check_ceiling(m, ceiling, f"Bell({m}) partitions")
     n = m - 1
     stirling = stirling_table(m)
     index = _rank_index(m)
-    status = bytearray(sum(stirling.row(m)))
-    outside: dict[Blocks, int] = {}
-
-    def mark_outside(p: Blocks, state: int) -> int:
-        """Set the state of ``p``, which the rank refused, unless it has
-        one; return the state it had."""
-        was = outside.get(p, 0)
-        if not was:
-            outside[p] = state
-        return was
-
-    # Partitions in the lattice are ranked and marked inline, as this loop
-    # and the next run once per partition.
+    size = sum(stirling.row(m))
+    status = bytearray(size)
+    outside: set[Blocks] = set()
     failures: list[tuple[str, str]] = []
     members = 0
-    for chain in _chain_blocks(fam.chains):
-        for p in chain:
-            i = index(p)
-            if i >= 0:
-                was = status[i]
-                if not was:
+    worker = _Worker(m, size, fam.excluded) if size >= _WORKER_FROM and _cpus() > 1 else None
+    try:
+        # Partitions in the lattice are ranked and marked inline, as this
+        # loop runs once per partition.
+        for chain in _chain_blocks(fam.chains):
+            for p in chain:
+                i = index(p)
+                if i >= 0:
+                    if status[i]:
+                        failures.append(("overlap", _literal(p)))
+                        continue
                     status[i] = 1
-            else:
-                was = mark_outside(p, 1)
-            if was:
-                failures.append(("overlap", _literal(p)))
-            else:
+                elif p in outside:
+                    failures.append(("overlap", _literal(p)))
+                    continue
+                else:
+                    outside.add(p)
                 members += 1
-        if 2 * m - len(chain[0]) - len(chain[-1]) != n:
-            failures.append(("not_symmetric", f"{_literal(chain[0])} .. {_literal(chain[-1])}"))
-        for lo, hi in zip(chain, chain[1:]):
-            if len(hi) != len(lo) - 1 or not _is_singleton_merge(lo, hi):
-                failures.append(("not_saturated", f"{_literal(lo)} -> {_literal(hi)}"))
-    fresh = 0
-    uncovered_excluded = False
-    for p in _excluded_blocks(fam.excluded):
-        i = index(p)
-        if i >= 0:
-            was = status[i]
-            if not was:
-                status[i] = 2
-        else:
-            was = mark_outside(p, 2)
-        if was == 1:
-            failures.append(("overlap", f"excluded {_literal(p)}"))
-        elif not was:
-            fresh += 1
-            b = len(p)
-            uncovered_excluded |= b > (n + 1) // 2 or m - b <= (n - 1) // 2
+            if 2 * m - len(chain[0]) - len(chain[-1]) != n:
+                failures.append(("not_symmetric", f"{_literal(chain[0])} .. {_literal(chain[-1])}"))
+            for lo, hi in zip(chain, chain[1:]):
+                if len(hi) != len(lo) - 1 or not _is_singleton_merge(lo, hi):
+                    failures.append(("not_saturated", f"{_literal(lo)} -> {_literal(hi)}"))
+        marks, repeats, outside_excluded, fresh, uncovered_excluded = (
+            worker.reply() if worker else _mark_excluded(m, index, size, _excluded_blocks(fam.excluded)))
+    except BaseException:
+        if worker:
+            worker.stop()
+        raise
+    # Each occurrence of an excluded partition that a chain holds is an
+    # overlap, and the partition is no fresh exclusion.
+    if _merge_maps(status, marks):
+        again = Counter(repeats)
+        for i, p in itertools.compress(enumerate(_iter_partitions(m)), map((3).__eq__, status)):
+            failures += [("overlap", f"excluded {_literal(p)}")] * (1 + again[i])
+            fresh -= 1
+    del marks  # not held through the witness walk
+    for p, count in outside_excluded.items():
+        if p in outside:
+            failures += [("overlap", f"excluded {_literal(p)}")] * count
+            fresh -= 1
     if fresh != len(fam.excluded):
         failures.append(("overlap", "excluded list repeats a partition"))
     missing = uncovered = 0
     if uncovered_excluded or 0 in status:
         for p, state in zip(_iter_partitions(m), status):
-            if state == 1:
+            if state & 1:
                 continue
             if not state:
                 missing += 1
@@ -760,7 +895,7 @@ def verify_partition_chains(fam: PartitionChainFamily,
     for kind, count in (("missing", missing), ("coverage", uncovered)):
         if count > _WITNESS_CAP:
             failures.append((kind, f"{count - _WITNESS_CAP} more"))
-    if outside:
+    if outside or outside_excluded:
         failures.append(("missing", "family mentions partitions outside the lattice"))
     expected = stirling.value(m, m - n // 2)
     if len(fam.chains) != expected:

@@ -8,9 +8,8 @@ rest of the package.  Positions are 1-based throughout.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from operator import attrgetter, ge, gt, le, lt
-from typing import Any, Callable, Iterable, Iterator
 
 LEFT = "("
 RIGHT = ")"
@@ -91,7 +90,7 @@ class _Value:
     """
 
     __slots__ = ()
-    _defaults: dict[str, Any] = {}
+    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
@@ -164,7 +163,7 @@ def _compare(op: Callable[[tuple, tuple], bool]) -> Callable[[_Value, object], b
     return compare
 
 
-def _unchecked(cls: type) -> Callable[[Any, Any], Any]:
+def _unchecked(cls: type) -> Callable[[object, object], object]:
     """A constructor for ``cls``, a value class of two fields, that sets
     them through their slot descriptors and runs no checks.  Only kernels
     call it, on values they built valid; input from callers and payloads
@@ -172,7 +171,7 @@ def _unchecked(cls: type) -> Callable[[Any, Any], Any]:
     first, second = cls._setters
     new = object.__new__
 
-    def make(a: Any, b: Any) -> Any:
+    def make(a: object, b: object) -> object:
         obj = new(cls)
         first(obj, a)
         second(obj, b)

@@ -10,6 +10,7 @@ import hashlib
 import inspect
 import itertools
 import json
+import os
 import pickle
 from collections import Counter
 from functools import lru_cache
@@ -1160,6 +1161,101 @@ class TestVerifierAgainstReference:
         checked_verify(fam)
 
 
+@lru_cache(maxsize=None)
+def tuple_family(n):
+    """The built family on {1..n+1} as tuples, as a loaded one holds it."""
+    fam = family(n)
+    return tuple(tuple(chain) for chain in fam.chains), tuple(fam.excluded)
+
+
+class TestTwoProcessVerify:
+    """From Bell(10) partitions on, with two CPUs, a worker marks the
+    excluded stream; its reports must equal the reference's on the built
+    family and on mutants that hit each way the two maps meet."""
+
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        """Two CPUs for the verifier, whatever the machine has; returns the
+        list of the workers it starts."""
+        started = []
+        worker = partitions._Worker
+
+        def spy(*args):
+            started.append(worker(*args))
+            return started[-1]
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(partitions, "_Worker", spy)
+        return started
+
+    def test_built_family(self, workers):
+        assert checked_verify(family(9)).ok
+        assert len(workers) == 1
+
+    @pytest.mark.parametrize("mutant, counts", [
+        # The "excluded list repeats a partition" overlap comes with each
+        # mutant that excludes a partition already marked.
+        ("member_excluded_once", {"overlap": 2}),
+        ("member_excluded_twice", {"overlap": 3}),
+        ("excluded_repeated", {"overlap": 1}),
+        ("outside_in_each", {"missing": 1, "not_symmetric": 1, "chain_count": 1}),
+        ("outside_in_both", {"missing": 1, "not_symmetric": 1, "chain_count": 1, "overlap": 3}),
+        ("member_dropped", {"missing": 1, "coverage": 2, "not_saturated": 1}),
+        ("coverage_breach", {"coverage": 2, "not_symmetric": 1}),
+    ])
+    def test_mutants_of_m10(self, workers, mutant, counts):
+        chains, excluded = tuple_family(9)
+        m = 10
+        member = chains[5][1]
+        outside = _trusted(m, ((1,), (m + 1,)))
+        if mutant == "member_excluded_once":
+            excluded += (member,)
+        elif mutant == "member_excluded_twice":
+            excluded += (member, member)
+        elif mutant == "excluded_repeated":
+            excluded += excluded[:2] + excluded[:1]
+        elif mutant == "outside_in_each":
+            chains += ((outside,),)
+            excluded += (_trusted(m, ((1,), (m + 2,))),)
+        elif mutant == "outside_in_both":
+            chains += ((outside,),)
+            excluded += (outside, outside)
+        elif mutant == "member_dropped":
+            chains = chains[:5] + (chains[5][:1] + chains[5][2:],) + chains[6:]
+        else:
+            # The bottom of a chain has more than m/2 blocks, so a chain
+            # must hold it.
+            chains, excluded = chains[:5] + (chains[5][1:],) + chains[6:], excluded + chains[5][:1]
+        rep = checked_verify(PartitionChainFamily(m, chains, excluded))
+        assert Counter(kind for kind, _ in rep.failures) == counts
+        assert len(workers) == 1
+
+    def test_failed_worker_raises_and_is_reaped(self, workers, monkeypatch):
+        monkeypatch.setattr(partitions, "_WORKER", "import sys; sys.stderr.write('gave up'); sys.exit(3)")
+        with pytest.raises(RuntimeError, match="exited with 3: gave up"):
+            verify_partition_chains(PartitionChainFamily(10, (), ()))
+        assert workers[0]._proc.returncode == 3
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_error_in_the_verifier_kills_the_worker(self, workers, monkeypatch):
+        def fail(lo, hi):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(partitions, "_is_singleton_merge", fail)
+        with pytest.raises(KeyboardInterrupt):
+            verify_partition_chains(family(9))
+        assert workers[0]._proc.returncode is not None
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_one_cpu_verifies_in_process(self, workers, monkeypatch):
+        two = verify_partition_chains(family(9))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert verify_partition_chains(family(9)) == two
+        assert len(workers) == 1
+
+
 class TestDotOfMutants:
     # The reference is slow at m = 7, hence no deadline.
     @settings(deadline=None)
@@ -1239,7 +1335,8 @@ class TestBuiltFamilyViews:
     @pytest.mark.parametrize("how", [f"pickle-{p}" for p in range(6)] + ["copy", "deepcopy"])
     def test_pickle_and_copy_keep_the_views(self, how):
         # Protocols 0 and 1 refused the slotted views before they had a
-        # __reduce__; every way must give back views over one chain table.
+        # __reduce__; every way must give back views over one chain table,
+        # which the excluded view reads through the chains' ``places``.
         again = {"copy": copy.copy, "deepcopy": copy.deepcopy}.get(how) or (
             lambda v: pickle.loads(pickle.dumps(v, protocol=int(how[-1]))))
         for n in range(6):
@@ -1247,10 +1344,20 @@ class TestBuiltFamilyViews:
             got = again(fam)
             assert got == fam and verify_partition_chains(got).ok, (how, n)
             assert type(got.chains) is partitions._Chains and type(got.excluded) is partitions._Excluded
-            assert got.excluded._chains is got.chains, (how, n)
+            assert got.excluded.places is got.chains.places, (how, n)
             for chain in (fam.chains[0], fam.chains[-1]):
                 assert again(chain) == chain and type(again(chain)) is partitions._Chain, (how, n)
             assert again(fam.excluded) == fam.excluded and len(again(fam.excluded)) == len(fam.excluded)
+
+    def test_excluded_view_pickles_without_the_chain_starts(self):
+        # The verifier's worker gets the excluded view pickled, and the view
+        # holds only the chain table's places, not the chain starts.
+        for n in range(10):
+            fam = family(n)
+            got = pickle.loads(pickle.dumps(fam.excluded))
+            assert len(got) == len(fam.excluded), n
+            assert list(got.blocks()) == list(fam.excluded.blocks()), n
+        assert len(pickle.dumps(fam.excluded)) < 0.05 * len(pickle.dumps(fam.chains))
 
     def test_views_act_as_tuples(self):
         fam = build_partition_chains(3)
@@ -1265,4 +1372,5 @@ class TestBuiltFamilyViews:
         assert () + fam.excluded == excluded
         assert fam.chains[0] != chains[1] and fam.excluded != ()
         assert repr(fam.excluded) == repr(excluded)
+        assert fam.excluded.count(excluded[0]) == 1 and fam.excluded.index(excluded[-1]) == len(excluded) - 1
         assert PartitionChainFamily(4, chains, excluded) == fam

@@ -57,10 +57,19 @@ print("ok")
 """
 
 
-def fresh_python(code, *argv, env=()):
+# Imports the partition layer as the verifier's worker does, without site,
+# and prints which of the names given in the environment this loaded.
+WORKER_PROBE = """
+import os, sys
+import symchains.partitions
+print(sorted(name for name in os.environ["WATCHED"].split() if name in sys.modules))
+"""
+
+
+def fresh_python(code, *argv, env=(), flags=()):
     src = str(Path(symchains.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-c", code, *argv],
+    return subprocess.run([sys.executable, *flags, "-c", code, *argv],
                           env={**os.environ, "PYTHONPATH": path, **dict(env)},
                           capture_output=True, text=True, timeout=60)
 
@@ -69,11 +78,22 @@ def fresh_python(code, *argv, env=()):
     ((), LAYERS + ("fractions", "decimal", "json")),
     (("word", "10", "1,3,4,8,9"), ("symchains.partitions", "symchains.identities", "json")),
     (("code", "10", "1,3,4,8,9", "-f", "text"), ("symchains.partitions", "symchains.identities", "json")),
-], ids=["import", "word", "code"])
+    (("class", "3", "2,3"), ("symchains.identities", "fractions")),
+], ids=["import", "word", "code", "class"])
 def test_start_loads_only_the_layer_run(argv, unloaded):
     proc = fresh_python(LOAD_PROBE, *argv, env={"WATCHED": " ".join(unloaded)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "[]\n"
+
+
+def test_worker_start_loads_neither_identities_nor_typing():
+    # The verifier's worker runs under -S and imports only the partition
+    # layer, which takes its ABCs from collections.abc and the identities
+    # only inside the functions that call them.
+    watched = "symchains.identities fractions typing"
+    proc = fresh_python(WORKER_PROBE, env={"WATCHED": watched}, flags=("-S",))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_star_import_binds_the_public_names():
