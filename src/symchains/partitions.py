@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import sys
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
@@ -299,19 +298,6 @@ def _is_image(blocks: Blocks, j: int) -> bool:
     return not (j + 1 < len(blocks) and blocks[j][1] > blocks[j + 1][0])
 
 
-def _births(m: int, sizes: tuple[int, ...], j: int) -> list[Blocks]:
-    """The members of the class of this type that start chains, in
-    ascending block order: all of them at the bottom of a subset chain
-    (``j`` < 0), otherwise those that are no image (``_is_image``) across
-    the arriving link, whose merge index is ``j``.  The block walk
-    (``_partitions`` with ``j``) takes block j without the second-least
-    free element, so it builds only the births.  When block j is the last,
-    every member is an image, and the class is not walked."""
-    if j + 1 == len(sizes):
-        return []
-    return _partitions(m, sizes, j)
-
-
 def inject(p: SetPartition, i: int) -> SetPartition:
     """Map ``p`` one class up along the link adding ``i``: the class code
     holds (k, 1) at positions (i, i+1), and the singleton block j (see
@@ -425,14 +411,14 @@ class _Excluded(_TupleView):
     it keeps, so the whole run of a chain born above the middle.  Nothing
     of them is stored: the classes whose births have such runs are read
     off the chain table's ``places``, shared with the chains, and walked
-    again for their births (``_births``).  The length, Bell(m) less the
-    kept partitions, is counted when built; the members are expanded, and
-    sorted, on access.  ``blocks`` streams them unsorted: a class at the
-    top of its subset chain gives its births as walked, and any other
-    class merges each birth up the chain's remaining indices, sliced once
-    per class, dropping the kept ones.  The view holds only what
-    ``blocks`` reads, not the chain starts, so it pickles small for the
-    verifier's worker (``_serve``)."""
+    again for their births (``_partitions`` across the arriving link).
+    The length, Bell(m) less the kept partitions, is counted when built;
+    the members are expanded, and sorted, on access.  ``blocks`` streams
+    them unsorted: a class at the top of its subset chain gives its
+    births as walked, and any other class merges each birth up the
+    chain's remaining indices, sliced once per class, dropping the kept
+    ones.  The view holds only what ``blocks`` reads, not the chain
+    starts, so it pickles small on its own."""
 
     # Not ``count``, which would hide the Sequence method of that name.
     __slots__ = ("m", "places", "length")
@@ -455,7 +441,7 @@ class _Excluded(_TupleView):
             up = js[t + 1:]
             if len(up) < keep:
                 continue
-            born = _births(m, sizes, js[t])
+            born = _partitions(m, sizes, js[t])
             if not up:
                 yield from born
             elif keep:
@@ -558,7 +544,7 @@ def build_partition_chains(n: int, ceiling: int = DEFAULT_PARTITION_CEILING) -> 
             places[sizes] = (t, chain_js)
             keep = 2 * len(sizes) - m
             if keep > 0:
-                born = _births(m, sizes, js[t])
+                born = _partitions(m, sizes, js[t])
                 starts += map(_key, born)
                 kept += keep * len(born)
     starts.sort()
@@ -669,16 +655,12 @@ def _rank_index(m: int) -> Callable[[Blocks], int]:
 
 
 # From this many partitions on, Bell(10), the verifier marks the excluded
-# stream in a worker process when it may run on a second CPU.  At Bell(9)
-# the worker's start costs more than the split saves.
+# stream in a forked child when it may run on a second CPU.  At Bell(9)
+# the split did not reliably pay for the fork.
 _WORKER_FROM = 115_975
 
 # Bytes of each map that the merge reads as one integer.
 _MERGE_SLICE = 1 << 16
-
-# The worker's program: it puts the package's directory, its argument,
-# first on the path and answers the request on its stdin (``_serve``).
-_WORKER = "import sys; sys.path.insert(0, sys.argv[1]); from symchains.partitions import _serve; _serve()"
 
 
 def _mark_excluded(m: int, index: Callable[[Blocks], int], size: int,
@@ -715,56 +697,64 @@ def _mark_excluded(m: int, index: Callable[[Blocks], int], size: int,
     return marks, repeats, outside, fresh, uncovered
 
 
-def _serve() -> None:
-    """The worker: read (m, size, excluded) pickled from stdin, mark the
-    excluded stream (a built family's view streams its own blocks), and
-    write the result of ``_mark_excluded`` pickled to stdout."""
-    import pickle
-
-    m, size, excluded = pickle.load(sys.stdin.buffer)
-    blocks = excluded.blocks() if isinstance(excluded, _Excluded) else excluded
-    pickle.dump(_mark_excluded(m, _rank_index(m), size, blocks), sys.stdout.buffer, pickle.HIGHEST_PROTOCOL)
-
-
 class _Worker:
-    """A process marking the excluded stream while the verifier marks the
-    chains.  It starts without ``site`` (``-S``), which keeps its start
-    near a bare interpreter's, and gets the request pickled on stdin.
-    ``reply`` waits for its marks and raises ``RuntimeError`` if it
-    failed; ``stop`` kills and reaps it."""
+    """A child forked to run ``mark`` on a second CPU while the verifier
+    goes on.  It shares the verifier's memory as it was at the fork, the
+    family and the rank index included, so it is sent nothing; it writes
+    what ``mark`` returns pickled to a pipe.  It leaves only through
+    ``os._exit``, so it runs no ``atexit`` handler and flushes none of the
+    buffers it shares.  ``reply`` reads the result from the pipe, reaps the
+    child and raises ``RuntimeError`` if it failed; ``stop`` kills and
+    reaps it."""
 
-    def __init__(self, m: int, size: int, excluded: Sequence[SetPartition]):
+    def __init__(self, mark: Callable[[], object]):
         import pickle
-        import subprocess
 
-        if not isinstance(excluded, _Excluded):
-            excluded = [p.blocks for p in excluded]
-        home = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        self._proc = subprocess.Popen([sys.executable, "-S", "-c", _WORKER, home], stdin=subprocess.PIPE,
-                                      stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        read, write = os.pipe()
         try:
-            self._proc.stdin.write(pickle.dumps((m, size, excluded), pickle.HIGHEST_PROTOCOL))
-            self._proc.stdin.flush()
-        except BrokenPipeError:
-            pass  # it has exited, and ``reply`` reports how
+            self.pid = os.fork()
         except BaseException:
-            self.stop()
+            os.close(read)
+            os.close(write)
             raise
+        if not self.pid:
+            code = 1
+            try:
+                os.close(read)
+                with open(write, "wb") as pipe:
+                    pickle.dump(mark(), pipe, pickle.HIGHEST_PROTOCOL)
+                code = 0
+            except BaseException:
+                import traceback
 
-    def reply(self) -> tuple[bytearray, list[int], dict[Blocks, int], int, bool]:
+                # Straight to the descriptor: sys.stderr's buffer is the verifier's.
+                os.write(2, traceback.format_exc().encode())
+            finally:
+                os._exit(code)
+        os.close(write)
+        self._pipe = open(read, "rb")
+
+    def reply(self) -> object:
         import pickle
 
-        out, err = self._proc.communicate()
-        code = self._proc.returncode
+        with self._pipe:
+            try:
+                result = pickle.load(self._pipe)
+            except (EOFError, pickle.UnpicklingError):
+                result = None  # the child failed; its exit code says how
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = 0
         if code:
-            tail = err[-2000:].decode(errors="replace").strip()
-            raise RuntimeError(f"the worker marking the excluded partitions exited with {code}: {tail}")
-        return pickle.loads(out)
+            raise RuntimeError(f"the worker marking the excluded partitions exited with {code}")
+        return result
 
     def stop(self) -> None:
-        if self._proc.returncode is None:
-            self._proc.kill()
-            self._proc.communicate()
+        import signal
+
+        self._pipe.close()
+        if self.pid:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
 
 
 def _merge_maps(status: bytearray, marks: bytearray) -> bool:
@@ -784,14 +774,6 @@ def _merge_maps(status: bytearray, marks: bytearray) -> bool:
     return both
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def verify_partition_chains(fam: PartitionChainFamily,
                             ceiling: int = DEFAULT_PARTITION_CEILING) -> VerificationReport:
     """Check the family against everything claimed of it: disjointness,
@@ -807,18 +789,19 @@ def verify_partition_chains(fam: PartitionChainFamily,
     rank (``_rank_index``).  The chains mark 1 on one map and the excluded
     stream marks 2 on another (``_mark_excluded``); blocks the rank refuses
     are partitions outside the lattice and are kept apart.  From Bell(10)
-    partitions on, with a second CPU, a worker process marks the excluded
-    stream while this one marks the chains (``_Worker``).  The maps are
-    merged as integers (``_merge_maps``): their AND finds the excluded
-    partitions that a chain holds, and their OR gives each partition's
-    state, 0 missing, 1 or 3 in a chain, 2 excluded.  Walking ``_iter_partitions`` beside the
-    states names each missing or uncovered partition; it runs only when a
-    state is 0 or an excluded partition breaks a coverage bound, so a sound
-    family builds no witness.  The walk spells out at most ``_WITNESS_CAP``
-    failures of each kind, ``missing`` and ``coverage``, and counts the
-    rest in one ``(kind, "<N> more")``.  The audit takes a byte per Bell(m)
-    partition however small the family is, so m past ``ceiling`` is
-    refused first."""
+    partitions on, where ``os.sched_getaffinity`` gives a second CPU and
+    this process runs one thread, a forked child marks the excluded stream
+    while this one marks the chains (``_Worker``).  The maps are merged as
+    integers (``_merge_maps``): their AND finds the excluded partitions
+    that a chain holds, and their OR gives each partition's state, 0
+    missing, 1 or 3 in a chain, 2 excluded.  Walking ``_iter_partitions``
+    beside the states names each missing or uncovered partition; it runs
+    only when a state is 0 or an excluded partition breaks a coverage
+    bound, so a sound family builds no witness.  The walk spells out at
+    most ``_WITNESS_CAP`` failures of each kind, ``missing`` and
+    ``coverage``, and counts the rest in one ``(kind, "<N> more")``.  The
+    audit takes a byte per Bell(m) partition however small the family is,
+    so m past ``ceiling`` is refused first."""
     from .identities import stirling_table
 
     m = fam.m
@@ -831,7 +814,15 @@ def verify_partition_chains(fam: PartitionChainFamily,
     outside: set[Blocks] = set()
     failures: list[tuple[str, str]] = []
     members = 0
-    worker = _Worker(m, size, fam.excluded) if size >= _WORKER_FROM and _cpus() > 1 else None
+    mark = partial(_mark_excluded, m, index, size, _excluded_blocks(fam.excluded))
+    worker = None
+    if size >= _WORKER_FROM and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
+        import threading
+
+        # A fork copies only this thread: a lock another thread holds
+        # would stay held in the child.
+        if threading.active_count() == 1:
+            worker = _Worker(mark)
     try:
         # Partitions in the lattice are ranked and marked inline, as this
         # loop runs once per partition.
@@ -854,8 +845,7 @@ def verify_partition_chains(fam: PartitionChainFamily,
             for lo, hi in zip(chain, chain[1:]):
                 if len(hi) != len(lo) - 1 or not _is_singleton_merge(lo, hi):
                     failures.append(("not_saturated", f"{_literal(lo)} -> {_literal(hi)}"))
-        marks, repeats, outside_excluded, fresh, uncovered_excluded = (
-            worker.reply() if worker else _mark_excluded(m, index, size, _excluded_blocks(fam.excluded)))
+        marks, repeats, outside_excluded, fresh, uncovered_excluded = worker.reply() if worker else mark()
     except BaseException:
         if worker:
             worker.stop()

@@ -57,9 +57,9 @@ print("ok")
 """
 
 
-# Imports the partition layer as the verifier's worker does, without site,
-# and prints which of the names given in the environment this loaded.
-WORKER_PROBE = """
+# Imports the partition layer without site, and prints which of the names
+# given in the environment this loaded.
+PARTITIONS_PROBE = """
 import os, sys
 import symchains.partitions
 print(sorted(name for name in os.environ["WATCHED"].split() if name in sys.modules))
@@ -86,12 +86,13 @@ def test_start_loads_only_the_layer_run(argv, unloaded):
     assert proc.stderr == "[]\n"
 
 
-def test_worker_start_loads_neither_identities_nor_typing():
-    # The verifier's worker runs under -S and imports only the partition
-    # layer, which takes its ABCs from collections.abc and the identities
-    # only inside the functions that call them.
+def test_partition_layer_loads_neither_identities_nor_typing():
+    # The partition layer takes its ABCs from collections.abc and the
+    # identities only inside the functions that call them, so importing it
+    # costs little more than its own code.  -S keeps site's imports out of
+    # the count.
     watched = "symchains.identities fractions typing"
-    proc = fresh_python(WORKER_PROBE, env={"WATCHED": watched}, flags=("-S",))
+    proc = fresh_python(PARTITIONS_PROBE, env={"WATCHED": watched}, flags=("-S",))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
