@@ -15,6 +15,7 @@ import os
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
+from math import comb
 from operator import getitem
 
 from .boolean import _literal as _literal_mask, gk_decomposition
@@ -351,58 +352,162 @@ def _expand(p: Blocks, js: Sequence[int]) -> list[Blocks]:
     return run
 
 
-class _Chains(_TupleView):
-    """The chains of a built family, held as their starts.
+# Free sets of at most this many elements have their completions listed
+# once per walk (``_completions``), and longer ones are walked again for
+# each way they are reached (``_batches``).
+_MEMO_FREE = 5
 
-    ``starts`` holds the key of each chain's bottom, sorted.  ``places``
-    maps a class's type to its place t in its subset chain and that chain's
-    merge indices js: js[t] is the link arriving at the class (-1 at the
-    bottom), and js[t + 1:] lead from it to the top.  A chain starting with
-    b blocks keeps 2b - m partitions, so its length is read off the key's 0
-    bytes, and its members are the start merged along the next 2b - m - 1
-    indices.
+
+def _walk(m: int, least: int) -> Iterator[Blocks]:
+    """Block tuples of the partitions of {1..m} with at least ``least``
+    blocks, in ascending block order.
+
+    Block order is ascending tuple order, so the first block comes first:
+    the least free element and a subset of the other free ones, subsets in
+    depth-first preorder (``_firsts``), each capped so that what it leaves
+    can still make the blocks wanted.  The walk then goes on with the rest
+    of the free set.  A free set of at most ``_MEMO_FREE`` elements has its
+    completions listed once per walk, in a memo this call makes and drops,
+    and each prefix is put in front of them in C (``map(prefix.__add__,
+    ...)``); the recursion passes them up as such batches, not a partition
+    at a time.  The memo is passed down, not closed over: a self-recursive
+    closure is a reference cycle, which would keep each walk's memo alive
+    until a full collection."""
+    free = tuple(range(1, m + 1))
+    memo: dict[tuple[Block, int], list[Blocks]] = {}
+    if m <= _MEMO_FREE:
+        return iter(_completions(free, least, memo))
+    return itertools.chain.from_iterable(_batches((), free, least, memo))
+
+
+def _firsts(free: Block, least: int) -> list[tuple[Block, Block]]:
+    """Each first block of a partition of ``free`` into at least ``least``
+    blocks, with the free set it leaves, in ascending order of the block.
+    The subsets of the other free elements come from ``combinations`` and
+    their complements, in the same order, from the reversed
+    ``combinations`` of the complement's size, as in ``_partitions``."""
+    head, pool = free[:1], free[1:]
+    size = len(pool)
+    pairs: list[tuple[Block, Block]] = []
+    # A block of r + 1 elements leaves size - r, which must make least - 1 blocks.
+    for r in range(min(size, size + 1 - least) + 1):
+        rests = list(itertools.combinations(pool, size - r))
+        rests.reverse()
+        pairs += zip(itertools.combinations(pool, r), rests)
+    pairs.sort()
+    return [(head + sub, rest) for sub, rest in pairs]
+
+
+def _completions(free: Block, least: int, memo: dict[tuple[Block, int], list[Blocks]]) -> list[Blocks]:
+    """The partitions of ``free`` into at least ``least`` blocks, in
+    ascending block order, listed once per ``memo``."""
+    least = max(least, 0)
+    done = memo.get((free, least))
+    if done is None:
+        if not free:
+            done = [] if least else [()]
+        else:
+            done = []
+            for block, rest in _firsts(free, least):
+                done += map((block,).__add__, _completions(rest, least - 1, memo))
+        memo[free, least] = done
+    return done
+
+
+def _batches(prefix: Blocks, free: Block, least: int,
+             memo: dict[tuple[Block, int], list[Blocks]]) -> Iterator[Iterable[Blocks]]:
+    """``prefix`` followed by each partition of ``free`` into at least
+    ``least`` blocks, in ascending block order, one batch for each free
+    set small enough for the memo."""
+    for block, rest in _firsts(free, least):
+        head = prefix + (block,)
+        if len(rest) > _MEMO_FREE:
+            yield from _batches(head, rest, least - 1, memo)
+        else:
+            yield map(head.__add__, _completions(rest, least - 1, memo))
+
+
+class _Chains(_TupleView):
+    """The chains of a built family, held as the place table alone.
+
+    ``places`` maps a class's type to its place t in its subset chain and
+    that chain's merge indices js: js[t] is the link arriving at the class
+    (-1 at the bottom), and js[t + 1:] lead from it to the top.  A chain
+    starts at each partition with more than m/2 blocks that is the bottom
+    class's or no image across js[t] (``_is_image``), so ``starts`` walks
+    those partitions in block order (``_walk``) and keeps the starts, and
+    nothing is stored or sorted.  ``length`` is the number of chains,
+    counted when built.  A chain starting with b blocks keeps 2b - m
+    partitions: the start merged along the next 2b - m - 1 indices.  Every
+    read, by index too, walks the starts again.
     """
 
-    __slots__ = ("m", "starts", "places")
+    __slots__ = ("m", "places", "length")
 
-    def __init__(self, m: int, starts: list[bytes], places: dict[tuple[int, ...], tuple[int, tuple[int, ...]]]):
-        self.m, self.starts, self.places = m, starts, places
+    def __init__(self, m: int, places: dict[tuple[int, ...], tuple[int, tuple[int, ...]]], length: int):
+        self.m, self.places, self.length = m, places, length
 
     def __len__(self) -> int:
-        return len(self.starts)
+        return self.length
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(_Chain(self, key) for key in self.starts[i])
-        return _Chain(self, self.starts[i])
+        # Walked up to the last chain picked; a slice downwards is walked
+        # upwards and reversed.
+        picked = range(self.length)[i]
+        if isinstance(picked, int):
+            return next(itertools.islice(self, picked, None))
+        if not picked:
+            return ()
+        up = picked if picked.step > 0 else picked[::-1]
+        got = tuple(itertools.islice(self, up.start, up.stop, up.step))
+        return got if up is picked else got[::-1]
 
     def __iter__(self) -> Iterator["_Chain"]:
-        return map(partial(_Chain, self), self.starts)
+        return map(partial(_Chain, self), self.starts())
 
-    def kept(self, key: bytes) -> list[Blocks]:
-        p = _unkey(key)
-        t, js = self.places[tuple(map(len, p))]
-        return _expand(p, js[t + 1:t + 2 * len(p) - self.m])
+    # Sequence's own two read self[i] once per position, a walk each.
+    def __reversed__(self) -> Iterator["_Chain"]:
+        return reversed(tuple(self))
+
+    def index(self, value: object, start: int = 0, stop: int | None = None) -> int:
+        picked = range(self.length)[start:stop]
+        for i, chain in zip(picked, itertools.islice(self, picked.start, picked.stop)):
+            if chain is value or chain == value:
+                return i
+        raise ValueError(f"{value!r} is not a chain of the family")
+
+    def starts(self) -> Iterator[Blocks]:
+        """Each chain's first partition, in block order."""
+        places = self.places
+        for p in _walk(self.m, self.m // 2 + 1):
+            t, js = places[tuple(map(len, p))]
+            if not t or not _is_image(p, js[t]):
+                yield p
+
+    def kept(self, start: Blocks) -> list[Blocks]:
+        t, js = self.places[tuple(map(len, start))]
+        return _expand(start, js[t + 1:t + 2 * len(start) - self.m])
 
     def blocks(self) -> Iterator[list[Blocks]]:
         """Each chain's block tuples, in chain order."""
-        return map(self.kept, self.starts)
+        return map(self.kept, self.starts())
 
 
 class _Chain(_TupleView):
-    """One chain of a built family: its partitions are expanded from its
-    start on access, and its length is not."""
+    """One chain of a built family, held as its first partition: the rest
+    is expanded on access, and its length, 2b - m for a start of b blocks,
+    is not."""
 
-    __slots__ = ("_chains", "_key")
+    __slots__ = ("_chains", "_start")
 
-    def __init__(self, chains: _Chains, key: bytes):
-        self._chains, self._key = chains, key
+    def __init__(self, chains: _Chains, start: Blocks):
+        self._chains, self._start = chains, start
 
     def __len__(self) -> int:
-        return 2 * self._key.count(0) + 2 - self._chains.m
+        return 2 * len(self._start) - self._chains.m
 
     def __iter__(self) -> Iterator[SetPartition]:
-        return map(partial(_trusted, self._chains.m), self._chains.kept(self._key))
+        return map(partial(_trusted, self._chains.m), self._chains.kept(self._start))
 
 
 class _Excluded(_TupleView):
@@ -417,8 +522,8 @@ class _Excluded(_TupleView):
     them unsorted: a class at the top of its subset chain gives its
     births as walked, and any other class merges each birth up the
     chain's remaining indices, sliced once per class, dropping the kept
-    ones.  The view holds only what ``blocks`` reads, not the chain
-    starts, so it pickles small on its own."""
+    ones.  Like the chain view, it holds the place table and a count, no
+    partition, so it pickles small on its own."""
 
     # Not ``count``, which would hide the Sequence method of that name.
     __slots__ = ("m", "places", "length")
@@ -454,7 +559,8 @@ class _Excluded(_TupleView):
 
 def _chain_blocks(chains: Sequence[Sequence[SetPartition]]) -> Iterable[list[Blocks]]:
     """Each chain as a list of block tuples; a built family's chains are
-    expanded from their starts without a SetPartition per member."""
+    walked and expanded from their starts without a SetPartition per
+    member."""
     if isinstance(chains, _Chains):
         return chains.blocks()
     return ([p.blocks for p in chain] for chain in chains)
@@ -474,7 +580,8 @@ class PartitionChainFamily(_Value):
 
     ``chains`` and ``excluded`` are sequences of SetPartition tuples.  A
     hand-built or loaded family holds tuples; ``build_partition_chains``
-    gives views that hold only the chain starts and expand on access."""
+    gives views that hold only the place table and their lengths, and
+    walk the partitions on access."""
 
     __slots__ = ("m", "chains", "excluded")
     m: int
@@ -498,6 +605,16 @@ class PartitionChainFamily(_Value):
                     raise ValueError("ground size mismatch in excluded list")
 
 
+def _class_size(m: int, sizes: Sequence[int]) -> int:
+    """The number of partitions of {1..m} of type ``sizes``: block i is
+    the least free element and s_i - 1 of the other free ones."""
+    count = 1
+    for size in sizes:
+        count *= comb(m - 1, size - 1)
+        m -= size
+    return count
+
+
 def build_partition_chains(n: int, ceiling: int = DEFAULT_PARTITION_CEILING) -> PartitionChainFamily:
     """The chain family on partitions of {1..n+1}.
 
@@ -508,13 +625,14 @@ def build_partition_chains(n: int, ceiling: int = DEFAULT_PARTITION_CEILING) -> 
     keeps ranks r..n-r; the rest of it is excluded, and a chain born above
     the middle is excluded whole.
 
-    Only the starts are kept, as keys (``_key``), with each class's place
-    in its subset chain and that chain's merge indices; the family's views
-    expand the chains from them.  A class at or below the middle is
-    enumerated by the block walk at its type, read off the chain's code,
-    which is rewritten link by link.  A class above it starts no kept
-    chain, so it is not walked: the excluded count is Bell(m) less the
-    kept partitions, and the excluded view walks those classes when read.
+    Only each class's place in its subset chain and that chain's merge
+    indices are kept, read off the chain's code, which is rewritten link
+    by link; the family's views walk the partitions from them when read.
+    No partition is walked here.  inject is one-to-one, so a class's births
+    are its size less the size of the class below it, and the sizes are
+    binomial products (``_class_size``): the chain count is the number of
+    births with more than m/2 blocks, and the excluded count is Bell(m)
+    less the 2b - m partitions each such chain keeps.
     """
     from .identities import bell_oracle
 
@@ -522,8 +640,7 @@ def build_partition_chains(n: int, ceiling: int = DEFAULT_PARTITION_CEILING) -> 
     _check_ceiling(m, ceiling, f"Bell({m}) partitions")
     boolean = gk_decomposition(n, ceiling)
     places: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
-    starts: list[bytes] = []
-    kept = 0
+    chains = kept = 0
     for bchain in boolean.chains:
         code = list(encode(bchain.bottom).entries)
         # Class t of the chain has type types[t]; the link arriving there
@@ -540,15 +657,16 @@ def build_partition_chains(n: int, ceiling: int = DEFAULT_PARTITION_CEILING) -> 
             code[added - 1], code[added] = 0, k + 1
             types.append(_type_of_code(code))
         chain_js = tuple(js)
+        below = 0
         for t, sizes in enumerate(types):
             places[sizes] = (t, chain_js)
+            size = _class_size(m, sizes)
             keep = 2 * len(sizes) - m
             if keep > 0:
-                born = _partitions(m, sizes, js[t])
-                starts += map(_key, born)
-                kept += keep * len(born)
-    starts.sort()
-    return PartitionChainFamily(m, _Chains(m, starts, places), _Excluded(m, places, bell_oracle(m) - kept))
+                chains += size - below
+                kept += keep * (size - below)
+            below = size
+    return PartitionChainFamily(m, _Chains(m, places, chains), _Excluded(m, places, bell_oracle(m) - kept))
 
 
 def _is_singleton_merge(lo: Blocks, hi: Blocks) -> bool:
@@ -557,7 +675,8 @@ def _is_singleton_merge(lo: Blocks, hi: Blocks) -> bool:
 
     One pass over canonical blocks: at the first index j where the two
     differ, lo holds the singleton (x,) and hi holds (x,) + B, where B is a
-    later block of lo; every other block is the same on both sides.
+    later block of lo; every other block is the same on both sides.  So a
+    true answer also means ``hi`` has one block fewer than ``lo``.
     """
     for j, (a, b) in enumerate(zip(lo, hi)):
         if a != b:
@@ -781,7 +900,9 @@ def verify_partition_chains(fam: PartitionChainFamily,
     coverage bounds (every partition with more than floor((n+1)/2) blocks,
     and every partition of rank at most floor((n-1)/2), sits in a chain),
     the full audit trail (chains plus excluded is the whole lattice), and
-    the chain count matching the middle level size S(n+1, n+1-floor(n/2)).
+    the number of chains read matching the middle level size
+    S(n+1, n+1-floor(n/2)); that number is the report's chain count, not
+    the family's ``len``, which a built family counts when built.
     The block bound is rank at most floor(n/2), so the rank test follows
     from it; for even n the block bound is the stronger.
 
@@ -813,7 +934,7 @@ def verify_partition_chains(fam: PartitionChainFamily,
     status = bytearray(size)
     outside: set[Blocks] = set()
     failures: list[tuple[str, str]] = []
-    members = 0
+    members = walked = 0
     mark = partial(_mark_excluded, m, index, size, _excluded_blocks(fam.excluded))
     worker = None
     if size >= _WORKER_FROM and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
@@ -827,6 +948,7 @@ def verify_partition_chains(fam: PartitionChainFamily,
         # Partitions in the lattice are ranked and marked inline, as this
         # loop runs once per partition.
         for chain in _chain_blocks(fam.chains):
+            walked += 1
             for p in chain:
                 i = index(p)
                 if i >= 0:
@@ -843,7 +965,7 @@ def verify_partition_chains(fam: PartitionChainFamily,
             if 2 * m - len(chain[0]) - len(chain[-1]) != n:
                 failures.append(("not_symmetric", f"{_literal(chain[0])} .. {_literal(chain[-1])}"))
             for lo, hi in zip(chain, chain[1:]):
-                if len(hi) != len(lo) - 1 or not _is_singleton_merge(lo, hi):
+                if not _is_singleton_merge(lo, hi):
                     failures.append(("not_saturated", f"{_literal(lo)} -> {_literal(hi)}"))
         marks, repeats, outside_excluded, fresh, uncovered_excluded = worker.reply() if worker else mark()
     except BaseException:
@@ -888,9 +1010,9 @@ def verify_partition_chains(fam: PartitionChainFamily,
     if outside or outside_excluded:
         failures.append(("missing", "family mentions partitions outside the lattice"))
     expected = stirling.value(m, m - n // 2)
-    if len(fam.chains) != expected:
-        failures.append(("chain_count", f"{len(fam.chains)} chains, middle level has {expected}"))
-    return VerificationReport(members, len(fam.chains), tuple(failures))
+    if walked != expected:
+        failures.append(("chain_count", f"{walked} chains, middle level has {expected}"))
+    return VerificationReport(members, walked, tuple(failures))
 
 
 def family_to_json(fam: PartitionChainFamily) -> dict:

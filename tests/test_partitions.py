@@ -6,6 +6,7 @@ and chain machinery is checked against it.
 """
 
 import copy
+import gc
 import hashlib
 import inspect
 import itertools
@@ -14,6 +15,7 @@ import os
 import pickle
 import signal
 import threading
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
 from math import comb, prod
@@ -59,6 +61,7 @@ from symchains.partitions import (
     _rank_index,
     _trusted,
     _type_of_code,
+    _walk,
 )
 from symchains.reports import _WITNESS_CAP
 
@@ -223,6 +226,27 @@ def reference_excluded_by_rule(n):
                 break
             t, splits = t - 1, splits + 1
     return tuple(sorted(excluded, key=lambda p: p.blocks))
+
+
+def reference_chain_starts(n):
+    """The first partition of each chain of the family on {1..n+1}, as the
+    builder once stored them: each class with more than m/2 blocks walked
+    for its births across the link arriving at it (every member at the
+    bottom of its subset chain), all of them sorted in block order."""
+    m = n + 1
+    starts = []
+    for bchain in gk_decomposition(n).chains:
+        sets = bchain.sets
+        for t, s in enumerate(sets):
+            entries = encode(s).entries
+            sizes = _type_of_code(entries)
+            if 2 * len(sizes) > m:
+                j = -1
+                if t:
+                    (added,) = set(s.elements) - set(sets[t - 1].elements)
+                    j = _merge_index(entries, added)
+                starts += _partitions(m, sizes, j)
+    return sorted(starts)
 
 
 def reference_verify_partition_chains(fam):
@@ -591,19 +615,32 @@ class TestWalkAndLinkRules:
                     for q in enumerate_class(up):
                         assert _is_image(q.blocks, j) == (q.blocks in images), (q, i)
 
+    def test_block_order_walk_equals_the_sorted_enumeration(self):
+        for m in range(10):
+            everything = sorted(_iter_partitions(m))
+            for least in range(m + 2):
+                assert list(_walk(m, least)) == [p for p in everything if len(p) >= least], (m, least)
+
     def test_link_check_on_all_pairs(self):
         # Partitions of every subset of {1..5}, so of {1..m} for each m <= 5.
         # Pairs over different sets also reach the singleton and minimum
-        # tests, which pairs over one set never need.
+        # tests, which pairs over one set never need.  A merge leaves one
+        # block fewer, so the verifier tests no length beside the check.
         everything = [
             tuple(tuple(s.elements[e - 1] for e in block) for block in p.blocks)
             for s in all_subsets(5)
             for p in enumerate_all_partitions(len(s))
         ]
         assert len(everything) == bell_oracle(6)
+        merges = 0
         for lo in everything:
             for hi in everything:
-                assert _is_singleton_merge(lo, hi) == reference_is_singleton_merge(lo, hi), (lo, hi)
+                merged = _is_singleton_merge(lo, hi)
+                assert merged == reference_is_singleton_merge(lo, hi), (lo, hi)
+                if merged:
+                    assert len(hi) == len(lo) - 1, (lo, hi)
+                    merges += 1
+        assert merges
 
     @settings(max_examples=300)
     @given(partition_pairs())
@@ -781,6 +818,23 @@ class TestChainFamily:
         # outside one is still reported
         rep = checked_verify(PartitionChainFamily(1, (), (_trusted(1, ((2,),)),)))
         assert ("missing", "1") in rep.failures and outside in rep.failures
+
+    def test_skipped_start_is_counted_and_missing(self, monkeypatch):
+        # A built family's len is counted when built, so the verifier must
+        # count the chains it reads to see one go missing.
+        starts = partitions._Chains.starts
+
+        def skip_one(chains):
+            walk = starts(chains)
+            return itertools.chain(itertools.islice(walk, 4), itertools.islice(walk, 1, None))
+
+        fam = build_partition_chains(6)
+        monkeypatch.setattr(partitions._Chains, "starts", skip_one)
+        rep = verify_partition_chains(fam)
+        kinds = {kind for kind, _ in rep.failures}
+        assert {"chain_count", "missing"} <= kinds
+        assert rep.chain_count == len(fam.chains) - 1 == 349
+        assert ("chain_count", "349 chains, middle level has 350") in rep.failures
 
     def test_wrong_chain_count_is_reported(self):
         fam = build_partition_chains(2)
@@ -1334,8 +1388,8 @@ class TestDotOfMutants:
 
 
 class TestBuiltFamilyViews:
-    """A built family holds its chains as starts; its views behave as the
-    tuples of a hand-built family."""
+    """A built family holds only its place table; its views walk the
+    partitions when read and behave as the tuples of a hand-built family."""
 
     def test_len_expands_nothing(self, monkeypatch):
         fam = build_partition_chains(6)
@@ -1349,8 +1403,10 @@ class TestBuiltFamilyViews:
         assert len(fam.chains) == 350
 
     def test_lengths_match_the_members(self):
-        for n in range(9):
+        # The counts come from class sizes; the views walk what they count.
+        for n in range(10):
             fam = family(n)
+            assert len(fam.chains) == len(tuple(fam.chains)), n
             assert [len(c) for c in fam.chains] == [len(tuple(c)) for c in fam.chains]
             assert len(fam.excluded) == len(tuple(fam.excluded))
             assert list(fam.excluded) == sorted(fam.excluded, key=lambda p: p.blocks)
@@ -1378,10 +1434,10 @@ class TestBuiltFamilyViews:
             return run(), types
 
     def test_walks_only_classes_with_work(self, monkeypatch):
-        # The builder walks no class above the middle.  The excluded view
-        # walks, once each, the classes whose births run past what a chain
-        # keeps; the births are counted here from the class sizes (inject
-        # is one-to-one, so a class outnumbers the one below it by them).
+        # The builder walks no class.  The excluded view walks, once each,
+        # the classes whose births run past what a chain keeps; the births
+        # are counted here from the class sizes (inject is one-to-one, so a
+        # class outnumbers the one below it by them).
         def size(s):
             e = encode(s).entries
             return prod(comb(i - 1, e[i - 1] - 1) for i in range(1, s.n + 2) if e[i - 1])
@@ -1390,7 +1446,7 @@ class TestBuiltFamilyViews:
         for n in range(10):
             m = n + 1
             fam, built = self.walked(monkeypatch, lambda: build_partition_chains(n))
-            assert all(2 * len(sizes) > m for sizes in built), n
+            assert built == [], n
             _, walked = self.walked(monkeypatch, lambda: list(fam.excluded.blocks()))
             expected = []
             for bchain in gk_decomposition(n).chains:
@@ -1420,15 +1476,106 @@ class TestBuiltFamilyViews:
                 assert again(chain) == chain and type(again(chain)) is partitions._Chain, (how, n)
             assert again(fam.excluded) == fam.excluded and len(again(fam.excluded)) == len(fam.excluded)
 
-    def test_excluded_view_pickles_without_the_chain_starts(self):
-        # The verifier's worker gets the excluded view pickled, and the view
-        # holds only the chain table's places, not the chain starts.
+    def test_neither_view_pickles_a_partition(self):
+        # Each view holds the place table and a count, so it pickles within
+        # twice the table, and its copy walks what it walked.
         for n in range(10):
             fam = family(n)
-            got = pickle.loads(pickle.dumps(fam.excluded))
-            assert len(got) == len(fam.excluded), n
-            assert list(got.blocks()) == list(fam.excluded.blocks()), n
-        assert len(pickle.dumps(fam.excluded)) < 0.05 * len(pickle.dumps(fam.chains))
+            for view, walk in ((fam.chains, fam.chains.blocks), (fam.excluded, fam.excluded.blocks)):
+                got = pickle.loads(pickle.dumps(view))
+                assert len(got) == len(view) and list(got.blocks()) == list(walk()), n
+        places = len(pickle.dumps(fam.chains.places))
+        assert len(pickle.dumps(fam.chains)) < 2 * places and len(pickle.dumps(fam.excluded)) < 2 * places
+
+    def test_the_build_walks_no_partition(self, monkeypatch):
+        assert partitions._Chains.__slots__ == ("m", "places", "length")
+
+        def refuse(*args):
+            raise AssertionError("the build walked partitions")
+
+        for name in ("_partitions", "_walk", "_key"):
+            monkeypatch.setattr(partitions, name, refuse)
+        fam = build_partition_chains(6)
+        assert len(fam.chains) == stirling_table(7).value(7, 4)
+        assert len(fam.excluded) == len(reference_excluded_by_rule(6))
+
+    def test_walked_starts_equal_the_stored_ones(self):
+        # The builder once walked each class for its births and sorted
+        # them; the block-order walk gives the same starts in the same order.
+        for n in range(10):
+            chains = family(n).chains
+            starts = reference_chain_starts(n)
+            assert list(chains.starts()) == starts, n
+            assert [chain._start for chain in chains] == starts, n
+
+    def test_reading_the_chains_holds_nothing(self):
+        # Stored, the starts would hold about 100 bytes a chain.  A read
+        # holds none of them: ten more reads grow the traced size by less
+        # than a byte a chain, the churn of the tuple free lists, which are
+        # filled first (as in ``test_boolean.traced_peak_ratio``).
+        fam = family(8)
+
+        def read():
+            for chain in fam.chains:
+                for _ in chain:
+                    pass
+
+        gc.collect()
+        gc.disable()
+        try:
+            filler = [tuple(range(size)) for size in range(1, 20) for _ in range(2000)]
+            del filler
+            read()
+            tracemalloc.start()
+            try:
+                read()
+                before = tracemalloc.get_traced_memory()[0]
+                for _ in range(10):
+                    read()
+                after = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        finally:
+            gc.enable()
+        assert after - before < len(fam.chains), (before, after)
+
+    def test_index_and_slices_walk_to_the_chains_picked(self):
+        fam = family(5)
+        chains = tuple(fam.chains)
+        picks = [0, 1, -1, -len(chains), len(chains) - 1]
+        cuts = [slice(None), slice(3, 9), slice(None, None, 4), slice(-2, None), slice(9, 3),
+                slice(None, None, -1), slice(10, 2, -3), slice(-1, -5, -2), slice(2, 2)]
+        for i in picks:
+            assert fam.chains[i] == chains[i], i
+        for cut in cuts:
+            assert fam.chains[cut] == chains[cut] and type(fam.chains[cut]) is tuple, cut
+        for i in (len(chains), -len(chains) - 1):
+            with pytest.raises(IndexError):
+                fam.chains[i]
+
+    def test_reversed_and_index_walk_once(self, monkeypatch):
+        # Sequence's own would walk the starts once per position.
+        fam = family(5)
+        chains = tuple(fam.chains)
+        walks = []
+        walk = partitions._walk
+
+        def spy(*args):
+            walks.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(partitions, "_walk", spy)
+        assert tuple(reversed(fam.chains)) == chains[::-1] and len(walks) == 1
+        for i in (0, 7, len(chains) - 1):
+            assert fam.chains.index(chains[i]) == i
+            assert fam.chains.index(tuple(chains[i]), i, i + 1) == i
+        assert fam.chains.index(chains[-1], -3) == len(chains) - 1
+        assert len(walks) == 8
+        for start, stop in ((1, None), (0, 0), (-len(chains) + 1, None)):
+            with pytest.raises(ValueError, match="is not a chain of the family"):
+                fam.chains.index(chains[0], start, stop)
+        with pytest.raises(ValueError):
+            fam.chains.index(())
 
     def test_views_act_as_tuples(self):
         fam = build_partition_chains(3)
