@@ -49,6 +49,8 @@ def _emit(args: argparse.Namespace, **views: Callable[[], Any]) -> None:
     Each view is a zero-argument callable, and only the requested one is
     called: ``json`` returns the document, ``text`` and ``dot`` an iterable
     of lines, printed one at a time so a long listing is never held whole.
+    A line that is not a string is an iterable of its pieces, written in
+    turn, so one long line is not held whole either.
     """
     if args.quiet:
         return
@@ -58,7 +60,11 @@ def _emit(args: argparse.Namespace, **views: Callable[[], Any]) -> None:
         print()
     else:
         for line in view:
-            print(line)
+            if isinstance(line, str):
+                print(line)
+            else:
+                sys.stdout.writelines(line)
+                print()
 
 
 def _json_chunks(doc: dict) -> Iterator[str]:
@@ -183,10 +189,11 @@ def _cmd_decompose_partition(args: argparse.Namespace) -> int:
 
     fam = partitions.build_partition_chains(args.n, ceiling=args.ceiling)
 
-    def text() -> Iterator[str]:
+    def text() -> Iterator[str | Iterator[str]]:
         for chain in fam.chains:
             yield " < ".join(p.literal() for p in chain)
-        yield "excluded: " + " ".join(p.literal() for p in fam.excluded)
+        literals = (p.literal() for p in fam.excluded)
+        yield itertools.chain(["excluded: " + next(literals, "")], map(" ".__add__, literals))
 
     _emit(args, json=lambda: partitions._json_view(fam), dot=lambda: partitions._dot_lines(fam),
           text=text)

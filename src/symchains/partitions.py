@@ -331,18 +331,6 @@ def inject_inverse(q: SetPartition, i: int) -> SetPartition | None:
     return _trusted(q.m, blocks[:j] + ((merged[0],), merged[1:]) + blocks[j + 1:])
 
 
-def _key(blocks: Blocks) -> bytes:
-    """The blocks as one byte string, with a 0 byte between blocks.  Keys
-    sort as the block tuples do: both compare the same elements in the
-    same order, where one block ends first its 0 sorts below the element
-    the other block goes on with, and no key is a prefix of another."""
-    return b"\0".join(map(bytes, blocks))
-
-
-def _unkey(key: bytes) -> Blocks:
-    return tuple(map(tuple, key.split(b"\0")))
-
-
 def _expand(p: Blocks, js: Sequence[int]) -> list[Blocks]:
     """``p`` and its merges at the indices ``js`` in turn."""
     run = [p]
@@ -427,22 +415,15 @@ def _batches(prefix: Blocks, free: Block, least: int,
             yield map(head.__add__, _completions(rest, least - 1, memo))
 
 
-class _Chains(_TupleView):
-    """The chains of a built family, held as the place table alone.
-
+class _FamilyView(_TupleView):
+    """A built family's view: its place table and ``length`` (not ``count``,
+    which would hide Sequence's), walked in block order on every read.
     ``places`` maps a class's type to its place t in its subset chain and
-    that chain's merge indices js: js[t] is the link arriving at the class
-    (-1 at the bottom), and js[t + 1:] lead from it to the top.  A chain
-    starts at each partition with more than m/2 blocks that is the bottom
-    class's or no image across js[t] (``_is_image``), so ``starts`` walks
-    those partitions in block order (``_walk``) and keeps the starts, and
-    nothing is stored or sorted.  ``length`` is the number of chains,
-    counted when built.  A chain starting with b blocks keeps 2b - m
-    partitions: the start merged along the next 2b - m - 1 indices.  Every
-    read, by index too, walks the starts again.
-    """
+    that chain's merge indices js: js[t] arrives at the class (-1 at the
+    bottom), and js[t + 1:] lead on to the top.  Each view names the slots,
+    as ``_TupleView.__reduce__`` reads those of its class."""
 
-    __slots__ = ("m", "places", "length")
+    __slots__ = ()
 
     def __init__(self, m: int, places: dict[tuple[int, ...], tuple[int, tuple[int, ...]]], length: int):
         self.m, self.places, self.length = m, places, length
@@ -451,8 +432,7 @@ class _Chains(_TupleView):
         return self.length
 
     def __getitem__(self, i):
-        # Walked up to the last chain picked; a slice downwards is walked
-        # upwards and reversed.
+        # Walked to the last member picked; a downward slice is walked up.
         picked = range(self.length)[i]
         if isinstance(picked, int):
             return next(itertools.islice(self, picked, None))
@@ -462,19 +442,32 @@ class _Chains(_TupleView):
         got = tuple(itertools.islice(self, up.start, up.stop, up.step))
         return got if up is picked else got[::-1]
 
-    def __iter__(self) -> Iterator["_Chain"]:
-        return map(partial(_Chain, self), self.starts())
-
     # Sequence's own two read self[i] once per position, a walk each.
-    def __reversed__(self) -> Iterator["_Chain"]:
+    def __reversed__(self) -> Iterator:
         return reversed(tuple(self))
 
     def index(self, value: object, start: int = 0, stop: int | None = None) -> int:
         picked = range(self.length)[start:stop]
-        for i, chain in zip(picked, itertools.islice(self, picked.start, picked.stop)):
-            if chain is value or chain == value:
+        for i, member in zip(picked, itertools.islice(self, picked.start, picked.stop)):
+            if member is value or member == value:
                 return i
-        raise ValueError(f"{value!r} is not a chain of the family")
+        raise ValueError(f"{value!r} is not {self._member} of the family")
+
+
+class _Chains(_FamilyView):
+    """The chains of a built family.  A chain starts at each partition with
+    more than m/2 blocks that is the bottom class's or no image across
+    js[t] (``_is_image``), so ``starts`` walks those partitions and keeps
+    the starts, and nothing is stored or sorted.  ``length`` is the number
+    of chains, counted when built.  A chain starting with b blocks keeps
+    2b - m partitions: the start merged along the next 2b - m - 1 indices.
+    """
+
+    __slots__ = ("m", "places", "length")
+    _member = "a chain"
+
+    def __iter__(self) -> Iterator["_Chain"]:
+        return map(partial(_Chain, self), self.starts())
 
     def starts(self) -> Iterator[Blocks]:
         """Each chain's first partition, in block order."""
@@ -510,33 +503,39 @@ class _Chain(_TupleView):
         return map(partial(_trusted, self._chains.m), self._chains.kept(self._start))
 
 
-class _Excluded(_TupleView):
-    """The partitions a built family leaves out, in ascending block order:
-    the run of each chain up its subset chain past the 2b - m partitions
-    it keeps, so the whole run of a chain born above the middle.  Nothing
-    of them is stored: the classes whose births have such runs are read
-    off the chain table's ``places``, shared with the chains, and walked
-    again for their births (``_partitions`` across the arriving link).
-    The length, Bell(m) less the kept partitions, is counted when built;
-    the members are expanded, and sorted, on access.  ``blocks`` streams
-    them unsorted: a class at the top of its subset chain gives its
-    births as walked, and any other class merges each birth up the
-    chain's remaining indices, sliced once per class, dropping the kept
-    ones.  Like the chain view, it holds the place table and a count, no
-    partition, so it pickles small on its own."""
+class _Excluded(_FamilyView):
+    """The partitions a built family leaves out, each chain's run past the
+    2b - m it keeps; ``length`` is Bell(m) less those.  Read in order, the
+    walk keeps what the split-back rule excludes: p, of b blocks in class
+    t, splits back across js[t], js[t - 1], ... while ``_is_image`` allows,
+    to its chain's start, which keeps 2(b + splits) - m partitions.  So p
+    is excluded exactly when it splits back at most m - 2b times, never
+    past m/2 blocks.  ``blocks`` streams them unordered: each class's
+    births (``_partitions`` across the arriving link) merged up the chain's
+    remaining indices, the kept ones dropped."""
 
-    # Not ``count``, which would hide the Sequence method of that name.
     __slots__ = ("m", "places", "length")
-
-    def __init__(self, m: int, places: dict[tuple[int, ...], tuple[int, tuple[int, ...]]], length: int):
-        self.m, self.places, self.length = m, places, length
-
-    def __len__(self) -> int:
-        return self.length
+    _member = "an excluded partition"
 
     def __iter__(self) -> Iterator[SetPartition]:
-        make = partial(_trusted, self.m)
-        return (make(_unkey(key)) for key in sorted(map(_key, self.blocks())))
+        m = self.m
+        # The m - 2b + 1 indices each type splits back across, None if fewer.
+        downs = {}
+        for sizes, (t, js) in self.places.items():
+            need = m - 2 * len(sizes)
+            downs[sizes] = js[t:t - need - 1:-1] if t > need else None
+        for p in _walk(m, 0):
+            if 2 * len(p) > m:
+                continue
+            q, down = p, downs[tuple(map(len, p))]
+            if down is not None:
+                for j in down:
+                    if not _is_image(q, j):
+                        break
+                    q = q[:j] + ((q[j][0],), q[j][1:]) + q[j + 1:]
+                else:
+                    continue
+            yield _trusted(m, p)
 
     def blocks(self) -> Iterator[Blocks]:
         """The excluded block tuples, in no particular order."""
@@ -580,8 +579,8 @@ class PartitionChainFamily(_Value):
 
     ``chains`` and ``excluded`` are sequences of SetPartition tuples.  A
     hand-built or loaded family holds tuples; ``build_partition_chains``
-    gives views that hold only the place table and their lengths, and
-    walk the partitions on access."""
+    gives two views on one base that hold only the place table and their
+    lengths, and walk the partitions in block order on access."""
 
     __slots__ = ("m", "chains", "excluded")
     m: int

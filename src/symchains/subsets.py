@@ -30,13 +30,13 @@ RIGHT = ")"
 DEFAULT_ENUM_CEILING = 24
 
 # Set by memory.  The family holds only its place table, 2^(m-1) entries,
-# and walks its chains when read, and the verifier takes a byte per
+# and walks its partitions when read, and the verifier takes a byte per
 # partition: for m = 13 (27.6 million partitions) building plus verifying
 # peaks at about 95 MB RSS, inside the 1.2 GB that set the subset ceiling.
-# The writers are not: reading ``fam.excluded`` sorts about 17 million keys
-# at m = 13, some 1.1 GB more, and the dot writer indexes every partition
-# (250 MB at m = 11, growing with the lattice).  So past m = 12 needs an
-# explicit ceiling override.
+# The JSON and text writers stream both views in block order and hold
+# neither, but the dot writer indexes every partition (250 MB at m = 11,
+# growing about sixfold per element).  So past m = 12 needs an explicit
+# ceiling override.
 DEFAULT_PARTITION_CEILING = 12
 
 # 2^(n-1) terms per sum; past this the closed forms are refused by default.

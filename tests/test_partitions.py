@@ -1393,13 +1393,15 @@ class TestBuiltFamilyViews:
 
     def test_len_expands_nothing(self, monkeypatch):
         fam = build_partition_chains(6)
+        # Reading the chains walks their starts; their lengths walk nothing.
+        chains = tuple(fam.chains)
 
         def refuse(*args):
             raise AssertionError("len expanded a partition")
 
-        for name in ("_merge", "_partitions", "_unkey", "_expand"):
+        for name in ("_merge", "_partitions", "_walk", "_expand"):
             monkeypatch.setattr(partitions, name, refuse)
-        assert sum(len(chain) for chain in fam.chains) + len(fam.excluded) == bell_oracle(7)
+        assert sum(len(chain) for chain in chains) + len(fam.excluded) == bell_oracle(7)
         assert len(fam.chains) == 350
 
     def test_lengths_match_the_members(self):
@@ -1414,6 +1416,13 @@ class TestBuiltFamilyViews:
     def test_excluded_equals_the_split_back_rule(self):
         for n in range(9):
             assert tuple(family(n).excluded) == reference_excluded_by_rule(n), n
+
+    def test_ordered_excluded_equals_the_sorted_stream(self):
+        # The ordered read applies the split-back rule to the block-order
+        # walk; the unordered stream walks the classes' runs instead.
+        for n in range(11):
+            excluded = family(n).excluded
+            assert [p.blocks for p in excluded] == sorted(excluded.blocks()), n
 
     @staticmethod
     def walked(monkeypatch, run):
@@ -1493,7 +1502,7 @@ class TestBuiltFamilyViews:
         def refuse(*args):
             raise AssertionError("the build walked partitions")
 
-        for name in ("_partitions", "_walk", "_key"):
+        for name in ("_partitions", "_walk"):
             monkeypatch.setattr(partitions, name, refuse)
         fam = build_partition_chains(6)
         assert len(fam.chains) == stirling_table(7).value(7, 4)
@@ -1554,9 +1563,10 @@ class TestBuiltFamilyViews:
                 fam.chains[i]
 
     def test_reversed_and_index_walk_once(self, monkeypatch):
-        # Sequence's own would walk the starts once per position.
+        # Sequence's own would walk the partitions once per position.
         fam = family(5)
         chains = tuple(fam.chains)
+        excluded = tuple(fam.excluded)
         walks = []
         walk = partitions._walk
 
@@ -1576,6 +1586,16 @@ class TestBuiltFamilyViews:
                 fam.chains.index(chains[0], start, stop)
         with pytest.raises(ValueError):
             fam.chains.index(())
+        walks.clear()
+        assert tuple(reversed(fam.excluded)) == excluded[::-1] and len(walks) == 1
+        for i in (0, 7, len(excluded) - 1):
+            assert fam.excluded[i] == excluded[i] and fam.excluded.index(excluded[i]) == i
+        assert fam.excluded.index(excluded[-1], -3) == len(excluded) - 1
+        assert len(walks) == 8
+        with pytest.raises(ValueError, match="is not an excluded partition of the family"):
+            fam.excluded.index(excluded[0], 1)
+        with pytest.raises(ValueError, match="is not an excluded partition of the family"):
+            fam.excluded.index(fam.chains[0][0])
 
     def test_views_act_as_tuples(self):
         fam = build_partition_chains(3)
