@@ -292,6 +292,11 @@ def _merge(blocks: Blocks, j: int) -> Blocks:
     return blocks[:j] + (blocks[j] + blocks[j + 1],) + blocks[j + 2:]
 
 
+def _split(blocks: Blocks, j: int) -> Blocks:
+    """Undo ``_merge(.., j)``: split block j into its minimum and the rest."""
+    return blocks[:j] + ((blocks[j][0],), blocks[j][1:]) + blocks[j + 1:]
+
+
 def _is_image(blocks: Blocks, j: int) -> bool:
     """True when ``blocks`` is the image of a partition merged at index j:
     splitting block j into its minimum and the rest stays canonical, so j
@@ -324,11 +329,9 @@ def inject_inverse(q: SetPartition, i: int) -> SetPartition | None:
     if not 1 <= _json_int(i) < len(entries) or entries[i - 1] != 0 or entries[i] == 0:
         raise ValueError(f"class {class_of(q).literal()} has no link arriving by adding {i}")
     j = _merge_index(entries, i)
-    blocks = q.blocks
-    if not _is_image(blocks, j):
+    if not _is_image(q.blocks, j):
         return None
-    merged = blocks[j]
-    return _trusted(q.m, blocks[:j] + ((merged[0],), merged[1:]) + blocks[j + 1:])
+    return _trusted(q.m, _split(q.blocks, j))
 
 
 def _expand(p: Blocks, js: Sequence[int]) -> list[Blocks]:
@@ -460,8 +463,7 @@ class _Chains(_FamilyView):
     js[t] (``_is_image``), so ``starts`` walks those partitions and keeps
     the starts, and nothing is stored or sorted.  ``length`` is the number
     of chains, counted when built.  A chain starting with b blocks keeps
-    2b - m partitions: the start merged along the next 2b - m - 1 indices.
-    """
+    2b - m partitions: the start merged along the next 2b - m - 1 indices."""
 
     __slots__ = ("m", "places", "length")
     _member = "a chain"
@@ -520,10 +522,8 @@ class _Excluded(_FamilyView):
     def __iter__(self) -> Iterator[SetPartition]:
         m = self.m
         # The m - 2b + 1 indices each type splits back across, None if fewer.
-        downs = {}
-        for sizes, (t, js) in self.places.items():
-            need = m - 2 * len(sizes)
-            downs[sizes] = js[t:t - need - 1:-1] if t > need else None
+        downs = {sizes: js[t:t + 2 * len(sizes) - m - 1:-1] if t + 2 * len(sizes) > m else None
+                 for sizes, (t, js) in self.places.items()}
         for p in _walk(m, 0):
             if 2 * len(p) > m:
                 continue
@@ -532,7 +532,7 @@ class _Excluded(_FamilyView):
                 for j in down:
                     if not _is_image(q, j):
                         break
-                    q = q[:j] + ((q[j][0],), q[j][1:]) + q[j + 1:]
+                    q = _split(q, j)
                 else:
                     continue
             yield _trusted(m, p)

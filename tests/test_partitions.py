@@ -1393,14 +1393,16 @@ class TestBuiltFamilyViews:
 
     def test_len_expands_nothing(self, monkeypatch):
         fam = build_partition_chains(6)
-        # Reading the chains walks their starts; their lengths walk nothing.
-        chains = tuple(fam.chains)
 
         def refuse(*args):
             raise AssertionError("len expanded a partition")
 
-        for name in ("_merge", "_partitions", "_walk", "_expand"):
+        for name in ("_merge", "_partitions", "_expand"):
             monkeypatch.setattr(partitions, name, refuse)
+        # Reading the chains walks their starts and expands none of them;
+        # after that, no length walks anything.
+        chains = tuple(fam.chains)
+        monkeypatch.setattr(partitions, "_walk", refuse)
         assert sum(len(chain) for chain in chains) + len(fam.excluded) == bell_oracle(7)
         assert len(fam.chains) == 350
 
