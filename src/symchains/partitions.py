@@ -538,22 +538,29 @@ class _Excluded(_FamilyView):
             yield _trusted(m, p)
 
     def blocks(self) -> Iterator[Blocks]:
-        """The excluded block tuples, in no particular order."""
+        """The excluded block tuples, in no particular order: the tails of
+        the class runs (``_class_runs``) of each class whose runs outgrow
+        what a chain keeps."""
         m = self.m
-        for sizes, (t, js) in self.places.items():
-            keep = max(0, 2 * len(sizes) - m)
-            up = js[t + 1:]
-            if len(up) < keep:
-                continue
-            born = _partitions(m, sizes, js[t])
-            if not up:
-                yield from born
-            elif keep:
-                for p in born:
-                    yield from _expand(p, up)[keep:]
-            else:
-                for p in born:
-                    yield from _expand(p, up)
+        tailed = [sizes for sizes, (t, js) in self.places.items() if len(js) - t > max(0, 2 * len(sizes) - m)]
+        for _, tail in _class_runs(m, self.places, tailed):
+            yield from tail
+
+
+def _class_runs(m: int, places: dict[tuple[int, ...], tuple[int, tuple[int, ...]]],
+                classes: Iterable[tuple[int, ...]]) -> Iterator[tuple[list[Blocks], list[Blocks]]]:
+    """The runs of the given classes of a built family, each split into
+    the chain it keeps and the tail the family excludes.  A run starts at
+    each birth of the class (``_partitions`` across the arriving link) and
+    is that birth merged up the chain's remaining indices, expanded once;
+    a birth of b blocks keeps its first max(0, 2b - m) members."""
+    for sizes in classes:
+        t, js = places[sizes]
+        keep = max(0, 2 * len(sizes) - m)
+        up = js[t + 1:]
+        for p in _partitions(m, sizes, js[t]):
+            run = _expand(p, up)
+            yield run[:keep], run[keep:]
 
 
 def _chain_blocks(chains: Sequence[Sequence[SetPartition]]) -> Iterable[list[Blocks]]:
@@ -772,54 +779,114 @@ def _rank_index(m: int) -> Callable[[Blocks], int]:
     return index
 
 
-# From this many partitions on, Bell(10), the verifier marks the excluded
-# stream in a forked child when it may run on a second CPU.  At Bell(9)
-# the split did not reliably pay for the fork.
-_WORKER_FROM = 115_975
+# From this many partitions on, Bell(9), the verifier marks half of the
+# family in a forked child when it may run on a second CPU.  With the
+# halves of equal weight the split paid at Bell(9) in every fresh-process
+# trial; below it, forking was not measured.
+_WORKER_FROM = 21_147
 
 # Bytes of each map that the merge reads as one integer.
 _MERGE_SLICE = 1 << 16
 
 
-def _mark_excluded(m: int, index: Callable[[Blocks], int], size: int,
-                   excluded: Iterable[Blocks]) -> tuple[bytearray, list[int], dict[Blocks, int], int, bool]:
-    """Mark the excluded stream on a map of its own: byte 2 at the rank
-    (``index``) of each partition's first occurrence.  Returns the map,
-    the rank of each later occurrence, the blocks the rank refused with
-    their number of occurrences, the number of distinct partitions, and
-    whether one of those has more than floor(m/2) blocks, so that a chain
-    had to hold it (the rank bound follows from the block bound).  Knows
-    nothing of the chains, so it runs in the verifier's process or in its
-    worker alike."""
+def _class_weights(m: int, places: dict[tuple[int, ...], tuple[int, tuple[int, ...]]]
+                   ) -> list[tuple[tuple[int, ...], int]]:
+    """Each class of a built family with the number of partitions its runs
+    hold (``_class_runs``): its births, its size less the size of the class
+    below it (``inject`` is one-to-one), times the len(js) - t members of
+    each run.  The class below has block js[t] split into a singleton and
+    the rest.  Every partition lies in one run, so the weights sum to
+    Bell(m)."""
+    weights = []
+    for sizes, (t, js) in places.items():
+        births = _class_size(m, sizes)
+        if t:
+            j = js[t]
+            births -= _class_size(m, sizes[:j] + (1, sizes[j] - 1) + sizes[j + 1:])
+        weights.append((sizes, births * (len(js) - t)))
+    return weights
+
+
+def _halves(weights: list[tuple[tuple[int, ...], int]]) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The classes cut into a head and a tail where the running weight
+    passes half, before or after the class that passes it, whichever leaves
+    the halves closer; so they differ by at most that class's weight."""
+    total = sum(w for _, w in weights)
+    cut = run = 0
+    for cut, (_, w) in enumerate(weights):
+        if 2 * (run + w) >= total:
+            if 2 * (run + w) - total <= total - 2 * run:
+                cut += 1
+            break
+        run += w
+    classes = [sizes for sizes, _ in weights]
+    return classes[:cut], classes[cut:]
+
+
+def _mark_runs(m: int, index: Callable[[Blocks], int], marks: bytearray,
+               runs: Iterable[tuple[Sequence[Blocks], Iterable[Blocks]]]
+               ) -> tuple[list[tuple[str, str]], list[tuple[int, int]], dict[Blocks, list[int]], int, bool]:
+    """Mark ``runs`` on ``marks``, one byte per partition at its rank
+    (``index``): bit 1 for a chain member, bit 2 for an excluded partition.
+    Each run is a chain, whose symmetry and links are checked, and a tail
+    of excluded partitions.  An occurrence whose byte is already marked
+    ORs its bit in and is listed as (rank, its bit if the byte held it,
+    else 0), so the map holds each partition once and the list the rest.
+    Blocks the rank refuses are partitions outside the lattice, counted
+    apart as [chain members, excluded entries].  Returns the link and
+    symmetry failures, that list, those counts, the number of chains, and
+    whether an excluded partition has more than floor(m/2) blocks.  Such a
+    partition breaks a coverage bound (the rank bound follows from the
+    block bound) unless the other half holds it in a chain, so the
+    witness walk decides once both halves are in.  Knows nothing of the
+    other half, so it runs in the verifier's process or in its worker
+    alike."""
+    n = m - 1
     wide = m // 2
-    marks = bytearray(size)
-    repeats: list[int] = []
-    outside: dict[Blocks, int] = {}
-    fresh = 0
+    failures: list[tuple[str, str]] = []
+    again: list[tuple[int, int]] = []
+    outside: dict[Blocks, list[int]] = {}
+    walked = 0
     uncovered = False
-    for p in excluded:
-        i = index(p)
-        if i >= 0:
-            if marks[i]:
-                repeats.append(i)
-                continue
-            marks[i] = 2
-        else:
-            seen = outside.get(p, 0)
-            outside[p] = seen + 1
-            if seen:
-                continue
-        fresh += 1
-        if len(p) > wide:
-            uncovered = True
-    return marks, repeats, outside, fresh, uncovered
+    # Partitions in the lattice are ranked and marked inline, as these
+    # loops run once per partition.
+    for chain, tail in runs:
+        if chain:
+            walked += 1
+            for p in chain:
+                i = index(p)
+                if i < 0:
+                    outside.setdefault(p, [0, 0])[0] += 1
+                elif marks[i]:
+                    again.append((i, marks[i] & 1))
+                    marks[i] |= 1
+                else:
+                    marks[i] = 1
+            if 2 * m - len(chain[0]) - len(chain[-1]) != n:
+                failures.append(("not_symmetric", f"{_literal(chain[0])} .. {_literal(chain[-1])}"))
+            for lo, hi in zip(chain, chain[1:]):
+                if not _is_singleton_merge(lo, hi):
+                    failures.append(("not_saturated", f"{_literal(lo)} -> {_literal(hi)}"))
+        for p in tail:
+            i = index(p)
+            if i < 0:
+                outside.setdefault(p, [0, 0])[1] += 1
+            elif marks[i]:
+                again.append((i, marks[i] & 2))
+                marks[i] |= 2
+            else:
+                marks[i] = 2
+            if len(p) > wide:
+                uncovered = True
+    return failures, again, outside, walked, uncovered
 
 
 class _Worker:
     """A child forked to run ``mark`` on a second CPU while the verifier
     goes on.  It shares the verifier's memory as it was at the fork, the
-    family and the rank index included, so it is sent nothing; it writes
-    what ``mark`` returns pickled to a pipe.  It leaves only through
+    family, the rank index and the shared map it marks included, so it is
+    sent nothing, and only what ``mark`` returns, a few counts and lists,
+    comes back pickled through a pipe.  It leaves only through
     ``os._exit``, so it runs no ``atexit`` handler and flushes none of the
     buffers it shares.  ``reply`` reads the result from the pipe, reaps the
     child and raises ``RuntimeError`` if it failed; ``stop`` kills and
@@ -863,7 +930,7 @@ class _Worker:
         code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
         self.pid = 0
         if code:
-            raise RuntimeError(f"the worker marking the excluded partitions exited with {code}")
+            raise RuntimeError(f"the worker marking half of the family exited with {code}")
         return result
 
     def stop(self) -> None:
@@ -875,21 +942,35 @@ class _Worker:
             os.waitpid(self.pid, 0)
 
 
-def _merge_maps(status: bytearray, marks: bytearray) -> bool:
-    """OR the excluded map ``marks`` into the chain map ``status`` in place,
-    so that each byte holds its partition's state: 0 missing, 1 in a chain,
-    2 excluded, 3 both.  The maps are read as integers (``int.from_bytes``)
-    a slice at a time, so no copy of a whole map is held.  Returns whether
-    their AND is nonzero: some excluded partition is in a chain."""
-    both = False
+def _merge_maps(status: bytearray, marks: bytes) -> dict[int, tuple[int, int]]:
+    """OR the worker's map ``marks`` into ``status`` in place, so that each
+    byte holds its partition's state: bit 1 in a chain, bit 2 excluded.
+    The maps are read as integers (``int.from_bytes``) a slice at a time,
+    so no copy of a whole map is held.  A byte nonzero in both maps is a
+    partition that both halves hold: two bytes of 1, 2 or 3 share a bit
+    unless they are 1 and 2, and then one shifted left shares the other's
+    bit; no bit leaves its byte.  Only a slice holding such a byte is read
+    byte by byte.  Returns those bytes by rank, with both values as they
+    were."""
+    both = {}
     size = len(status)
     for lo in range(0, size, _MERGE_SLICE):
         hi = min(lo + _MERGE_SLICE, size)
-        chain_bits = int.from_bytes(status[lo:hi], "big")
-        excluded_bits = int.from_bytes(marks[lo:hi], "big")
-        both = both or (chain_bits << 1) & excluded_bits != 0
-        status[lo:hi] = (chain_bits | excluded_bits).to_bytes(hi - lo, "big")
+        a, b = int.from_bytes(status[lo:hi], "big"), int.from_bytes(marks[lo:hi], "big")
+        if a & b or (a << 1) & b or (b << 1) & a:
+            pairs = zip(status[lo:hi], marks[lo:hi])
+            both.update((lo + k, pair) for k, pair in enumerate(pairs) if all(pair))
+        status[lo:hi] = (a | b).to_bytes(hi - lo, "big")
     return both
+
+
+def _overlaps(literal: str, chains: int, excluded: int) -> list[tuple[str, str]]:
+    """The overlaps of a partition held by ``chains`` chain members and
+    ``excluded`` entries of the excluded list: each chain member after the
+    first, and each excluded entry once a chain holds it."""
+    if not chains:
+        return []
+    return [("overlap", literal)] * (chains - 1) + [("overlap", f"excluded {literal}")] * excluded
 
 
 def verify_partition_chains(fam: PartitionChainFamily,
@@ -906,22 +987,31 @@ def verify_partition_chains(fam: PartitionChainFamily,
     from it; for even n the block bound is the stronger.
 
     Membership is one byte per partition of the lattice, indexed by its
-    rank (``_rank_index``).  The chains mark 1 on one map and the excluded
-    stream marks 2 on another (``_mark_excluded``); blocks the rank refuses
-    are partitions outside the lattice and are kept apart.  From Bell(10)
-    partitions on, where ``os.sched_getaffinity`` gives a second CPU and
-    this process runs one thread, a forked child marks the excluded stream
-    while this one marks the chains (``_Worker``).  The maps are merged as
-    integers (``_merge_maps``): their AND finds the excluded partitions
-    that a chain holds, and their OR gives each partition's state, 0
-    missing, 1 or 3 in a chain, 2 excluded.  Walking ``_iter_partitions``
-    beside the states names each missing or uncovered partition; it runs
-    only when a state is 0 or an excluded partition breaks a coverage
-    bound, so a sound family builds no witness.  The walk spells out at
-    most ``_WITNESS_CAP`` failures of each kind, ``missing`` and
-    ``coverage``, and counts the rest in one ``(kind, "<N> more")``.  The
-    audit takes a byte per Bell(m) partition however small the family is,
-    so m past ``ceiling`` is refused first."""
+    rank (``_rank_index``): bit 1 for a chain member, bit 2 for an
+    excluded partition (``_mark_runs``).  A built family, whose two views
+    read one place table, is read as class runs (``_class_runs``): each
+    birth of a class expanded once up its subset chain, its first
+    max(0, 2b - m) members a chain and the rest excluded.  Each class
+    weighs the partitions its runs hold (``_class_weights``), and the class
+    list is cut where the running weight passes half (``_halves``).  Any
+    other family is read as two jobs, its chains and its excluded list.
+
+    From Bell(9) partitions on, where ``os.sched_getaffinity`` gives a
+    second CPU and this process runs one thread, a forked child marks the
+    second half, or the excluded list, on an anonymous shared map while
+    this process marks the first (``_Worker``); otherwise both halves mark
+    one map here.  The maps are merged as integers (``_merge_maps``): their
+    OR gives each partition's state, and a byte nonzero in both is a
+    partition both halves hold.  Those, and each occurrence that found its
+    byte marked, are named by one walk of ``_iter_partitions``, as a
+    chain member held again or an excluded partition that a chain holds.
+    Walking ``_iter_partitions`` beside the states names each missing or
+    uncovered partition; it runs only when a state is 0 or an excluded
+    partition breaks a coverage bound, so a sound family builds no
+    witness.  The walk spells out at most ``_WITNESS_CAP`` failures of each
+    kind, ``missing`` and ``coverage``, and counts the rest in one
+    ``(kind, "<N> more")``.  The audit takes a byte per Bell(m) partition
+    however small the family is, so m past ``ceiling`` is refused first."""
     from .identities import stirling_table
 
     m = fam.m
@@ -930,63 +1020,65 @@ def verify_partition_chains(fam: PartitionChainFamily,
     stirling = stirling_table(m)
     index = _rank_index(m)
     size = sum(stirling.row(m))
+    chains, excluded = fam.chains, fam.excluded
+    if isinstance(chains, _Chains) and isinstance(excluded, _Excluded) and chains.places == excluded.places:
+        head, tail = (_class_runs(m, chains.places, half) for half in _halves(_class_weights(m, chains.places)))
+    else:
+        head = ((chain, ()) for chain in _chain_blocks(chains))
+        tail = [((), _excluded_blocks(excluded))]
     status = bytearray(size)
-    outside: set[Blocks] = set()
-    failures: list[tuple[str, str]] = []
-    members = walked = 0
-    mark = partial(_mark_excluded, m, index, size, _excluded_blocks(fam.excluded))
-    worker = None
-    if size >= _WORKER_FROM and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
-        import threading
-
-        # A fork copies only this thread: a lock another thread holds
-        # would stay held in the child.
-        if threading.active_count() == 1:
-            worker = _Worker(mark)
+    marks = worker = None
     try:
-        # Partitions in the lattice are ranked and marked inline, as this
-        # loop runs once per partition.
-        for chain in _chain_blocks(fam.chains):
-            walked += 1
-            for p in chain:
-                i = index(p)
-                if i >= 0:
-                    if status[i]:
-                        failures.append(("overlap", _literal(p)))
-                        continue
-                    status[i] = 1
-                elif p in outside:
-                    failures.append(("overlap", _literal(p)))
-                    continue
-                else:
-                    outside.add(p)
-                members += 1
-            if 2 * m - len(chain[0]) - len(chain[-1]) != n:
-                failures.append(("not_symmetric", f"{_literal(chain[0])} .. {_literal(chain[-1])}"))
-            for lo, hi in zip(chain, chain[1:]):
-                if not _is_singleton_merge(lo, hi):
-                    failures.append(("not_saturated", f"{_literal(lo)} -> {_literal(hi)}"))
-        marks, repeats, outside_excluded, fresh, uncovered_excluded = worker.reply() if worker else mark()
+        if size >= _WORKER_FROM and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
+            import threading
+
+            # A fork copies only this thread: a lock another thread holds
+            # would stay held in the child.
+            if threading.active_count() == 1:
+                import mmap
+
+                # Anonymous and shared: the child marks the pages this
+                # process merges, so its map is never copied.
+                marks = mmap.mmap(-1, size)
+                worker = _Worker(partial(_mark_runs, m, index, marks, tail))
+        halves = [_mark_runs(m, index, status, head), worker.reply() if worker else _mark_runs(m, index, status, tail)]
+        both = _merge_maps(status, marks) if worker else {}
     except BaseException:
         if worker:
             worker.stop()
         raise
-    # Each occurrence of an excluded partition that a chain holds is an
-    # overlap, and the partition is no fresh exclusion.
-    if _merge_maps(status, marks):
-        again = Counter(repeats)
-        for i, p in itertools.compress(enumerate(_iter_partitions(m)), map((3).__eq__, status)):
-            failures += [("overlap", f"excluded {_literal(p)}")] * (1 + again[i])
-            fresh -= 1
-    del marks  # not held through the witness walk
-    for p, count in outside_excluded.items():
-        if p in outside:
-            failures += [("overlap", f"excluded {_literal(p)}")] * count
-            fresh -= 1
-    if fresh != len(fam.excluded):
+    finally:
+        if marks is not None:
+            marks.close()
+    (failures, again, outside, walked, wide), (failures_b, again_b, outside_b, walked_b, wide_b) = halves
+    failures += failures_b
+    walked += walked_b
+    # A partition held again is an overlap only once a chain holds it.
+    repeats = Counter(again + again_b)
+    named = sorted(i for i in {i for i, _ in repeats}.union(both) if status[i] & 1)
+    if named:
+        picks = bytearray(size)
+        for i in named:
+            picks[i] = 1
+        for i, p in zip(named, itertools.compress(_iter_partitions(m), picks)):
+            ours, theirs = both.get(i, (status[i], 0))
+            failures += _overlaps(_literal(p), (ours & 1) + (theirs & 1) + repeats[i, 1],
+                                  (ours >> 1) + (theirs >> 1) + repeats[i, 2])
+    for p, (held, left) in outside_b.items():
+        counts = outside.setdefault(p, [0, 0])
+        counts[0] += held
+        counts[1] += left
+    outside_members = 0
+    for p, (held, left) in outside.items():
+        failures += _overlaps(_literal(p), held, left)
+        outside_members += held > 0
+    zeros, twos = status.count(0), status.count(2)
+    # An excluded partition no chain holds is a fresh exclusion; any fewer
+    # than the list's length means the list repeats one.
+    if twos + len(outside) - outside_members != len(excluded):
         failures.append(("overlap", "excluded list repeats a partition"))
     missing = uncovered = 0
-    if uncovered_excluded or 0 in status:
+    if zeros or wide or wide_b:
         for p, state in zip(_iter_partitions(m), status):
             if state & 1:
                 continue
@@ -1006,12 +1098,12 @@ def verify_partition_chains(fam: PartitionChainFamily,
     for kind, count in (("missing", missing), ("coverage", uncovered)):
         if count > _WITNESS_CAP:
             failures.append((kind, f"{count - _WITNESS_CAP} more"))
-    if outside or outside_excluded:
+    if outside:
         failures.append(("missing", "family mentions partitions outside the lattice"))
     expected = stirling.value(m, m - n // 2)
     if walked != expected:
         failures.append(("chain_count", f"{walked} chains, middle level has {expected}"))
-    return VerificationReport(members, walked, tuple(failures))
+    return VerificationReport(size - zeros - twos + outside_members, walked, tuple(failures))
 
 
 def family_to_json(fam: PartitionChainFamily) -> dict:

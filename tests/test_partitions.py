@@ -821,16 +821,22 @@ class TestChainFamily:
 
     def test_skipped_start_is_counted_and_missing(self, monkeypatch):
         # A built family's len is counted when built, so the verifier must
-        # count the chains it reads to see one go missing.
-        starts = partitions._Chains.starts
+        # count the chains it reads to see one go missing.  It reads a
+        # built family's chains from the births of its classes, so one
+        # birth that starts a chain is skipped there.
+        walk = partitions._partitions
+        skipped = []
 
-        def skip_one(chains):
-            walk = starts(chains)
-            return itertools.chain(itertools.islice(walk, 4), itertools.islice(walk, 1, None))
+        def skip_one(m, sizes, j=-1):
+            births = walk(m, sizes, j)
+            if 2 * len(sizes) > m and births and not skipped:
+                skipped.append(births.pop())
+            return births
 
         fam = build_partition_chains(6)
-        monkeypatch.setattr(partitions._Chains, "starts", skip_one)
+        monkeypatch.setattr(partitions, "_partitions", skip_one)
         rep = verify_partition_chains(fam)
+        assert len(skipped) == 1
         kinds = {kind for kind, _ in rep.failures}
         assert {"chain_count", "missing"} <= kinds
         assert rep.chain_count == len(fam.chains) - 1 == 349
@@ -1246,9 +1252,10 @@ assert len(forks) == 1
 
 
 class TestTwoProcessVerify:
-    """From Bell(10) partitions on, with two CPUs, a forked child marks the
-    excluded stream; its reports must equal the reference's on the built
-    family and on mutants that hit each way the two maps meet."""
+    """From Bell(9) partitions on, with two CPUs, a forked child marks half
+    of the family: the tail of a built family's class list, or a hand-built
+    family's excluded list.  Its reports must equal the reference's on the
+    built family and on mutants that hit each way the two maps meet."""
 
     @pytest.fixture
     def workers(self, monkeypatch):
@@ -1309,12 +1316,62 @@ class TestTwoProcessVerify:
         assert Counter(kind for kind, _ in rep.failures) == counts
         assert len(workers) == 1
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("source, reader", [("tail", "head"), ("head", "head"), ("tail", "tail")])
+    def test_a_class_read_twice(self, workers, monkeypatch, cpus, source, reader):
+        # The job list is patched so that one class, whose runs hold chains
+        # and excluded partitions, is read twice: by both halves, across the
+        # two maps (chain/chain and excluded/excluded), or twice by one.
+        # The family read that way is its chains and excluded list with
+        # that class's runs once more, which the reference checks by hand.
+        fam = family(9)
+        m = 10
+        places = fam.chains.places
+        halves = partitions._halves
+        split = dict(zip(("head", "tail"), halves(partitions._class_weights(m, places))))
+
+        def runs(sizes):
+            return list(partitions._class_runs(m, places, [sizes]))
+
+        twice = next(sizes for sizes in split[source]
+                     if any(chain for chain, _ in runs(sizes)) and any(tail for _, tail in runs(sizes)))
+        chains = [chain for chain, _ in runs(twice) if chain]
+        tails = [p for _, tail in runs(twice) for p in tail]
+
+        def read_twice(weights):
+            got = dict(zip(("head", "tail"), halves(weights)))
+            got[reader] = got[reader] + [twice]
+            return got["head"], got["tail"]
+
+        monkeypatch.setattr(partitions, "_halves", read_twice)
+        if cpus == 1:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        rep = verify_partition_chains(PartitionChainFamily(
+            m, partitions._Chains(m, places, len(fam.chains) + len(chains)),
+            partitions._Excluded(m, places, len(fam.excluded) + len(tails))))
+        tuple_chains, tuple_excluded = tuple_family(9)
+        ref = reference_verify_partition_chains(PartitionChainFamily(
+            m, tuple_chains + tuple(tuple(_trusted(m, p) for p in chain) for chain in chains),
+            tuple_excluded + tuple(_trusted(m, p) for p in tails)))
+        assert (rep.ok, rep.element_count, rep.chain_count) == (ref.ok, ref.element_count, ref.chain_count)
+        assert Counter(rep.failures) == Counter(ref.failures)
+        assert Counter(kind for kind, _ in rep.failures) == {
+            "overlap": sum(map(len, chains)) + 1, "chain_count": 1}
+        assert len(workers) == cpus - 1
+
     def test_failed_worker_raises_and_is_reaped(self, workers, monkeypatch, capfd):
+        # Both processes run the marking routine, so it fails only in the
+        # child; the verifier marks its half and then reads the exit code.
+        parent = os.getpid()
+        mark = partitions._mark_runs
+
         def fail(*args):
-            raise ValueError("gave up")
+            if os.getpid() != parent:
+                raise ValueError("gave up")
+            return mark(*args)
 
         fds = len(os.listdir("/proc/self/fd"))
-        monkeypatch.setattr(partitions, "_mark_excluded", fail)
+        monkeypatch.setattr(partitions, "_mark_runs", fail)
         with pytest.raises(RuntimeError, match="exited with 1$"):
             verify_partition_chains(PartitionChainFamily(10, (), ()))
         assert len(workers) == 1
@@ -1324,8 +1381,15 @@ class TestTwoProcessVerify:
         assert len(os.listdir("/proc/self/fd")) == fds
 
     def test_error_in_the_verifier_kills_the_worker(self, workers, monkeypatch):
+        # Both halves of a built family hold chains, so both processes check
+        # links: the check raises in the verifier and holds the child until
+        # it is killed, so the child is still running then.
+        parent = os.getpid()
+
         def fail(lo, hi):
-            raise KeyboardInterrupt
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            signal.pause()
 
         codes = []
         waitpid = os.waitpid
@@ -1340,8 +1404,6 @@ class TestTwoProcessVerify:
         monkeypatch.setattr(os, "waitpid", reap)
         with pytest.raises(KeyboardInterrupt):
             verify_partition_chains(family(9))
-        # The child cannot have finished: its map outgrows the pipe, which
-        # nothing read.
         assert len(workers) == 1 and codes == [-signal.SIGKILL]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -1375,6 +1437,45 @@ class TestTwoProcessVerify:
         proc = fresh_python(FORK_PROBE, env={"PYTHONUNBUFFERED": ""})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "unflushed"
+
+
+class TestClassRuns:
+    """The verifier reads a built family as class runs: each birth of a
+    class expanded once up its subset chain, its first max(0, 2b - m)
+    members a chain and the rest excluded, the classes weighed by the
+    partitions their runs hold and cut into two halves of near equal
+    weight."""
+
+    def test_runs_are_the_chains_and_the_excluded(self):
+        for n in range(9):
+            m = n + 1
+            fam = family(n)
+            chains, tails = Counter(), []
+            for chain, tail in partitions._class_runs(m, fam.chains.places, fam.chains.places):
+                if chain:
+                    chains[tuple(chain)] += 1
+                tails += tail
+            assert chains == Counter(tuple(p.blocks for p in chain) for chain in fam.chains), n
+            assert len(tails) == len(fam.excluded) and set(tails) == {p.blocks for p in fam.excluded}, n
+
+    def test_weights_count_the_runs(self):
+        for n in range(10):
+            m = n + 1
+            places = family(n).chains.places
+            weights = partitions._class_weights(m, places)
+            assert [sizes for sizes, _ in weights] == list(places), n
+            for sizes, weight in weights:
+                runs = partitions._class_runs(m, places, [sizes])
+                assert weight == sum(len(chain) + len(tail) for chain, tail in runs), (n, sizes)
+            assert sum(weight for _, weight in weights) == bell_oracle(m), n
+
+    def test_halves_differ_by_at_most_the_heaviest_class(self):
+        for n in range(12):
+            weights = dict(partitions._class_weights(n + 1, family(n).chains.places))
+            head, tail = partitions._halves(list(weights.items()))
+            assert head + tail == list(weights), n
+            gap = sum(map(weights.get, head)) - sum(map(weights.get, tail))
+            assert abs(gap) <= max(weights.values()), (n, gap)
 
 
 class TestDotOfMutants:
