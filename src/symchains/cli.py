@@ -6,7 +6,8 @@ commands only).  Output has one path: each handler computes its result and
 hands ``_emit`` a lazy view per format, and ``_emit`` builds and prints only
 the requested one, none under --quiet, text and dot a line at a time and
 JSON in batches of list elements.  A subcommand that enumerates takes
---ceiling, defaulting to the library's own ceiling for that enumeration.
+--ceiling, defaulting to the library's own ceiling for that enumeration,
+or for the partition family's dot output the dot writer's lower one.
 Exit codes: 0 success, 1 a verification reported failures, 2 usage errors,
 malformed literals, or ceiling refusals.
 """
@@ -21,6 +22,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from .subsets import (
     DEFAULT_CODE_SUM_CEILING,
+    DEFAULT_DOT_CEILING,
     DEFAULT_ENUM_CEILING,
     DEFAULT_PARTITION_CEILING,
     DEFAULT_STIRLING_CEILING,
@@ -187,7 +189,9 @@ def _cmd_class(args: argparse.Namespace) -> int:
 def _cmd_decompose_partition(args: argparse.Namespace) -> int:
     from . import partitions
 
-    fam = partitions.build_partition_chains(args.n, ceiling=args.ceiling)
+    # The dot writer holds every node, so its default ceiling is lower.
+    default = DEFAULT_DOT_CEILING if args.format == "dot" else DEFAULT_PARTITION_CEILING
+    fam = partitions.build_partition_chains(args.n, ceiling=default if args.ceiling is None else args.ceiling)
 
     def text() -> Iterator[str | Iterator[str]]:
         for chain in fam.chains:
@@ -388,8 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
     add("class", _cmd_class, "partitions in the class of a subset",
         ceiling=DEFAULT_PARTITION_CEILING).add_argument("set")
 
-    add("decompose-partition", _cmd_decompose_partition, "chain family on partitions of {1..n+1}",
-        dot=True, ceiling=DEFAULT_PARTITION_CEILING)
+    p = add("decompose-partition", _cmd_decompose_partition, "chain family on partitions of {1..n+1}",
+            dot=True)
+    p.add_argument("--ceiling", type=int, metavar="K",
+                   help=f"enumeration size ceiling (default {DEFAULT_PARTITION_CEILING}, "
+                        f"{DEFAULT_DOT_CEILING} for dot)")
 
     p = add("verify-boolean", _cmd_verify_boolean, "verify a subset-lattice decomposition",
             ceiling=DEFAULT_ENUM_CEILING)

@@ -16,7 +16,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
 from math import comb
-from operator import getitem
+from operator import getitem, ne
 
 from .boolean import _literal as _literal_mask, gk_decomposition
 from .coding import _link_added, code_from_nonzeros, encode
@@ -286,14 +286,9 @@ def _merge_index(entries: Sequence[int], i: int) -> int:
     return sum(1 for e in entries[i + 1:] if e)
 
 
-def _merge(blocks: Blocks, j: int) -> Blocks:
-    """Merge the singleton at index j into the block after it.  Its element
-    is below that block's minimum, so the result stays canonical."""
-    return blocks[:j] + (blocks[j] + blocks[j + 1],) + blocks[j + 2:]
-
-
 def _split(blocks: Blocks, j: int) -> Blocks:
-    """Undo ``_merge(.., j)``: split block j into its minimum and the rest."""
+    """Undo a merge at index j (``_expand``): split block j into its
+    minimum and the rest."""
     return blocks[:j] + ((blocks[j][0],), blocks[j][1:]) + blocks[j + 1:]
 
 
@@ -311,7 +306,7 @@ def inject(p: SetPartition, i: int) -> SetPartition:
     entries = code_from_nonzeros(tuple(reversed(type_of(p)))).entries
     if _link_added(entries, _json_int(i)) == 0:
         raise ValueError(f"no chain link adds {i} to class {class_of(p).literal()}")
-    return _trusted(p.m, _merge(p.blocks, _merge_index(entries, i)))
+    return _trusted(p.m, _expand(p.blocks, (_merge_index(entries, i),))[1])
 
 
 def inject_inverse(q: SetPartition, i: int) -> SetPartition | None:
@@ -335,10 +330,12 @@ def inject_inverse(q: SetPartition, i: int) -> SetPartition | None:
 
 
 def _expand(p: Blocks, js: Sequence[int]) -> list[Blocks]:
-    """``p`` and its merges at the indices ``js`` in turn."""
+    """``p`` and its merges at the indices ``js`` in turn: each merges the
+    singleton at index j into the block after it.  Its element is below
+    that block's minimum, so each result stays canonical."""
     run = [p]
     for j in js:
-        p = _merge(p, j)
+        p = p[:j] + (p[j] + p[j + 1],) + p[j + 2:]
         run.append(p)
     return run
 
@@ -473,10 +470,11 @@ class _Chains(_FamilyView):
 
     def starts(self) -> Iterator[Blocks]:
         """Each chain's first partition, in block order."""
-        places = self.places
+        # Each type's arriving merge index js[t], -1 at the bottom class.
+        arriving = {sizes: js[t] for sizes, (t, js) in self.places.items()}
         for p in _walk(self.m, self.m // 2 + 1):
-            t, js = places[tuple(map(len, p))]
-            if not t or not _is_image(p, js[t]):
+            j = arriving[tuple(map(len, p))]
+            if j < 0 or not _is_image(p, j):
                 yield p
 
     def kept(self, start: Blocks) -> list[Blocks]:
@@ -548,19 +546,28 @@ class _Excluded(_FamilyView):
 
 
 def _class_runs(m: int, places: dict[tuple[int, ...], tuple[int, tuple[int, ...]]],
-                classes: Iterable[tuple[int, ...]]) -> Iterator[tuple[list[Blocks], list[Blocks]]]:
+                classes: Iterable[tuple[int, ...]]) -> Iterator[tuple[Sequence[Blocks], Sequence[Blocks]]]:
     """The runs of the given classes of a built family, each split into
     the chain it keeps and the tail the family excludes.  A run starts at
     each birth of the class (``_partitions`` across the arriving link) and
     is that birth merged up the chain's remaining indices, expanded once;
-    a birth of b blocks keeps its first max(0, 2b - m) members."""
+    a birth of b blocks keeps its first max(0, 2b - m) members.  A run
+    kept whole or excluded whole comes as it is, beside ``()``; only a
+    run that holds both is sliced."""
     for sizes in classes:
         t, js = places[sizes]
-        keep = max(0, 2 * len(sizes) - m)
+        keep = 2 * len(sizes) - m
         up = js[t + 1:]
-        for p in _partitions(m, sizes, js[t]):
-            run = _expand(p, up)
-            yield run[:keep], run[keep:]
+        births = _partitions(m, sizes, js[t])
+        # At the top of its chain a run is its birth alone.
+        runs = map(_expand, births, itertools.repeat(up)) if up else zip(births)
+        if keep <= 0:
+            yield from zip(itertools.repeat(()), runs)
+        elif keep > len(up):
+            yield from zip(runs, itertools.repeat(()))
+        else:
+            for run in runs:
+                yield run[:keep], run[keep:]
 
 
 def _chain_blocks(chains: Sequence[Sequence[SetPartition]]) -> Iterable[list[Blocks]]:
@@ -679,16 +686,16 @@ def _is_singleton_merge(lo: Blocks, hi: Blocks) -> bool:
     """True when ``hi`` merges exactly two blocks of ``lo``, one a singleton
     holding the merged block's minimum.
 
-    One pass over canonical blocks: at the first index j where the two
-    differ, lo holds the singleton (x,) and hi holds (x,) + B, where B is a
-    later block of lo; every other block is the same on both sides.  So a
-    true answer also means ``hi`` has one block fewer than ``lo``.
+    The first index j where the two differ is found in C (``compress``
+    over ``map(ne, ...)``).  There lo holds the singleton (x,) and hi
+    holds (x,) + B, where B is a later block of lo; every other block is
+    the same on both sides.  So a true answer also means ``hi`` has one
+    block fewer than ``lo``.
     """
-    for j, (a, b) in enumerate(zip(lo, hi)):
-        if a != b:
-            break
-    else:
+    j = next(itertools.compress(itertools.count(), map(ne, lo, hi)), None)
+    if j is None:
         return False
+    a, b = lo[j], hi[j]
     if len(a) != 1 or b[0] != a[0]:
         return False
     rest = lo[j + 1:]

@@ -16,7 +16,8 @@ RIGHT = ")"
 
 # The default ceilings of the four enumerations, all enforced by
 # ``_check_ceiling``; each layer's signatures take theirs from here, so the
-# CLI's parser reads them without loading a layer.
+# CLI's parser reads them without loading a layer.  The CLI alone reads the
+# lower dot ceiling below.
 #
 # Whole-lattice enumerations refuse to run past this many ground elements
 # unless the caller raises the ceiling explicitly.  Set by memory when every
@@ -34,10 +35,16 @@ DEFAULT_ENUM_CEILING = 24
 # partition: for m = 13 (27.6 million partitions) building plus verifying
 # peaks at about 95 MB RSS, inside the 1.2 GB that set the subset ceiling.
 # The JSON and text writers stream both views in block order and hold
-# neither, but the dot writer indexes every partition (250 MB at m = 11,
-# growing about sixfold per element).  So past m = 12 needs an explicit
-# ceiling override.
+# neither, so they stay near that too.  The dot writer is the exception
+# and has its own default below.
 DEFAULT_PARTITION_CEILING = 12
+
+# The partition ceiling of the dot writer, which indexes every partition
+# as a node: 247 MB at m = 11 and 1,411 MB at m = 12, over the 1.2 GB
+# budget.  So ``decompose-partition --format dot`` refuses m past 11
+# unless --ceiling is given.  The library's ``family_to_dot`` takes a built
+# family and does not check it: ``build_partition_chains`` admits m = 12.
+DEFAULT_DOT_CEILING = 11
 
 # 2^(n-1) terms per sum; past this the closed forms are refused by default.
 DEFAULT_CODE_SUM_CEILING = 25

@@ -26,6 +26,7 @@ from symchains import boolean, partitions
 from symchains.cli import _json_chunks, _report_out, build_parser, run
 from symchains.identities import DEFAULT_STIRLING_CEILING
 from symchains.reports import VerificationReport
+from symchains.subsets import DEFAULT_DOT_CEILING, DEFAULT_PARTITION_CEILING
 
 
 def out_of(capsys):
@@ -391,10 +392,41 @@ class TestExitCodes:
 
     def test_partition_ceiling_default(self, capsys):
         # Checked before the run: admitting m = 13 would build 27.6 million partitions.
-        assert build_parser().parse_args(["decompose-partition", "12"]).ceiling == 12
+        # The parsed default is None: the handler resolves it per format.
+        assert build_parser().parse_args(["decompose-partition", "12"]).ceiling is None
         assert run(["decompose-partition", "12", "--quiet"]) == 2
         args = build_parser().parse_args(["decompose-partition", "12", "--ceiling", "13"])
         assert args.ceiling == 13
+
+    def test_dot_refuses_past_its_ceiling_before_building(self, capsys):
+        # The dot writer holds every node: 1.4 GB at m = 12.
+        t0 = time.perf_counter()
+        assert run(["decompose-partition", "11", "-f", "dot"]) == 2
+        assert time.perf_counter() - t0 < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Bell(12) partitions exceed the ceiling: 12 > 11\n"
+
+    @pytest.mark.parametrize("argv, ceiling", [
+        (["decompose-partition", "11", "-f", "dot"], DEFAULT_DOT_CEILING),
+        (["decompose-partition", "11", "-f", "dot", "--ceiling", "12"], 12),
+        (["decompose-partition", "11", "-f", "json"], DEFAULT_PARTITION_CEILING),
+        (["decompose-partition", "11"], DEFAULT_PARTITION_CEILING),
+        (["decompose-partition", "11", "--ceiling", "5"], 5),
+    ])
+    def test_partition_ceiling_resolved_per_format(self, capsys, monkeypatch, argv, ceiling):
+        # The builder is handed the resolved ceiling; a small family stands
+        # in for the one asked for, so no m = 12 job runs.
+        seen = []
+        real = partitions.build_partition_chains
+
+        def spy(n, ceiling):
+            seen.append(ceiling)
+            return real(3)
+
+        monkeypatch.setattr(partitions, "build_partition_chains", spy)
+        assert run(argv + ["--quiet"]) == 0
+        assert seen == [ceiling]
 
     def test_code_sums_refuse_past_the_default_ceiling(self, capsys):
         for command in ("bell", "symfun", "derivative-check"):

@@ -1278,6 +1278,17 @@ class TestTwoProcessVerify:
         assert len(workers) == 1
         assert len(os.listdir("/proc/self/fd")) == fds
 
+    def test_tuple_chains_with_the_built_excluded_view(self, workers):
+        # The chains are tuples and the excluded list is the built view, so
+        # the child reads the view's unordered stream (``_Excluded.blocks``,
+        # the tails of the class runs) while the verifier marks the chains.
+        chains, excluded = tuple_family(9)
+        mixed = verify_partition_chains(PartitionChainFamily(10, chains, family(9).excluded))
+        assert len(workers) == 1
+        assert mixed.ok
+        assert mixed == verify_partition_chains(PartitionChainFamily(10, chains, excluded))
+        assert len(workers) == 2
+
     @pytest.mark.parametrize("mutant, counts", [
         # The "excluded list repeats a partition" overlap comes with each
         # mutant that excludes a partition already marked.
@@ -1498,7 +1509,7 @@ class TestBuiltFamilyViews:
         def refuse(*args):
             raise AssertionError("len expanded a partition")
 
-        for name in ("_merge", "_partitions", "_expand"):
+        for name in ("_partitions", "_expand"):
             monkeypatch.setattr(partitions, name, refuse)
         # Reading the chains walks their starts and expands none of them;
         # after that, no length walks anything.
