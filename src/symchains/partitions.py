@@ -16,12 +16,13 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
 from math import comb
-from operator import getitem, ne
+from operator import add, getitem, ne
 
 from .boolean import _literal as _literal_mask, gk_decomposition
 from .coding import _link_added, code_from_nonzeros, encode
 from .reports import _WITNESS_CAP, VerificationReport
 from .subsets import (
+    DEFAULT_DOT_CEILING,
     DEFAULT_PARTITION_CEILING,
     Subset,
     _TupleView,
@@ -510,9 +511,8 @@ class _Excluded(_FamilyView):
     t, splits back across js[t], js[t - 1], ... while ``_is_image`` allows,
     to its chain's start, which keeps 2(b + splits) - m partitions.  So p
     is excluded exactly when it splits back at most m - 2b times, never
-    past m/2 blocks.  ``blocks`` streams them unordered: each class's
-    births (``_partitions`` across the arriving link) merged up the chain's
-    remaining indices, the kept ones dropped."""
+    past m/2 blocks.  ``blocks`` reads them unordered, a level of each
+    class's runs at a time (``_class_runs``), the kept levels dropped."""
 
     __slots__ = ("m", "places", "length")
     _member = "an excluded partition"
@@ -535,39 +535,44 @@ class _Excluded(_FamilyView):
                     continue
             yield _trusted(m, p)
 
-    def blocks(self) -> Iterator[Blocks]:
-        """The excluded block tuples, in no particular order: the tails of
-        the class runs (``_class_runs``) of each class whose runs outgrow
-        what a chain keeps."""
+    def blocks(self) -> Iterator[list[Blocks]]:
+        """The excluded block tuples, in no particular order, one level at
+        a time: the tail levels of each class whose runs outgrow what a
+        chain keeps (``_class_runs``), the kept levels skipped."""
         m = self.m
         tailed = [sizes for sizes, (t, js) in self.places.items() if len(js) - t > max(0, 2 * len(sizes) - m)]
-        for _, tail in _class_runs(m, self.places, tailed):
-            yield from tail
+        for levels, keep in _class_runs(m, self.places, tailed):
+            yield from itertools.islice(levels, max(0, keep), None)
+
+
+def _merged(level: list[Blocks], j: int) -> list[Blocks]:
+    """Each partition of ``level`` with the singleton at index j merged
+    into the block after it, as ``_expand`` merges one."""
+    return [p[:j] + (p[j] + p[j + 1],) + p[j + 2:] for p in level]
 
 
 def _class_runs(m: int, places: dict[tuple[int, ...], tuple[int, tuple[int, ...]]],
-                classes: Iterable[tuple[int, ...]]) -> Iterator[tuple[Sequence[Blocks], Sequence[Blocks]]]:
-    """The runs of the given classes of a built family, each split into
-    the chain it keeps and the tail the family excludes.  A run starts at
-    each birth of the class (``_partitions`` across the arriving link) and
-    is that birth merged up the chain's remaining indices, expanded once;
-    a birth of b blocks keeps its first max(0, 2b - m) members.  A run
-    kept whole or excluded whole comes as it is, beside ``()``; only a
-    run that holds both is sliced."""
+                classes: Iterable[tuple[int, ...]]) -> Iterator[tuple[Iterator[list[Blocks]], int]]:
+    """The runs of the given classes of a built family, each class as its
+    levels and the number of them a chain keeps.  A run starts at each
+    birth of the class (``_partitions`` across the arriving link) and is
+    that birth merged up the chain's remaining indices: level 0 is the
+    births, and level k + 1 is level k merged at js[t + 1 + k]
+    (``_merged``), built when it is read, so at most two levels of a class
+    are alive at once.  Births of b blocks keep their first 2b - m levels
+    as chains, and the rest of their levels are excluded."""
     for sizes in classes:
         t, js = places[sizes]
-        keep = 2 * len(sizes) - m
-        up = js[t + 1:]
-        births = _partitions(m, sizes, js[t])
-        # At the top of its chain a run is its birth alone.
-        runs = map(_expand, births, itertools.repeat(up)) if up else zip(births)
-        if keep <= 0:
-            yield from zip(itertools.repeat(()), runs)
-        elif keep > len(up):
-            yield from zip(runs, itertools.repeat(()))
-        else:
-            for run in runs:
-                yield run[:keep], run[keep:]
+        yield itertools.accumulate(js[t + 1:], _merged, initial=_partitions(m, sizes, js[t])), 2 * len(sizes) - m
+
+
+def _excluded_levels(excluded: Sequence[SetPartition]) -> Iterable[list[Blocks]]:
+    """The block tuples of the excluded partitions, as levels: a built
+    family's come unsorted, one tail level at a time (``_Excluded.blocks``),
+    and any other list is one level."""
+    if isinstance(excluded, _Excluded):
+        return excluded.blocks()
+    return [[p.blocks for p in excluded]]
 
 
 def _chain_blocks(chains: Sequence[Sequence[SetPartition]]) -> Iterable[list[Blocks]]:
@@ -577,14 +582,6 @@ def _chain_blocks(chains: Sequence[Sequence[SetPartition]]) -> Iterable[list[Blo
     if isinstance(chains, _Chains):
         return chains.blocks()
     return ([p.blocks for p in chain] for chain in chains)
-
-
-def _excluded_blocks(excluded: Sequence[SetPartition]) -> Iterable[Blocks]:
-    """The block tuples of the excluded partitions; a built family's come
-    unsorted, straight from the runs that hold them."""
-    if isinstance(excluded, _Excluded):
-        return excluded.blocks()
-    return (p.blocks for p in excluded)
 
 
 class PartitionChainFamily(_Value):
@@ -831,60 +828,72 @@ def _halves(weights: list[tuple[tuple[int, ...], int]]) -> tuple[list[tuple[int,
 
 
 def _mark_runs(m: int, index: Callable[[Blocks], int], marks: bytearray,
-               runs: Iterable[tuple[Sequence[Blocks], Iterable[Blocks]]]
+               groups: Iterable[tuple[Iterable[Sequence[Blocks]], int]]
                ) -> tuple[list[tuple[str, str]], list[tuple[int, int]], dict[Blocks, list[int]], int, bool]:
-    """Mark ``runs`` on ``marks``, one byte per partition at its rank
+    """Mark ``groups`` on ``marks``, one byte per partition at its rank
     (``index``): bit 1 for a chain member, bit 2 for an excluded partition.
-    Each run is a chain, whose symmetry and links are checked, and a tail
-    of excluded partitions.  An occurrence whose byte is already marked
+    A group is (levels, keep): runs read a level at a time, position i of
+    each level in run i.  The first ``keep`` levels are chains, marked with
+    bit 1, and the rest are excluded, marked with bit 2.  Each pair of
+    consecutive chain levels has its links checked at once
+    (``_is_singleton_merge`` mapped over both), and the first and last
+    chain levels the symmetry of each run (``map(len, ...)``); only a check
+    that fails lists its runs, a group's symmetry failures ahead of its
+    link failures, so groups of one chain list them chain by chain.  An
+    occurrence whose byte is already marked
     ORs its bit in and is listed as (rank, its bit if the byte held it,
     else 0), so the map holds each partition once and the list the rest.
     Blocks the rank refuses are partitions outside the lattice, counted
     apart as [chain members, excluded entries].  Returns the link and
     symmetry failures, that list, those counts, the number of chains, and
-    whether an excluded partition has more than floor(m/2) blocks.  Such a
-    partition breaks a coverage bound (the rank bound follows from the
-    block bound) unless the other half holds it in a chain, so the
-    witness walk decides once both halves are in.  Knows nothing of the
-    other half, so it runs in the verifier's process or in its worker
-    alike."""
-    n = m - 1
+    whether an excluded partition has more than floor(m/2) blocks
+    (``max(map(len, level))``).  Such a partition breaks a coverage bound
+    (the rank bound follows from the block bound) unless the other half
+    holds it in a chain, so the witness walk decides once both halves are
+    in.  Knows nothing of the other half, so it runs in the verifier's
+    process or in its worker alike."""
+    # A symmetric run's first and last members have m + 1 blocks between them.
+    ends = m + 1
     wide = m // 2
     failures: list[tuple[str, str]] = []
     again: list[tuple[int, int]] = []
     outside: dict[Blocks, list[int]] = {}
     walked = 0
     uncovered = False
-    # Partitions in the lattice are ranked and marked inline, as these
-    # loops run once per partition.
-    for chain, tail in runs:
-        if chain:
-            walked += 1
-            for p in chain:
+    for levels, keep in groups:
+        start = len(failures)
+        for k, level in enumerate(levels):
+            bit = 1 if k < keep else 2
+            # Partitions in the lattice are ranked and marked inline, as
+            # this loop runs once per partition.
+            for p in level:
                 i = index(p)
                 if i < 0:
-                    outside.setdefault(p, [0, 0])[0] += 1
+                    outside.setdefault(p, [0, 0])[bit >> 1] += 1
                 elif marks[i]:
-                    again.append((i, marks[i] & 1))
-                    marks[i] |= 1
+                    again.append((i, marks[i] & bit))
+                    marks[i] |= bit
                 else:
-                    marks[i] = 1
-            if 2 * m - len(chain[0]) - len(chain[-1]) != n:
-                failures.append(("not_symmetric", f"{_literal(chain[0])} .. {_literal(chain[-1])}"))
-            for lo, hi in zip(chain, chain[1:]):
-                if not _is_singleton_merge(lo, hi):
-                    failures.append(("not_saturated", f"{_literal(lo)} -> {_literal(hi)}"))
-        for p in tail:
-            i = index(p)
-            if i < 0:
-                outside.setdefault(p, [0, 0])[1] += 1
-            elif marks[i]:
-                again.append((i, marks[i] & 2))
-                marks[i] |= 2
+                    marks[i] = bit
+            if bit == 2:
+                if level and max(map(len, level)) > wide:
+                    uncovered = True
+                continue
+            if k:
+                if not all(map(_is_singleton_merge, lo, level)):
+                    failures += [("not_saturated", f"{_literal(a)} -> {_literal(b)}")
+                                 for a, b in zip(lo, level) if not _is_singleton_merge(a, b)]
             else:
-                marks[i] = 2
-            if len(p) > wide:
-                uncovered = True
+                first = level
+                walked += len(level)
+            if k < keep - 1:
+                lo = level
+                continue
+            if not all(map(ends.__eq__, map(add, map(len, first), map(len, level)))):
+                failures[start:start] = [("not_symmetric", f"{_literal(a)} .. {_literal(b)}")
+                                         for a, b in zip(first, level) if len(a) + len(b) != ends]
+            # The tail levels need neither.
+            first = lo = None
     return failures, again, outside, walked, uncovered
 
 
@@ -995,13 +1004,15 @@ def verify_partition_chains(fam: PartitionChainFamily,
 
     Membership is one byte per partition of the lattice, indexed by its
     rank (``_rank_index``): bit 1 for a chain member, bit 2 for an
-    excluded partition (``_mark_runs``).  A built family, whose two views
-    read one place table, is read as class runs (``_class_runs``): each
-    birth of a class expanded once up its subset chain, its first
-    max(0, 2b - m) members a chain and the rest excluded.  Each class
-    weighs the partitions its runs hold (``_class_weights``), and the class
-    list is cut where the running weight passes half (``_halves``).  Any
-    other family is read as two jobs, its chains and its excluded list.
+    excluded partition (``_mark_runs``, which marks and checks a level of
+    runs at a time).  A built family, whose two views read one place
+    table, is read as class runs (``_class_runs``): a class's births, then
+    those merged up its subset chain a level at a time, the first
+    max(0, 2b - m) levels chains and the rest excluded.  Each class weighs
+    the partitions its runs hold (``_class_weights``), and the class list
+    is cut where the running weight passes half (``_halves``).  Any other
+    family is read as two jobs: its chains, each its own group of
+    one-partition levels, and its excluded list (``_excluded_levels``).
 
     From Bell(9) partitions on, where ``os.sched_getaffinity`` gives a
     second CPU and this process runs one thread, a forked child marks the
@@ -1031,8 +1042,8 @@ def verify_partition_chains(fam: PartitionChainFamily,
     if isinstance(chains, _Chains) and isinstance(excluded, _Excluded) and chains.places == excluded.places:
         head, tail = (_class_runs(m, chains.places, half) for half in _halves(_class_weights(m, chains.places)))
     else:
-        head = ((chain, ()) for chain in _chain_blocks(chains))
-        tail = [((), _excluded_blocks(excluded))]
+        head = ((zip(blocks), len(blocks)) for blocks in _chain_blocks(chains))
+        tail = [(_excluded_levels(excluded), 0)]
     status = bytearray(size)
     marks = worker = None
     try:
@@ -1146,9 +1157,12 @@ def family_from_json(obj: dict, ceiling: int = DEFAULT_PARTITION_CEILING) -> Par
     return PartitionChainFamily(m, chains, excluded)
 
 
-def family_to_dot(fam: PartitionChainFamily) -> str:
+def family_to_dot(fam: PartitionChainFamily, ceiling: int = DEFAULT_DOT_CEILING) -> str:
     """Hasse diagram of all partitions in the family; chain links solid,
-    other covers dotted, excluded partitions dashed."""
+    other covers dotted, excluded partitions dashed.  The diagram indexes
+    every partition the family holds as a node, so m past ``ceiling`` is
+    refused before any is read."""
+    _check_ceiling(fam.m, ceiling, f"Bell({fam.m}) partitions")
     return "\n".join(_dot_lines(fam))
 
 
@@ -1162,7 +1176,8 @@ def _dot_lines(fam: PartitionChainFamily) -> Iterator[str]:
     at once, so equal blocks are shared as the nodes are collected."""
     share = {}.setdefault
     chains = [[tuple(share(b, b) for b in p) for p in chain] for chain in _chain_blocks(fam.chains)]
-    excluded = {tuple(share(b, b) for b in p) for p in _excluded_blocks(fam.excluded)}
+    excluded = {tuple(share(b, b) for b in p)
+                for p in itertools.chain.from_iterable(_excluded_levels(fam.excluded))}
     nodes = sorted({p for chain in chains for p in chain} | excluded)
     index = {blocks: i for i, blocks in enumerate(nodes)}
     literals = [_literal(blocks) for blocks in nodes]

@@ -16,8 +16,8 @@ RIGHT = ")"
 
 # The default ceilings of the four enumerations, all enforced by
 # ``_check_ceiling``; each layer's signatures take theirs from here, so the
-# CLI's parser reads them without loading a layer.  The CLI alone reads the
-# lower dot ceiling below.
+# CLI's parser reads them without loading a layer.  The partition family's
+# dot writer has the lower dot ceiling below.
 #
 # Whole-lattice enumerations refuse to run past this many ground elements
 # unless the caller raises the ceiling explicitly.  Set by memory when every
@@ -41,9 +41,10 @@ DEFAULT_PARTITION_CEILING = 12
 
 # The partition ceiling of the dot writer, which indexes every partition
 # as a node: 247 MB at m = 11 and 1,411 MB at m = 12, over the 1.2 GB
-# budget.  So ``decompose-partition --format dot`` refuses m past 11
-# unless --ceiling is given.  The library's ``family_to_dot`` takes a built
-# family and does not check it: ``build_partition_chains`` admits m = 12.
+# budget.  ``build_partition_chains`` admits m = 12, so ``family_to_dot``
+# refuses m past this unless its ``ceiling`` is raised, before it holds a
+# node, and ``decompose-partition --format dot`` refuses it before it
+# builds unless --ceiling is given.
 DEFAULT_DOT_CEILING = 11
 
 # 2^(n-1) terms per sum; past this the closed forms are refused by default.

@@ -15,6 +15,7 @@ import os
 import pickle
 import signal
 import threading
+import time
 import tracemalloc
 from collections import Counter
 from functools import lru_cache
@@ -64,6 +65,7 @@ from symchains.partitions import (
     _walk,
 )
 from symchains.reports import _WITNESS_CAP
+from symchains.subsets import DEFAULT_DOT_CEILING
 
 from capped_walk import check_block_walk
 from test_startup import fresh_python
@@ -247,6 +249,30 @@ def reference_chain_starts(n):
                     j = _merge_index(entries, added)
                 starts += _partitions(m, sizes, j)
     return sorted(starts)
+
+
+def reference_class_runs(m, places, classes):
+    """The runs of the given classes of a built family, a birth at a time,
+    as the verifier once read them: each birth of a class (``_partitions``
+    across the arriving link) expanded once up the chain's remaining
+    indices (``_expand``) and split into the chain it keeps, its first
+    max(0, 2b - m) members for a birth of b blocks, and the excluded tail."""
+    for sizes in classes:
+        t, js = places[sizes]
+        keep = max(0, 2 * len(sizes) - m)
+        for birth in _partitions(m, sizes, js[t]):
+            run = partitions._expand(birth, js[t + 1:])
+            yield tuple(run[:keep]), tuple(run[keep:])
+
+
+def level_runs(m, places, classes):
+    """The runs that ``_class_runs`` gives a level at a time, read across
+    the levels of each class (run i is position i of every level) and split
+    as ``reference_class_runs`` splits them."""
+    for levels, keep in partitions._class_runs(m, places, classes):
+        keep = max(0, keep)
+        for run in zip(*levels):
+            yield run[:keep], run[keep:]
 
 
 def reference_verify_partition_chains(fam):
@@ -1071,6 +1097,18 @@ class TestFamilySerialization:
         assert '"1/2/3/4" -> "1/2/3,4" [style=solid]' in dot
         assert '"1/2/3/4" -> "1,2/3/4" [style=solid]' in dot
 
+    def test_dot_ceiling(self):
+        # The dot writer indexes every node, so a family past its ceiling is
+        # refused before anything is read; m = 12 would take about 1.4 GB.
+        start = time.perf_counter()
+        with pytest.raises(CeilingExceeded, match=f"12 > {DEFAULT_DOT_CEILING}"):
+            family_to_dot(build_partition_chains(11))
+        assert time.perf_counter() - start < 1
+        with pytest.raises(CeilingExceeded, match="8 > 7"):
+            family_to_dot(build_partition_chains(7), ceiling=7)
+        dot = family_to_dot(build_partition_chains(7), ceiling=DEFAULT_DOT_CEILING + 1)
+        assert hashlib.sha256(dot.encode()).hexdigest() == FAMILY_DOT_7_SHA256
+
     def test_dot_output(self):
         dot = family_to_dot(build_partition_chains(3))
         assert dot.startswith("digraph")
@@ -1280,8 +1318,8 @@ class TestTwoProcessVerify:
 
     def test_tuple_chains_with_the_built_excluded_view(self, workers):
         # The chains are tuples and the excluded list is the built view, so
-        # the child reads the view's unordered stream (``_Excluded.blocks``,
-        # the tails of the class runs) while the verifier marks the chains.
+        # the child reads the view's tail levels (``_Excluded.tails``, the
+        # tails of the class runs) while the verifier marks the chains.
         chains, excluded = tuple_family(9)
         mixed = verify_partition_chains(PartitionChainFamily(10, chains, family(9).excluded))
         assert len(workers) == 1
@@ -1342,7 +1380,7 @@ class TestTwoProcessVerify:
         split = dict(zip(("head", "tail"), halves(partitions._class_weights(m, places))))
 
         def runs(sizes):
-            return list(partitions._class_runs(m, places, [sizes]))
+            return list(level_runs(m, places, [sizes]))
 
         twice = next(sizes for sizes in split[source]
                      if any(chain for chain, _ in runs(sizes)) and any(tail for _, tail in runs(sizes)))
@@ -1451,18 +1489,129 @@ class TestTwoProcessVerify:
 
 
 class TestClassRuns:
-    """The verifier reads a built family as class runs: each birth of a
-    class expanded once up its subset chain, its first max(0, 2b - m)
-    members a chain and the rest excluded, the classes weighed by the
-    partitions their runs hold and cut into two halves of near equal
-    weight."""
+    """The verifier reads a built family as class runs, a level at a time:
+    the births of a class, then those merged up its subset chain one index
+    at a time, the first max(0, 2b - m) levels chains and the rest
+    excluded.  The classes are weighed by the partitions their runs hold
+    and cut into two halves of near equal weight.  A hand-built family is
+    read by the same routine, each chain a group of its own."""
+
+    def test_levels_equal_the_per_birth_runs(self):
+        # The same runs in the same order, split the same way, class by class.
+        for n in range(10):
+            m = n + 1
+            places = family(n).chains.places
+            for sizes in places:
+                assert list(level_runs(m, places, [sizes])) == list(reference_class_runs(m, places, [sizes])), \
+                    (n, sizes)
+
+    def test_hand_built_families_with_mixed_lengths(self):
+        for n in range(9):
+            m = n + 1
+            chains, excluded = tuple_family(n)
+            hand = PartitionChainFamily(m, chains, excluded)
+            assert len({len(chain) for chain in chains}) == (n + 2) // 2, n
+            assert verify_partition_chains(hand) == reference_verify_partition_chains(hand), n
+            # One chain of each length loses its top: each is asymmetric,
+            # and its top is missing.
+            tops = {}
+            for a, chain in enumerate(chains):
+                tops.setdefault(len(chain), a)
+            short = tuple(chain[:-1] if a in tops.values() and len(chain) > 1 else chain
+                          for a, chain in enumerate(chains))
+            rep = checked_verify(PartitionChainFamily(m, short, excluded))
+            asymmetric = sum(1 for length in tops if length > 1)
+            assert Counter(kind for kind, _ in rep.failures) == (
+                {"not_symmetric": asymmetric, "missing": asymmetric} if asymmetric else {}), n
+
+    def test_hand_built_failures_come_chain_by_chain(self):
+        # Two chains of one length swap their second members, and the first
+        # of them loses its top too: it is asymmetric and has broken links,
+        # the other has broken links.  The report lists them chain by
+        # chain, each chain's symmetry ahead of its links, as the reference
+        # does: the same tuple, not only the same multiset.  Chains have
+        # m's parity in length, so an odd m has chains of three.
+        for n in range(4, 9, 2):
+            m = n + 1
+            chains, excluded = tuple_family(n)
+            a, b = [i for i, chain in enumerate(chains) if len(chain) == 3][:2]
+            mutant = list(chains)
+            mutant[a] = (chains[a][0], chains[b][1])
+            mutant[b] = (chains[b][0], chains[a][1], chains[b][2])
+            fam = PartitionChainFamily(m, tuple(mutant), excluded)
+            rep = verify_partition_chains(fam)
+            assert rep == reference_verify_partition_chains(fam), n
+            kinds = [kind for kind, _ in rep.failures if kind in ("not_symmetric", "not_saturated")]
+            assert kinds == ["not_symmetric", "not_saturated"] + ["not_saturated"] * 2, n
+
+    @staticmethod
+    def patch_class(monkeypatch, sizes, edit):
+        """``_class_runs`` with ``edit(levels, keep)`` giving the levels and
+        keep of class ``sizes`` in place of its own."""
+        runs = partitions._class_runs
+
+        def edited(m, places, classes):
+            for (levels, keep), got in zip(runs(m, places, classes), classes):
+                yield edit(levels, keep) if got == sizes else (levels, keep)
+
+        monkeypatch.setattr(partitions, "_class_runs", edited)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_broken_link_names_its_run(self, monkeypatch, cpus):
+        # The second run of a class keeping two levels has its second
+        # member swapped for a merge of its first two blocks: a cover, but
+        # no singleton merge.  Only that run's link is named unsaturated.
+        fam = family(9)
+        m, places = 10, fam.chains.places
+        sizes = next(s for s in places if 2 * len(s) - m == 2 and s[0] > 1 and len(list(level_runs(m, places, [s]))) > 1)
+        (lo, hi), _ = list(level_runs(m, places, [sizes]))[1]
+        wrong = (tuple(sorted(lo[0] + lo[1])),) + lo[2:]
+
+        def edit(levels, keep):
+            levels = list(levels)
+            levels[1] = levels[1][:1] + [wrong] + levels[1][2:]
+            return levels, keep
+
+        self.patch_class(monkeypatch, sizes, edit)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        rep = verify_partition_chains(fam)
+        assert [w for kind, w in rep.failures if kind == "not_saturated"] == [f"{_literal(lo)} -> {_literal(wrong)}"]
+        chains, excluded = tuple_family(9)
+        chains = tuple((chain[0], _trusted(m, wrong)) if chain[0].blocks == lo else chain for chain in chains)
+        ref = reference_verify_partition_chains(PartitionChainFamily(m, chains, excluded))
+        assert (rep.ok, rep.element_count, rep.chain_count) == (ref.ok, ref.element_count, ref.chain_count)
+        assert Counter(rep.failures) == Counter(ref.failures)
+        assert _literal(hi) in {w for kind, w in rep.failures if kind == "missing"}
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_an_asymmetric_class_names_each_chain(self, monkeypatch, cpus):
+        # A class whose chains keep one level fewer: every chain of it is
+        # asymmetric, and the level it drops is excluded.
+        fam = family(9)
+        m, places = 10, fam.chains.places
+        sizes = next(s for s in places if 2 * len(s) - m >= 2 and len(list(level_runs(m, places, [s]))) > 1)
+        runs = list(level_runs(m, places, [sizes]))
+        self.patch_class(monkeypatch, sizes, lambda levels, keep: (levels, keep - 1))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        rep = verify_partition_chains(PartitionChainFamily(
+            m, fam.chains, partitions._Excluded(m, places, len(fam.excluded) + len(runs))))
+        assert Counter(rep.failures) == Counter(
+            ("not_symmetric", f"{_literal(chain[0])} .. {_literal(chain[-2])}") for chain, _ in runs)
+        assert rep.chain_count == len(fam.chains)
+        chains, excluded = tuple_family(9)
+        starts = {chain[0] for chain, _ in runs}
+        ref = reference_verify_partition_chains(PartitionChainFamily(
+            m, tuple(chain[:-1] if chain[0].blocks in starts else chain for chain in chains),
+            excluded + tuple(_trusted(m, chain[-1]) for chain, _ in runs)))
+        assert (rep.ok, rep.element_count, rep.chain_count) == (ref.ok, ref.element_count, ref.chain_count)
+        assert Counter(rep.failures) == Counter(ref.failures)
 
     def test_runs_are_the_chains_and_the_excluded(self):
         for n in range(9):
             m = n + 1
             fam = family(n)
             chains, tails = Counter(), []
-            for chain, tail in partitions._class_runs(m, fam.chains.places, fam.chains.places):
+            for chain, tail in level_runs(m, fam.chains.places, fam.chains.places):
                 if chain:
                     chains[tuple(chain)] += 1
                 tails += tail
@@ -1476,7 +1625,7 @@ class TestClassRuns:
             weights = partitions._class_weights(m, places)
             assert [sizes for sizes, _ in weights] == list(places), n
             for sizes, weight in weights:
-                runs = partitions._class_runs(m, places, [sizes])
+                runs = level_runs(m, places, [sizes])
                 assert weight == sum(len(chain) + len(tail) for chain, tail in runs), (n, sizes)
             assert sum(weight for _, weight in weights) == bell_oracle(m), n
 
@@ -1536,7 +1685,7 @@ class TestBuiltFamilyViews:
         # walk; the unordered stream walks the classes' runs instead.
         for n in range(11):
             excluded = family(n).excluded
-            assert [p.blocks for p in excluded] == sorted(excluded.blocks()), n
+            assert [p.blocks for p in excluded] == sorted(itertools.chain.from_iterable(excluded.blocks())), n
 
     @staticmethod
     def walked(monkeypatch, run):
