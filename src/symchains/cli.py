@@ -56,17 +56,27 @@ def _emit(args: argparse.Namespace, **views: Callable[[], Any]) -> None:
     """
     if args.quiet:
         return
-    view = views[args.format]()
-    if args.format == "json":
-        sys.stdout.writelines(_json_chunks(view))
-        print()
-    else:
-        for line in view:
-            if isinstance(line, str):
-                print(line)
-            else:
-                sys.stdout.writelines(line)
-                print()
+    # From Python 3.10.7 on, str() refuses an int of over 4,300 digits, a
+    # guard against slow parsing of input.  Exact results outgrow it, so it
+    # is lifted only while the output is written, and input keeps it.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        view = views[args.format]()
+        if args.format == "json":
+            sys.stdout.writelines(_json_chunks(view))
+            print()
+        else:
+            for line in view:
+                if isinstance(line, str):
+                    print(line)
+                else:
+                    sys.stdout.writelines(line)
+                    print()
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _json_chunks(doc: dict) -> Iterator[str]:
@@ -194,9 +204,9 @@ def _cmd_decompose_partition(args: argparse.Namespace) -> int:
     fam = partitions.build_partition_chains(args.n, ceiling=default if args.ceiling is None else args.ceiling)
 
     def text() -> Iterator[str | Iterator[str]]:
-        for chain in fam.chains:
-            yield " < ".join(p.literal() for p in chain)
-        literals = (p.literal() for p in fam.excluded)
+        for chain in partitions._chain_blocks(fam.chains):
+            yield " < ".join(map(partitions._literal, chain))
+        literals = map(partitions._literal, partitions._excluded_blocks(fam.excluded))
         yield itertools.chain(["excluded: " + next(literals, "")], map(" ".__add__, literals))
 
     _emit(args, json=lambda: partitions._json_view(fam), dot=lambda: partitions._dot_lines(fam),
@@ -239,7 +249,7 @@ def _cmd_bell(args: argparse.Namespace) -> int:
 def _cmd_stirling(args: argparse.Namespace) -> int:
     from . import identities
 
-    row = identities.stirling_table(args.n, ceiling=args.ceiling).row(args.n)
+    row = identities._stirling_row(args.n, args.ceiling)
     _emit(args, json=lambda: {"n": args.n, "row": list(row)},
           text=lambda: [" ".join(str(v) for v in row)])
     return 0
@@ -250,9 +260,8 @@ def _cmd_stirling_check(args: argparse.Namespace) -> int:
 
     if args.n < 0:
         raise ValueError("n must be nonnegative")
-    table = identities.stirling_table(args.n, ceiling=args.ceiling)
-    rows = [(n, identities._monotone_report(table, n), identities._symmetry_audit(table, n))
-            for n in range(args.n + 1)]
+    rows = [(n, identities._monotone_report(row), identities._symmetry_audit(row))
+            for n, row in enumerate(identities._stirling_rows(args.n, args.ceiling))]
     monotone_failures = [f for _, rep, _ in rows for f in rep.failures]
     plain = [(n, *c) for n, _, audit in rows for c in audit.reflection_counterexamples]
     shifted = [(n, *c) for n, _, audit in rows for c in audit.shifted_counterexamples]

@@ -8,9 +8,11 @@ power series).  All arithmetic is exact; floats never appear.
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial, lcm, prod
-from operator import getitem
+from operator import add, getitem, mul
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .coding import encode
@@ -49,25 +51,36 @@ class StirlingTable(_Value):
 
 
 def stirling_table(n_max: int, ceiling: int = DEFAULT_STIRLING_CEILING) -> StirlingTable:
-    """Build the triangle from S(n,k) = S(n-1,k-1) + k*S(n-1,k), S(0,0) = 1."""
+    """Rows 0..n_max of the triangle, held (``_stirling_rows``)."""
+    return StirlingTable(n_max, tuple(_stirling_rows(n_max, ceiling)))
+
+
+def _stirling_rows(n_max: int, ceiling: int) -> Iterator[tuple[int, ...]]:
+    """Rows 0..n_max of the triangle in turn, each built from the one before
+    by S(n,k) = S(n-1,k-1) + k*S(n-1,k), S(0,0) = 1, so a reader that keeps
+    none holds two rows.  The size is checked here, eagerly."""
     if _json_int(n_max) < 0:
         raise ValueError("n_max must be nonnegative")
     _check_ceiling(n_max, ceiling, f"rows 0..{n_max} of the Stirling triangle")
-    rows = [(1,)]
-    for n in range(1, n_max + 1):
-        prev = rows[-1]
-        row = [0] * (n + 1)
-        for k in range(1, n + 1):
-            row[k] = prev[k - 1] + (k * prev[k] if k < n else 0)
-        rows.append(tuple(row))
-    return StirlingTable(n_max, tuple(rows))
+    return accumulate(range(1, n_max + 1), _next_row, initial=(1,))
+
+
+def _next_row(prev: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Row n from row n-1: S(n,0) = 0, S(n,n) = S(n-1,n-1), and between
+    them S(n-1,k-1) + k*S(n-1,k)."""
+    return (0, *map(add, prev, map(mul, range(1, n), prev[1:])), prev[-1])
+
+
+def _stirling_row(n: int, ceiling: int = DEFAULT_STIRLING_CEILING) -> tuple[int, ...]:
+    """Row n of the triangle, the rows before it dropped as they are read."""
+    return deque(_stirling_rows(n, ceiling), maxlen=1).pop()
 
 
 def bell_oracle(n: int, ceiling: int = DEFAULT_STIRLING_CEILING) -> int:
     """Bell number as the row sum of the Stirling triangle."""
     if _json_int(n) < 0:
         raise ValueError("n must be nonnegative")
-    return sum(stirling_table(n, ceiling).row(n))
+    return sum(_stirling_row(n, ceiling))
 
 
 def _codes(n: int, ceiling: int) -> Iterator[tuple[int, ...]]:
@@ -107,16 +120,18 @@ def bell_via_codes(n: int, ceiling: int = DEFAULT_CODE_SUM_CEILING) -> int:
 def check_stirling_monotone(n: int,
                             ceiling: int = DEFAULT_STIRLING_CEILING) -> VerificationReport:
     """Verify S(n,n) <= S(n,n-1) <= ... <= S(n, floor((n+1)/2))."""
-    return _monotone_report(stirling_table(n, ceiling), n)
+    return _monotone_report(_stirling_row(n, ceiling))
 
 
-def _monotone_report(table: StirlingTable, n: int) -> VerificationReport:
+def _monotone_report(row: tuple[int, ...]) -> VerificationReport:
+    """``check_stirling_monotone`` on row n of the triangle."""
+    n = len(row) - 1
     failures = []
     low = (n + 1) // 2
     checked = 0
     for k in range(n, low, -1):
         checked += 1
-        lhs, rhs = table.value(n, k), table.value(n, k - 1)
+        lhs, rhs = row[k], row[k - 1]
         if lhs > rhs:
             failures.append(("monotone", f"S({n},{k})={lhs} > S({n},{k - 1})={rhs}"))
     return VerificationReport(checked, 1, tuple(failures))
@@ -140,18 +155,20 @@ class SymmetryAudit(_Value):
 
 
 def check_stirling_symmetry(n: int, ceiling: int = DEFAULT_STIRLING_CEILING) -> SymmetryAudit:
-    return _symmetry_audit(stirling_table(n, ceiling), n)
+    return _symmetry_audit(_stirling_row(n, ceiling))
 
 
-def _symmetry_audit(table: StirlingTable, n: int) -> SymmetryAudit:
+def _symmetry_audit(row: tuple[int, ...]) -> SymmetryAudit:
+    """``check_stirling_symmetry`` on row n of the triangle."""
+    n = len(row) - 1
     plain = []
     for k in range(1, n // 2 + 1):
-        lhs, rhs = table.value(n, k), table.value(n, n - k)
+        lhs, rhs = row[k], row[n - k]
         if lhs < rhs:
             plain.append((k, lhs, rhs))
     shifted = []
     for k in range(1, (n + 1) // 2 + 1):
-        lhs, rhs = table.value(n, k), table.value(n, n - k + 1)
+        lhs, rhs = row[k], row[n - k + 1]
         if lhs < rhs:
             shifted.append((k, lhs, rhs))
     return SymmetryAudit(n, not plain, tuple(plain), not shifted, tuple(shifted))

@@ -421,7 +421,8 @@ class _FamilyView(_TupleView):
     which would hide Sequence's), walked in block order on every read.
     ``places`` maps a class's type to its place t in its subset chain and
     that chain's merge indices js: js[t] arrives at the class (-1 at the
-    bottom), and js[t + 1:] lead on to the top.  Each view names the slots,
+    bottom), and js[t + 1:] lead on to the top.  Both views keep what one
+    rule selects from a walk (``_split_back``).  Each view names the slots,
     as ``_TupleView.__reduce__`` reads those of its class."""
 
     __slots__ = ()
@@ -454,14 +455,36 @@ class _FamilyView(_TupleView):
                 return i
         raise ValueError(f"{value!r} is not {self._member} of the family")
 
+    def _split_back(self, walk: Iterable[Blocks]) -> Iterator[Blocks]:
+        """The partitions of ``walk`` that the split-back rule selects: p, of
+        b blocks in class t, fails to split back (``_is_image``, then
+        ``_split``) across one of js[t], js[t - 1], ..., max(1, m - 2b + 1)
+        indices, or has none, at a chain's bottom.  A class of b <= m/2
+        blocks has that many below it: it sits at rank m - b of a chain
+        from rank r to m - 1 - r, so r < b and t = m - b - r >= m - 2b + 1."""
+        m = self.m
+        downs = {sizes: js[t:t - max(1, m - 2 * len(sizes) + 1):-1] for sizes, (t, js) in self.places.items()}
+        for p in walk:
+            down = downs[tuple(map(len, p))]
+            if not down or not _is_image(p, down[0]):
+                yield p
+            elif len(down) > 1:
+                # Split only ahead of a test, never after the last.
+                q = p
+                for j, k in zip(down, down[1:]):
+                    q = _split(q, j)
+                    if not _is_image(q, k):
+                        yield p
+                        break
+
 
 class _Chains(_FamilyView):
     """The chains of a built family.  A chain starts at each partition with
-    more than m/2 blocks that is the bottom class's or no image across
-    js[t] (``_is_image``), so ``starts`` walks those partitions and keeps
-    the starts, and nothing is stored or sorted.  ``length`` is the number
-    of chains, counted when built.  A chain starting with b blocks keeps
-    2b - m partitions: the start merged along the next 2b - m - 1 indices."""
+    more than m/2 blocks that the split-back rule selects, the bottom
+    class's or no image across js[t]; ``starts`` walks and keeps those, and
+    nothing is stored or sorted.  ``length`` is the number of chains,
+    counted when built.  A chain starting with b blocks keeps 2b - m
+    partitions: the start merged along the next 2b - m - 1 indices."""
 
     __slots__ = ("m", "places", "length")
     _member = "a chain"
@@ -471,12 +494,7 @@ class _Chains(_FamilyView):
 
     def starts(self) -> Iterator[Blocks]:
         """Each chain's first partition, in block order."""
-        # Each type's arriving merge index js[t], -1 at the bottom class.
-        arriving = {sizes: js[t] for sizes, (t, js) in self.places.items()}
-        for p in _walk(self.m, self.m // 2 + 1):
-            j = arriving[tuple(map(len, p))]
-            if j < 0 or not _is_image(p, j):
-                yield p
+        return self._split_back(_walk(self.m, self.m // 2 + 1))
 
     def kept(self, start: Blocks) -> list[Blocks]:
         t, js = self.places[tuple(map(len, start))]
@@ -506,43 +524,22 @@ class _Chain(_TupleView):
 
 class _Excluded(_FamilyView):
     """The partitions a built family leaves out, each chain's run past the
-    2b - m it keeps; ``length`` is Bell(m) less those.  Read in order, the
-    walk keeps what the split-back rule excludes: p, of b blocks in class
-    t, splits back across js[t], js[t - 1], ... while ``_is_image`` allows,
-    to its chain's start, which keeps 2(b + splits) - m partitions.  So p
-    is excluded exactly when it splits back at most m - 2b times, never
-    past m/2 blocks.  ``blocks`` reads them unordered, a level of each
-    class's runs at a time (``_class_runs``), the kept levels dropped."""
+    2b - m it keeps; ``length`` is Bell(m) less those.  A partition p of b
+    <= m/2 blocks splits back to its chain's start, which keeps 2(b +
+    splits) - m partitions, so p is excluded exactly when it stops within
+    m - 2b splits: when the split-back rule selects it.  ``blocks`` walks
+    the partitions of at most m/2 blocks in block order and keeps those."""
 
     __slots__ = ("m", "places", "length")
     _member = "an excluded partition"
 
     def __iter__(self) -> Iterator[SetPartition]:
-        m = self.m
-        # The m - 2b + 1 indices each type splits back across, None if fewer.
-        downs = {sizes: js[t:t + 2 * len(sizes) - m - 1:-1] if t + 2 * len(sizes) > m else None
-                 for sizes, (t, js) in self.places.items()}
-        for p in _walk(m, 0):
-            if 2 * len(p) > m:
-                continue
-            q, down = p, downs[tuple(map(len, p))]
-            if down is not None:
-                for j in down:
-                    if not _is_image(q, j):
-                        break
-                    q = _split(q, j)
-                else:
-                    continue
-            yield _trusted(m, p)
+        return map(partial(_trusted, self.m), self.blocks())
 
-    def blocks(self) -> Iterator[list[Blocks]]:
-        """The excluded block tuples, in no particular order, one level at
-        a time: the tail levels of each class whose runs outgrow what a
-        chain keeps (``_class_runs``), the kept levels skipped."""
+    def blocks(self) -> Iterator[Blocks]:
+        """Each excluded partition's block tuple, in block order."""
         m = self.m
-        tailed = [sizes for sizes, (t, js) in self.places.items() if len(js) - t > max(0, 2 * len(sizes) - m)]
-        for levels, keep in _class_runs(m, self.places, tailed):
-            yield from itertools.islice(levels, max(0, keep), None)
+        return self._split_back(p for p in _walk(m, 0) if 2 * len(p) <= m)
 
 
 def _merged(level: list[Blocks], j: int) -> list[Blocks]:
@@ -566,13 +563,12 @@ def _class_runs(m: int, places: dict[tuple[int, ...], tuple[int, tuple[int, ...]
         yield itertools.accumulate(js[t + 1:], _merged, initial=_partitions(m, sizes, js[t])), 2 * len(sizes) - m
 
 
-def _excluded_levels(excluded: Sequence[SetPartition]) -> Iterable[list[Blocks]]:
-    """The block tuples of the excluded partitions, as levels: a built
-    family's come unsorted, one tail level at a time (``_Excluded.blocks``),
-    and any other list is one level."""
+def _excluded_blocks(excluded: Sequence[SetPartition]) -> Iterable[Blocks]:
+    """The excluded partitions' block tuples; a built family's are walked
+    in block order without a SetPartition each."""
     if isinstance(excluded, _Excluded):
         return excluded.blocks()
-    return [[p.blocks for p in excluded]]
+    return (p.blocks for p in excluded)
 
 
 def _chain_blocks(chains: Sequence[Sequence[SetPartition]]) -> Iterable[list[Blocks]]:
@@ -1012,7 +1008,7 @@ def verify_partition_chains(fam: PartitionChainFamily,
     the partitions its runs hold (``_class_weights``), and the class list
     is cut where the running weight passes half (``_halves``).  Any other
     family is read as two jobs: its chains, each its own group of
-    one-partition levels, and its excluded list (``_excluded_levels``).
+    one-partition levels, and its excluded list as one such group.
 
     From Bell(9) partitions on, where ``os.sched_getaffinity`` gives a
     second CPU and this process runs one thread, a forked child marks the
@@ -1030,20 +1026,20 @@ def verify_partition_chains(fam: PartitionChainFamily,
     kind, ``missing`` and ``coverage``, and counts the rest in one
     ``(kind, "<N> more")``.  The audit takes a byte per Bell(m) partition
     however small the family is, so m past ``ceiling`` is refused first."""
-    from .identities import stirling_table
+    from .identities import _stirling_row
 
     m = fam.m
     _check_ceiling(m, ceiling, f"Bell({m}) partitions")
     n = m - 1
-    stirling = stirling_table(m)
+    row = _stirling_row(m)
     index = _rank_index(m)
-    size = sum(stirling.row(m))
+    size = sum(row)
     chains, excluded = fam.chains, fam.excluded
     if isinstance(chains, _Chains) and isinstance(excluded, _Excluded) and chains.places == excluded.places:
         head, tail = (_class_runs(m, chains.places, half) for half in _halves(_class_weights(m, chains.places)))
     else:
         head = ((zip(blocks), len(blocks)) for blocks in _chain_blocks(chains))
-        tail = [(_excluded_levels(excluded), 0)]
+        tail = [(zip(_excluded_blocks(excluded)), 0)]
     status = bytearray(size)
     marks = worker = None
     try:
@@ -1118,7 +1114,8 @@ def verify_partition_chains(fam: PartitionChainFamily,
             failures.append((kind, f"{count - _WITNESS_CAP} more"))
     if outside:
         failures.append(("missing", "family mentions partitions outside the lattice"))
-    expected = stirling.value(m, m - n // 2)
+    # m = 0 has no middle level: S(0, 1) = 0.
+    expected = row[m - n // 2] if m else 0
     if walked != expected:
         failures.append(("chain_count", f"{walked} chains, middle level has {expected}"))
     return VerificationReport(size - zeros - twos + outside_members, walked, tuple(failures))
@@ -1138,7 +1135,7 @@ def _json_view(fam: PartitionChainFamily) -> dict:
 
     return {"m": fam.m,
             "chains": ([rows(p) for p in chain] for chain in _chain_blocks(fam.chains)),
-            "excluded": (rows(p.blocks) for p in fam.excluded)}
+            "excluded": map(rows, _excluded_blocks(fam.excluded))}
 
 
 def family_from_json(obj: dict, ceiling: int = DEFAULT_PARTITION_CEILING) -> PartitionChainFamily:
@@ -1176,8 +1173,7 @@ def _dot_lines(fam: PartitionChainFamily) -> Iterator[str]:
     at once, so equal blocks are shared as the nodes are collected."""
     share = {}.setdefault
     chains = [[tuple(share(b, b) for b in p) for p in chain] for chain in _chain_blocks(fam.chains)]
-    excluded = {tuple(share(b, b) for b in p)
-                for p in itertools.chain.from_iterable(_excluded_levels(fam.excluded))}
+    excluded = {tuple(share(b, b) for b in p) for p in _excluded_blocks(fam.excluded)}
     nodes = sorted({p for chain in chains for p in chain} | excluded)
     index = {blocks: i for i, blocks in enumerate(nodes)}
     literals = [_literal(blocks) for blocks in nodes]

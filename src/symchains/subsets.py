@@ -50,10 +50,9 @@ DEFAULT_DOT_CEILING = 11
 # 2^(n-1) terms per sum; past this the closed forms are refused by default.
 DEFAULT_CODE_SUM_CEILING = 25
 
-# Set by memory: the triangle through row n holds about n^2/2 integers of up
-# to about n log2(n) bits each, so its peak RSS grows as n^3.  Measured peaks
-# were 115 MB at n = 800 and 357 MB at n = 1200, so n = 2000 peaks near
-# 1.6 GB, about what the partition ceiling admits.
+# Set by time: a job reads the triangle's rows in turn and holds two, so
+# row 2000 takes about 3 s and 32 MB to print (holding every row, as
+# ``stirling_table`` does, peaks at 1,664 MB there).
 DEFAULT_STIRLING_CEILING = 2000
 
 # Per-set operations stay cheap far beyond enumeration range.

@@ -74,6 +74,7 @@ CLI_SHA256 = [
     ("decompose-partition 4 -q", 0, EMPTY, EMPTY),
     ("decompose-partition 4 -f dot -q", 0, EMPTY, EMPTY),
     ("decompose-partition 0", 0, "1c046eff3179551305c758c178946b334e0b862b1cae132600ee85cd3f0426dc", EMPTY),
+    ("decompose-partition 8", 0, "397f54a85b1b70213999e2d9c2cf08b328109905d91c76363dbda2fa25d2d92c", EMPTY),
     ("verify-boolean 5", 0, "2e9fcf1583e12422a3362a8846a3bcaffcaab5255e67751497c76eb2598e4a67", EMPTY),
     ("verify-boolean 5 -f json", 0, "e852680e1c33d05169af50486e3bb64f4c80ce2f84c187bc2300778623d8e8eb", EMPTY),
     ("verify-boolean 5 -q", 0, EMPTY, EMPTY),
@@ -202,12 +203,13 @@ class TestGoldenText:
 
     def test_stirling_check_reports_failures(self, capsys, monkeypatch):
         # The triangle satisfies both checked inequalities, so faked audits
-        # drive the failure lines and the exit code.
+        # drive the failure lines and the exit code.  Each audit is given a
+        # row, and row n has n + 1 entries.
         from symchains import identities
-        monkeypatch.setattr(identities, "_monotone_report", lambda table, n: VerificationReport(
-            1, 1, (("monotone", f"row {n}"),) if n == 2 else ()))
-        monkeypatch.setattr(identities, "_symmetry_audit", lambda table, n: identities.SymmetryAudit(
-            n, True, (), n != 2, ((1, 3, 7),) if n == 2 else ()))
+        monkeypatch.setattr(identities, "_monotone_report", lambda row: VerificationReport(
+            1, 1, (("monotone", f"row {len(row) - 1}"),) if len(row) == 3 else ()))
+        monkeypatch.setattr(identities, "_symmetry_audit", lambda row: identities.SymmetryAudit(
+            len(row) - 1, True, (), len(row) != 3, ((1, 3, 7),) if len(row) == 3 else ()))
         assert run(["stirling-check", "2"]) == 1
         assert out_of(capsys).splitlines() == [
             "monotone: FAIL (n <= 2)",
@@ -278,6 +280,20 @@ class TestJsonAndDot:
         obj = json.loads(capsys.readouterr().out)
         assert family_from_json(obj) == build_partition_chains(4)
 
+    @pytest.mark.parametrize("fmt", ["json", "text", "dot"])
+    def test_family_writers_build_no_partition(self, capsys, monkeypatch, fmt):
+        # The writers read both views of a built family as block tuples.
+        argv = ["decompose-partition", "6", "-f", fmt]
+        assert run(argv) == 0
+        expected = capsys.readouterr().out
+
+        def refuse(*args):
+            raise AssertionError("a writer built a SetPartition")
+
+        monkeypatch.setattr(partitions, "_trusted", refuse)
+        assert run(argv) == 0
+        assert capsys.readouterr().out == expected
+
     def test_streamed_json_equals_dumps(self, capsys):
         # Written a chain at a time, the documents keep json.dumps' bytes,
         # empty lists (no excluded partitions at n <= 1) included.
@@ -323,6 +339,30 @@ class TestJsonAndDot:
         obj = json.loads(capsys.readouterr().out)
         assert obj["entries"] == [0, 2, 0, 2]
         assert obj["compact"] == "0202"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="str() of an int has no digit limit")
+class TestDigitLimit:
+    """From Python 3.10.7 on, str() refuses an int of over 4,300 digits.
+    Exact results pass that inside the default ceilings, so the writers lift
+    the limit while they write; input keeps it."""
+
+    # Row 1982 holds S(1982, k) of up to 4,303 digits and Bell(1981) has
+    # 4,301; both hashes agree with the recurrence run apart from the package.
+    @pytest.mark.parametrize("argv, out_sha", [
+        ("stirling 1982", "60ac21571078ff2fa91467cb7c84fcd994d744cb22667c05fab45e5e42decee8"),
+        ("bell 1981 --method oracle -f json", "3d16054986f47427d394ca4477f503a57806c01d5c215506367a5d6dbd18adfa"),
+    ])
+    def test_results_past_the_limit_are_written(self, capsys, argv, out_sha):
+        limit = sys.get_int_max_str_digits()
+        assert run(argv.split()) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and hashlib.sha256(out.encode()).hexdigest() == out_sha
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_input_keeps_the_limit(self, capsys):
+        assert run(["word", "3", "1" * 5000]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed set literal '111")
 
 
 class TestExitCodes:

@@ -19,7 +19,7 @@ import time
 import tracemalloc
 from collections import Counter
 from functools import lru_cache
-from math import comb, prod
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -1678,14 +1678,31 @@ class TestBuiltFamilyViews:
 
     def test_excluded_equals_the_split_back_rule(self):
         for n in range(9):
-            assert tuple(family(n).excluded) == reference_excluded_by_rule(n), n
+            fam, expected = family(n), reference_excluded_by_rule(n)
+            assert tuple(fam.excluded) == expected, n
+            assert list(fam.excluded.blocks()) == [p.blocks for p in expected], n
 
     def test_ordered_excluded_equals_the_sorted_stream(self):
         # The ordered read applies the split-back rule to the block-order
-        # walk; the unordered stream walks the classes' runs instead.
+        # walk; the verifier's class runs give the same partitions unordered,
+        # as each class's levels past what a chain keeps.
         for n in range(11):
-            excluded = family(n).excluded
-            assert [p.blocks for p in excluded] == sorted(itertools.chain.from_iterable(excluded.blocks())), n
+            m, fam = n + 1, family(n)
+            places = fam.excluded.places
+            tails = [itertools.islice(levels, max(0, keep), None)
+                     for levels, keep in partitions._class_runs(m, places, places)]
+            stream = itertools.chain.from_iterable(itertools.chain.from_iterable(tails))
+            assert list(fam.excluded.blocks()) == sorted(stream), n
+
+    def test_no_type_splits_back_past_its_chain_bottom(self):
+        # The split-back table takes the m - 2b + 1 indices below a type of
+        # b <= m/2 blocks, so each such class must sit at least that high in
+        # its subset chain; the rule treats a type with no index as a bottom.
+        for n in range(11):
+            m = n + 1
+            for sizes, (t, js) in family(n).chains.places.items():
+                if 2 * len(sizes) <= m:
+                    assert t >= m - 2 * len(sizes) + 1, (n, sizes, t)
 
     @staticmethod
     def walked(monkeypatch, run):
@@ -1706,30 +1723,13 @@ class TestBuiltFamilyViews:
             return run(), types
 
     def test_walks_only_classes_with_work(self, monkeypatch):
-        # The builder walks no class.  The excluded view walks, once each,
-        # the classes whose births run past what a chain keeps; the births
-        # are counted here from the class sizes (inject is one-to-one, so a
-        # class outnumbers the one below it by them).
-        def size(s):
-            e = encode(s).entries
-            return prod(comb(i - 1, e[i - 1] - 1) for i in range(1, s.n + 2) if e[i - 1])
-
-        counts = []
+        # The builder walks no class, and neither does the excluded view:
+        # it walks the lattice in block order (``_walk``), as the chains do.
         for n in range(10):
-            m = n + 1
             fam, built = self.walked(monkeypatch, lambda: build_partition_chains(n))
             assert built == [], n
-            _, walked = self.walked(monkeypatch, lambda: list(fam.excluded.blocks()))
-            expected = []
-            for bchain in gk_decomposition(n).chains:
-                sizes = [size(s) for s in bchain.sets]
-                for t, s in enumerate(bchain.sets):
-                    births = sizes[t] - (sizes[t - 1] if t else 0)
-                    if births and len(sizes) - t > max(0, 2 * (m - len(s)) - m):
-                        expected.append(tuple(reversed([e for e in encode(s).entries if e])))
-            assert walked == expected, n
-            counts.append(len(walked))
-        assert counts == [0, 0, 0, 1, 3, 9, 21, 50, 108, 238]
+            excluded, walked = self.walked(monkeypatch, lambda: list(fam.excluded.blocks()))
+            assert walked == [] and len(excluded) == len(fam.excluded), n
 
     @pytest.mark.parametrize("how", [f"pickle-{p}" for p in range(6)] + ["copy", "deepcopy"])
     def test_pickle_and_copy_keep_the_views(self, how):
