@@ -8,9 +8,9 @@ power series).  All arithmetic is exact; floats never appear.
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb, factorial, lcm, prod
 from operator import add, getitem, mul
 from typing import Callable, Iterable, Iterator, Mapping
@@ -20,6 +20,7 @@ from .reports import VerificationReport
 from .subsets import (
     DEFAULT_CODE_SUM_CEILING,
     DEFAULT_STIRLING_CEILING,
+    DEFAULT_STIRLING_TABLE_CEILING,
     _check_ceiling,
     _json_int,
     _Value,
@@ -50,8 +51,9 @@ class StirlingTable(_Value):
         return self.rows[n]
 
 
-def stirling_table(n_max: int, ceiling: int = DEFAULT_STIRLING_CEILING) -> StirlingTable:
-    """Rows 0..n_max of the triangle, held (``_stirling_rows``)."""
+def stirling_table(n_max: int, ceiling: int = DEFAULT_STIRLING_TABLE_CEILING) -> StirlingTable:
+    """Rows 0..n_max of the triangle, held (``_stirling_rows``); the default
+    ceiling is set by the memory they take."""
     return StirlingTable(n_max, tuple(_stirling_rows(n_max, ceiling)))
 
 
@@ -91,6 +93,30 @@ def _codes(n: int, ceiling: int) -> Iterator[tuple[int, ...]]:
     return (encode(s).entries for s in all_subsets(n - 1, ceiling))
 
 
+class _Products(dict):
+    """Products of table factors keyed by a run of code entries, each built
+    once, on its first lookup: ``rows`` are the table rows of the run's
+    positions."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list[list[int]]):
+        super().__init__()
+        self.rows = rows
+
+    def __missing__(self, run: tuple[int, ...]) -> int:
+        value = self[run] = prod(map(getitem, self.rows, run))
+        return value
+
+
+def _head_length(n: int) -> int:
+    """Where to split the codes of order n: entries 1..h depend only on which
+    of 1..h are members, so there are at most 2^h heads, and the rest on the
+    members above h and on how many members run back from h, so at most
+    (h+1) * 2^(n-1-h) tails.  The h that keeps their total least."""
+    return min(range(n), key=lambda h: 2 ** h + (h + 1) * 2 ** (n - 1 - h))
+
+
 def _weighted_code_sum(n: int, ceiling: int, weight: Callable[[int], Fraction | int]) -> Fraction:
     """Sum over the codes of order n of the product, over nonzero entries e at
     position i, of C(i-1, e-1) * weight(e).
@@ -98,14 +124,19 @@ def _weighted_code_sum(n: int, ceiling: int, weight: Callable[[int], Fraction | 
     The factors are tabulated once per (i, e).  Each is scaled by the common
     denominator d of the weights and a zero entry stands for d itself, so
     every term is a product of n integers equal to d^n times the true term,
-    and the only division is the last one."""
+    and the only division is the last one.  A term is the product of its
+    head, its first ``_head_length(n)`` factors, and its tail, the rest, each
+    looked up in a memo that lives for this call: at n = 18 the 2^17 terms
+    meet 1,024 heads and 1,408 tails."""
     codes = _codes(n, ceiling)  # first: refuse before the O(n^2) table is built
     weights = [Fraction(weight(e)) for e in range(1, n + 1)]
     d = lcm(*(w.denominator for w in weights))
     scaled = [(w * d).numerator for w in weights]
     table = [[d] + [comb(i - 1, e - 1) * scaled[e - 1] for e in range(1, i + 1)]
              for i in range(1, n + 1)]
-    return Fraction(sum(prod(map(getitem, table, c)) for c in codes), d ** n)
+    h = _head_length(n)
+    heads, tails = _Products(table[:h]), _Products(table[h:])
+    return Fraction(sum(heads[c[:h]] * tails[c[h:]] for c in codes), d ** n)
 
 
 def bell_via_codes(n: int, ceiling: int = DEFAULT_CODE_SUM_CEILING) -> int:
@@ -287,13 +318,11 @@ def complete_from_elementary(n: int, ceiling: int = DEFAULT_CODE_SUM_CEILING) ->
     sign (-1)^|S| and one generator factor per nonzero code entry."""
     if _json_int(n) < 1:
         raise ValueError("n must be positive")
-    acc: dict[tuple[int, ...], int] = {}
-    for entries in _codes(n, ceiling):
-        mono = tuple(sorted(filter(None, entries)))
-        # The n entries have a zero at each member of S, so |S| = n - len(mono).
-        sign = -1 if (n - len(mono)) % 2 else 1
-        acc[mono] = acc.get(mono, 0) + sign
-    return GeneratorPolynomial(acc)
+    # Each term's monomial is its sorted nonzero entries, counted in C.
+    counts = Counter(map(tuple, map(sorted, map(filter, repeat(None), _codes(n, ceiling)))))
+    # The n entries have a zero at each member of S, so |S| = n - len(mono).
+    return GeneratorPolynomial({mono: -count if (n - len(mono)) % 2 else count
+                                for mono, count in counts.items()})
 
 
 def complete_from_elementary_oracle(n: int) -> GeneratorPolynomial:

@@ -17,7 +17,7 @@ RIGHT = ")"
 # The default ceilings of the four enumerations, all enforced by
 # ``_check_ceiling``; each layer's signatures take theirs from here, so the
 # CLI's parser reads them without loading a layer.  The partition family's
-# dot writer has the lower dot ceiling below.
+# dot writer and the held Stirling table have lower ceilings below.
 #
 # Whole-lattice enumerations refuse to run past this many ground elements
 # unless the caller raises the ceiling explicitly.  Set by memory when every
@@ -51,9 +51,15 @@ DEFAULT_DOT_CEILING = 11
 DEFAULT_CODE_SUM_CEILING = 25
 
 # Set by time: a job reads the triangle's rows in turn and holds two, so
-# row 2000 takes about 3 s and 32 MB to print (holding every row, as
-# ``stirling_table`` does, peaks at 1,664 MB there).
+# row 2000 takes about 3 s and 32 MB to print.  ``stirling_table``, which
+# holds every row, has its own default below.
 DEFAULT_STIRLING_CEILING = 2000
+
+# The Stirling ceiling of ``stirling_table``, set by memory: the rows it
+# holds grow about as n^3, and one process peaks at 211 MB for rows
+# 0..1000, 565 MB for 0..1400, 1,015 MB for 0..1700 and 1,664 MB for
+# 0..2000 (Python 3.11), so past 1700 it leaves the 1.2 GB budget.
+DEFAULT_STIRLING_TABLE_CEILING = 1700
 
 # Per-set operations stay cheap far beyond enumeration range.
 MAX_GROUND_SIZE = 64

@@ -7,6 +7,7 @@ exact series arithmetic for derivatives. The identity under test is
 always computed the other way, from codes.
 """
 
+import inspect
 from fractions import Fraction
 from math import comb, factorial
 
@@ -33,7 +34,17 @@ from symchains import (
     seeded_rational_series,
     stirling_table,
 )
-from symchains.identities import DEFAULT_STIRLING_CEILING
+from symchains import identities
+from symchains.identities import (
+    DEFAULT_STIRLING_CEILING,
+    DEFAULT_STIRLING_TABLE_CEILING,
+    SERIES_SEEDS,
+    _codes,
+    _head_length,
+    _weighted_code_sum,
+)
+
+from code_sums import check_code_sums, reference_weighted_code_sum
 
 BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975)
 
@@ -121,8 +132,20 @@ class TestStirlingTable:
                       check_stirling_symmetry):
             with pytest.raises(CeilingExceeded):
                 build(6, ceiling=5)
+
+    def test_held_table_has_its_own_ceiling(self, monkeypatch):
+        # Holding rows 0..2000 peaks at 1,664 MB; the jobs that read a row
+        # and hold two keep the higher default.
+        assert DEFAULT_STIRLING_TABLE_CEILING < DEFAULT_STIRLING_CEILING
+        for stream in (bell_oracle, check_stirling_monotone, check_stirling_symmetry):
+            assert inspect.signature(stream).parameters["ceiling"].default == DEFAULT_STIRLING_CEILING
+
+        def no_row(prev, n):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(identities, "_next_row", no_row)
         with pytest.raises(CeilingExceeded):
-            stirling_table(DEFAULT_STIRLING_CEILING + 1)
+            stirling_table(DEFAULT_STIRLING_TABLE_CEILING + 1)
 
 
 class TestBell:
@@ -352,3 +375,53 @@ class TestCodeSumCeiling:
         assert derivative_formula(g, k, ceiling=k) == derivative_oracle(g, k)
         with pytest.raises(CeilingExceeded):
             derivative_formula(g, k + 1, ceiling=k)
+
+
+# The three code sums, as a call on the order n >= 1 alone.
+CODE_SUMS = [
+    ("bell_via_codes", bell_via_codes),
+    ("complete_from_elementary", complete_from_elementary),
+    ("derivative_formula", lambda n: derivative_formula(seeded_rational_series(1101, n), n)),
+]
+
+
+@pytest.mark.parametrize("call", [call for _, call in CODE_SUMS], ids=[name for name, _ in CODE_SUMS])
+def test_one_encode_per_term(monkeypatch, call):
+    # The code-sums benchmark counts these calls against the number of terms.
+    calls = 0
+
+    def counted(s):
+        nonlocal calls
+        calls += 1
+        return encode(s)
+
+    monkeypatch.setattr(identities, "encode", counted)
+    for n in range(1, 11):
+        calls = 0
+        call(n)
+        assert calls == 2 ** (n - 1), n
+
+
+class TestKernelsAgainstReferences:
+    """The memoised kernels against the per-term ones in ``code_sums``."""
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_code_sums(self, n):
+        check_code_sums(n, n)
+
+    @pytest.mark.parametrize("seed", SERIES_SEEDS)
+    def test_seeded_weights(self, seed):
+        g = seeded_rational_series(seed, 14)
+        for n in range(1, 15):
+            assert _weighted_code_sum(n, n, g.derivative_at_center) == \
+                reference_weighted_code_sum(n, g.derivative_at_center)
+
+    def test_heads_and_tails_meet_their_bound(self):
+        # Each memo holds one product per distinct run of entries, and the
+        # runs meet the bound exactly.
+        assert _head_length(18) == 10
+        for n in range(1, 15):
+            h = _head_length(n)
+            codes = list(_codes(n, n))
+            assert len({c[:h] for c in codes}) == 2 ** h
+            assert len({c[h:] for c in codes}) == (h + 1) * 2 ** (n - 1 - h)
