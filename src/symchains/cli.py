@@ -9,7 +9,9 @@ JSON in batches of list elements.  A subcommand that enumerates takes
 --ceiling, defaulting to the library's own ceiling for that enumeration,
 or for the partition family's dot output the dot writer's lower one.
 Exit codes: 0 success, 1 a verification reported failures, 2 usage errors,
-malformed literals, or ceiling refusals.
+malformed literals, or ceiling refusals, 141 the reader closed standard
+output before the document was written (128 + SIGPIPE, as a shell reports
+a tool that signal killed).
 """
 
 from __future__ import annotations
@@ -452,7 +454,18 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``, say).  Pointing stdout
+        # at the null device keeps the interpreter's last flush silent, and
+        # the exit is a shell's for a tool that SIGPIPE killed: 128 + 13.
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -62,12 +62,14 @@ def encode(s: Subset) -> Code:
 
     With no members every entry is 1.  Each member e, ascending, zeroes
     position e and carries its count onto position e+1, which is how far
-    that position now reaches back to the last non-member.  The result is
-    valid by construction, so it is built unchecked.
+    that position now reaches back to the last non-member.  The members
+    ascend, so position e+1 still holds its initial 1 when e is reached,
+    and the carry is one add: the count at e, plus 1.  The result is valid
+    by construction, so it is built unchecked.
     """
     entries = [1] * (s.n + 1)
     for e in s.elements:
-        entries[e] += entries[e - 1]
+        entries[e] = entries[e - 1] + 1
         entries[e - 1] = 0
     return _trusted(s.n, tuple(entries))
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from math import comb, factorial, lcm, prod
 from operator import add, getitem, mul
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .coding import encode
 from .reports import VerificationReport
@@ -223,6 +223,16 @@ class GeneratorPolynomial:
         self._terms = {mono: coeff for mono, coeff in clean.items() if coeff}
 
     @classmethod
+    def _canonical(cls, terms: Mapping[tuple[int, ...], int]) -> "GeneratorPolynomial":
+        """A polynomial on ``terms`` whose monomials are already sorted and
+        distinct, as the arithmetic below makes them: only the zero
+        coefficients are dropped, in the order the public constructor
+        would keep."""
+        poly = cls.__new__(cls)
+        poly._terms = {mono: coeff for mono, coeff in terms.items() if coeff}
+        return poly
+
+    @classmethod
     def zero(cls) -> "GeneratorPolynomial":
         return cls()
 
@@ -232,7 +242,7 @@ class GeneratorPolynomial:
 
     @classmethod
     def monomial(cls, indices: Iterable[int], coeff: int = 1) -> "GeneratorPolynomial":
-        return cls({tuple(sorted(indices)): coeff})
+        return cls._canonical({tuple(sorted(indices)): coeff})
 
     @property
     def terms(self) -> dict[tuple[int, ...], int]:
@@ -250,13 +260,13 @@ class GeneratorPolynomial:
         out = dict(self._terms)
         for mono, coeff in other._terms.items():
             out[mono] = out.get(mono, 0) + coeff
-        return GeneratorPolynomial(out)
+        return GeneratorPolynomial._canonical(out)
 
     def __sub__(self, other: "GeneratorPolynomial") -> "GeneratorPolynomial":
         out = dict(self._terms)
         for mono, coeff in other._terms.items():
             out[mono] = out.get(mono, 0) - coeff
-        return GeneratorPolynomial(out)
+        return GeneratorPolynomial._canonical(out)
 
     def __mul__(self, other: "GeneratorPolynomial") -> "GeneratorPolynomial":
         out: dict[tuple[int, ...], int] = {}
@@ -264,10 +274,10 @@ class GeneratorPolynomial:
             for m2, c2 in other._terms.items():
                 mono = tuple(sorted(m1 + m2))
                 out[mono] = out.get(mono, 0) + c1 * c2
-        return GeneratorPolynomial(out)
+        return GeneratorPolynomial._canonical(out)
 
     def scaled(self, factor: int) -> "GeneratorPolynomial":
-        return GeneratorPolynomial({m: factor * c for m, c in self._terms.items()})
+        return GeneratorPolynomial._canonical({m: factor * c for m, c in self._terms.items()})
 
     def evaluate(self, values: Mapping[int, Fraction]) -> Fraction:
         total = Fraction(0)
@@ -315,14 +325,41 @@ def _monomial_str(mono: tuple[int, ...]) -> str:
 def complete_from_elementary(n: int, ceiling: int = DEFAULT_CODE_SUM_CEILING) -> GeneratorPolynomial:
     """The degree-n complete homogeneous symmetric function written in the
     elementary ones, summed over codes: subset S of {1..n-1} contributes
-    sign (-1)^|S| and one generator factor per nonzero code entry."""
+    sign (-1)^|S| and one generator factor per nonzero code entry.
+
+    Each term is counted in one ``Counter`` under its integer key
+    (``_monomial_keys``), and each distinct key, at most p(n) of them, is
+    decoded to its sign and monomial once (``_monomial_of_key``).  The
+    monomials keep the order in which the terms first meet them."""
     if _json_int(n) < 1:
         raise ValueError("n must be positive")
-    # Each term's monomial is its sorted nonzero entries, counted in C.
-    counts = Counter(map(tuple, map(sorted, map(filter, repeat(None), _codes(n, ceiling)))))
-    # The n entries have a zero at each member of S, so |S| = n - len(mono).
-    return GeneratorPolynomial({mono: -count if (n - len(mono)) % 2 else count
-                                for mono, count in counts.items()})
+    counts = Counter(_monomial_keys(_codes(n, ceiling), n))
+    terms: dict[tuple[int, ...], int] = {}
+    for key, count in counts.items():
+        members, mono = _monomial_of_key(key, n)
+        terms[mono] = -count if members % 2 else count
+    return GeneratorPolynomial._canonical(terms)
+
+
+def _monomial_keys(codes: Iterable[Sequence[int]], n: int) -> Iterator[int]:
+    """The key of each code of order n: the sum of (n+1)^e over its n
+    entries e, read from a table of powers, all in C iterators.  Digit e of
+    the key, in base n+1, counts the entries equal to e; no count reaches
+    n+1, so the digits never carry and the key determines the counts."""
+    powers = [(n + 1) ** e for e in range(n + 1)]
+    return map(sum, map(map, repeat(powers.__getitem__), codes))
+
+
+def _monomial_of_key(key: int, n: int) -> tuple[int, tuple[int, ...]]:
+    """The number of zero entries, which is |S|, and the sorted nonzero
+    entries of every code of order n whose ``_monomial_keys`` key is
+    ``key``."""
+    key, zeros = divmod(key, n + 1)
+    mono: list[int] = []
+    for e in range(1, n + 1):
+        key, count = divmod(key, n + 1)
+        mono.extend(repeat(e, count))
+    return zeros, tuple(mono)
 
 
 def complete_from_elementary_oracle(n: int) -> GeneratorPolynomial:

@@ -1,12 +1,14 @@
 """The per-term code-sum kernels, kept as the oracles of the memoised ones.
 
 ``reference_weighted_code_sum`` multiplies all n table factors of every
-term afresh, and ``reference_complete_from_elementary`` sorts, signs and
-adds one term at a time, as the package did before it split each code
-into a head and a tail and counted the monomials in one ``Counter``.
-``check_code_sums(n, m)`` compares Bell and a seeded derivative of order
-n, and h_m in the e_i, with them.  The suite runs it for n, m <= 14; for
-larger sizes run
+term afresh, where the package splits each code into a head and a tail
+whose products it memoises.  ``reference_complete_from_elementary``
+sorts, signs and adds one term's monomial at a time, where the package
+counts one integer key per term in a ``Counter``, the sum of (n+1)^e over
+the term's entries e, and decodes each distinct key to its sign and
+monomial once.  ``check_code_sums(n, m)`` compares Bell and a seeded
+derivative of order n, and h_m in the e_i, with them.  The suite runs it
+for n, m <= 14; for larger sizes run
 
     PYTHONPATH=src:tests python -c 'from code_sums import check_code_sums; check_code_sums(20, 18)'
 """
@@ -65,4 +67,6 @@ def check_code_sums(n, m):
     assert bell_via_codes(n) == reference_weighted_code_sum(n, lambda e: 1), n
     g = seeded_rational_series(SEED, n)
     assert derivative_formula(g, n) == reference_weighted_code_sum(n, g.derivative_at_center), n
-    assert complete_from_elementary(m) == reference_complete_from_elementary(m), m
+    # By repr, so that the monomials' order, the order in which the terms
+    # first meet them, must match too.
+    assert repr(complete_from_elementary(m)) == repr(reference_complete_from_elementary(m)), m

@@ -546,11 +546,13 @@ print(sorted(name for name in heavy if name in sys.modules and name not in befor
 
 
 class TestModuleEntry:
-    def run_python(self, *argv):
+    def env(self):
         src = str(Path(symchains.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        return subprocess.run([sys.executable, *argv],
-                              env={**os.environ, "PYTHONPATH": path},
+        return {**os.environ, "PYTHONPATH": path}
+
+    def run_python(self, *argv):
+        return subprocess.run([sys.executable, *argv], env=self.env(),
                               capture_output=True, text=True, timeout=60)
 
     def run_module(self, *argv):
@@ -574,3 +576,20 @@ class TestModuleEntry:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ("decompose-boolean", "16"),
+        ("decompose-boolean", "14", "--format", "json"),
+    ], ids=["text", "json"])
+    def test_closed_output_exits_141_quietly(self, argv):
+        # A reader that stops early (``| head -1``) closes the pipe while
+        # the document, over a megabyte, is still being written.  The exit
+        # is a shell's for a tool SIGPIPE killed, not 1, which means a
+        # verification failed, and no traceback reaches stderr.
+        with subprocess.Popen([sys.executable, "-m", "symchains.cli", *argv], env=self.env(),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141
+        assert err == b""

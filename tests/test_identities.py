@@ -41,6 +41,8 @@ from symchains.identities import (
     SERIES_SEEDS,
     _codes,
     _head_length,
+    _monomial_keys,
+    _monomial_of_key,
     _weighted_code_sum,
 )
 
@@ -58,6 +60,12 @@ def brute_stirling(m):
 
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+# Small polynomials in a1..a4 whose coefficients, in -3..3, often cancel;
+# the keys are given unsorted and may repeat once sorted.
+small_polynomials = st.dictionaries(
+    st.lists(st.integers(min_value=1, max_value=4), max_size=3).map(tuple),
+    st.integers(min_value=-3, max_value=3), max_size=5).map(GeneratorPolynomial)
 
 
 def series_strategy(min_order=1, max_order=6, zero_constant=False):
@@ -234,6 +242,17 @@ class TestGeneratorPolynomial:
         assert a1 * GeneratorPolynomial.one() == a1
         assert hash(a1 + a2) == hash(a2 + a1)
 
+    @given(small_polynomials, small_polynomials, st.integers(min_value=-3, max_value=3))
+    def test_arithmetic_is_canonical(self, p, q, k):
+        # The arithmetic builds its results without re-sorting their keys;
+        # each must be what the public constructor makes of its terms.
+        for r in (p + q, p - q, p * q, p.scaled(k)):
+            rebuilt = GeneratorPolynomial(r.terms)
+            assert r == rebuilt
+            assert repr(r) == repr(rebuilt)
+            assert all(r.terms.values())
+            assert all(list(mono) == sorted(mono) for mono in r.terms)
+
     def test_evaluate(self):
         p = GeneratorPolynomial.monomial([1, 1]) - GeneratorPolynomial.monomial([2])
         vals = {1: Fraction(3, 2), 2: Fraction(1, 4)}
@@ -254,6 +273,14 @@ class TestCompleteFromElementary:
     def test_matches_oracle(self):
         for n in range(1, 9):
             assert complete_from_elementary(n) == complete_from_elementary_oracle(n)
+
+    @pytest.mark.parametrize("n", [1, 25, 40])
+    def test_monomial_keys_round_trip(self, n):
+        # All ones puts n in digit 1; n - 1 zeros then n puts n - 1 in the
+        # zeros digit and 1 in the top one, the largest key of order n.
+        for entries in ((1,) * n, (0,) * (n - 1) + (n,)):
+            (key,) = _monomial_keys([entries], n)
+            assert _monomial_of_key(key, n) == (entries.count(0), tuple(sorted(filter(None, entries))))
 
     def test_evaluates_to_complete_homogeneous(self):
         # independent check in 6 variables: expand e_i and h_i directly
